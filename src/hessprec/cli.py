@@ -275,15 +275,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (SolveFailure, EstimationError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
-    except (SolveFailure, EstimationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

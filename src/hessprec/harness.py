@@ -106,22 +106,21 @@ class ProblemConfig:
         if isinstance(s, tuple) and s and isinstance(s[0], tuple):
             opts = dict(s)
             profile = opts.pop("profile", "log_uniform")
-            try:
-                if profile == "log_uniform":
-                    return scales_log_uniform(self.n_features,
-                                              lo=float(opts.pop("lo", 1e-3)),
-                                              hi=float(opts.pop("hi", 1.0)))
-                if profile == "two_band":
-                    return scales_two_band(self.n_features,
-                                           head=int(opts.pop("head", 16)),
-                                           head_lo=float(opts.pop("head_lo", 1e-2)),
-                                           head_hi=float(opts.pop("head_hi", 1.0)),
-                                           tail_hi=float(opts.pop("tail_hi", 1e-4)),
-                                           tail_lo=opts.pop("tail_lo", None))
-            finally:
-                if opts:
-                    raise ConfigError(f"unknown scale options: {sorted(opts)}")
-            raise ConfigError(f"unknown scale profile {profile!r}")
+            if profile == "log_uniform":
+                make = scales_log_uniform
+                kwargs = dict(lo=float(opts.pop("lo", 1e-3)), hi=float(opts.pop("hi", 1.0)))
+            elif profile == "two_band":
+                make = scales_two_band
+                kwargs = dict(head=int(opts.pop("head", 16)),
+                              head_lo=float(opts.pop("head_lo", 1e-2)),
+                              head_hi=float(opts.pop("head_hi", 1.0)),
+                              tail_hi=float(opts.pop("tail_hi", 1e-4)),
+                              tail_lo=opts.pop("tail_lo", None))
+            else:
+                raise ConfigError(f"unknown scale profile {profile!r}")
+            if opts:
+                raise ConfigError(f"unknown scale options: {sorted(opts)}")
+            return make(self.n_features, **kwargs)
         arr = np.asarray(s, dtype=float)
         if arr.size != self.n_features:
             raise ConfigError(
@@ -256,33 +255,28 @@ class RunResult:
         return self.records[-1]
 
 
-def _fmt(x):
-    x = float(x)
-    return repr(x)
+def _csv_row(rec):
+    """The RUN_CSV_COLUMNS cells of one record; floats in shortest round-trip form."""
+    floats = (rec.train_loss, rec.test_loss, rec.test_accuracy, rec.step_length, rec.wall_ms)
+    return [str(rec.step), str(rec.data_read)] + [repr(float(x)) for x in floats]
 
 
-def write_run_csv(path, records, extra_label=None):
-    """Write records in the exact run-CSV schema (optionally labeled)."""
+def _write_csv(path, columns, rows):
     with open(path, "w") as fh:
-        head = RUN_CSV_COLUMNS if extra_label is None else ("optimizer",) + RUN_CSV_COLUMNS
-        fh.write(",".join(head) + "\n")
-        for rec in records:
-            row = [str(rec.step), str(rec.data_read), _fmt(rec.train_loss),
-                   _fmt(rec.test_loss), _fmt(rec.test_accuracy),
-                   _fmt(rec.step_length), _fmt(rec.wall_ms)]
-            if extra_label is not None:
-                row.insert(0, extra_label)
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
             fh.write(",".join(row) + "\n")
 
 
+def write_run_csv(path, records):
+    """Write records in the exact run-CSV schema."""
+    _write_csv(path, RUN_CSV_COLUMNS, (_csv_row(rec) for rec in records))
+
+
 def write_comparison_csv(path, labeled_records):
-    with open(path, "w") as fh:
-        fh.write(",".join(("optimizer",) + RUN_CSV_COLUMNS) + "\n")
-        for label, rec in labeled_records:
-            fh.write(",".join([label, str(rec.step), str(rec.data_read),
-                               _fmt(rec.train_loss), _fmt(rec.test_loss),
-                               _fmt(rec.test_accuracy), _fmt(rec.step_length),
-                               _fmt(rec.wall_ms)]) + "\n")
+    """Write (label, record) pairs: an ``optimizer`` column, then the run-CSV schema."""
+    _write_csv(path, ("optimizer",) + RUN_CSV_COLUMNS,
+               ([label] + _csv_row(rec) for label, rec in labeled_records))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +395,18 @@ class MLPBundle:
     def __init__(self, pc: ProblemConfig):
         if pc.data is not None:
             X, raw_t = datagen.read_dataset(pc.data)
-            targets = raw_t.astype(int)
             if X.shape[1] != pc.input_dim:
                 raise ConfigError(
                     f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
                 )
+            # a negative label would wrap in the one-hot index, a large one escape it
+            bad = (raw_t != np.round(raw_t)) | (raw_t < 0) | (raw_t >= pc.n_classes)
+            if np.any(bad):
+                raise ConfigError(
+                    f"dataset {pc.data} has label {raw_t[bad][0]:g}; "
+                    f"labels must be integers in [0, {pc.n_classes})"
+                )
+            targets = raw_t.astype(int)
         else:
             X, targets = datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim,
                                            pc.n_classes, pc.separation)
@@ -488,14 +489,14 @@ def damped_newton(problem, w0, tol=1e-10, max_iter=100, callback=None):
 class _Recorder:
     """Emission schedule plus loss evaluation shared by all loops."""
 
-    def __init__(self, bundle, cfg, oracle, total_steps):
+    def __init__(self, bundle, cfg, oracle, total_steps, t0=None):
         self.bundle = bundle
         self.cfg = cfg
         self.oracle = oracle
         self.total = total_steps
         self.epoch_len = max(1, math.ceil(bundle.n_train / cfg.batch_size))
         self.records = []
-        self.t0 = time.perf_counter()
+        self.t0 = time.perf_counter() if t0 is None else t0
 
     def due(self, step):
         return (step == 0 or step == self.total
@@ -520,18 +521,47 @@ class _Recorder:
 
 def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     """Plain fixed-step SGD."""
-    steps = cfg.n_steps(bundle.n_train)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    w = bundle.init_w(cfg.seed)
-    rec = _Recorder(bundle, cfg, oracle, steps)
-    rec.emit(0, w, cfg.lr)
-    for t in range(1, steps + 1):
-        g = oracle.noisy_gradient(w)
-        w = w - cfg.lr * g
-        if rec.due(t) and not rec.emit(t, w, cfg.lr):
-            log.warning("sgd diverged at step %d", t)
-            return RunResult(rec.records, True, w)
-    return RunResult(rec.records, False, w)
+    return run_sgd_lanes(bundle, [cfg])[0]
+
+
+def run_sgd_lanes(bundle, cfgs) -> list:
+    """Plain fixed-step SGD runs stepped together on one batch stream.
+
+    Every batch is seeded by (seed, counter), so runs that share the seed
+    and the batch size draw the same batch at each step; here it is drawn
+    once per step and charged to every lane that takes the step.  Each
+    lane keeps its own parameters, records, record schedule and step
+    count, and stops at its last step or at the first record whose loss
+    is non-finite, so its records equal those of the config run alone.
+    With ``timing`` the lanes' wall times share one clock.  Returns one
+    ``RunResult`` per config, in order.
+    """
+    cfgs = list(cfgs)
+    seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
+    if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
+        raise ConfigError("SGD lanes must share the seed and the batch size")
+    steps = [c.n_steps(bundle.n_train) for c in cfgs]
+    oracle = bundle.make_oracle(batch_size, seed)
+    ws = [bundle.init_w(seed) for _ in cfgs]
+    t0 = time.perf_counter()
+    recs = [_Recorder(bundle, c, oracle, n, t0) for c, n in zip(cfgs, steps)]
+    for rec, w, c in zip(recs, ws, cfgs):
+        rec.emit(0, w, c.lr)
+    results = [None] * len(cfgs)
+    live = list(range(len(cfgs)))
+    t = 0
+    while live:
+        t += 1
+        grads = oracle.gradients([ws[i] for i in live], oracle.draw_batch())
+        for i, g in zip(live, grads):
+            ws[i] = ws[i] - cfgs[i].lr * g
+            if recs[i].due(t) and not recs[i].emit(t, ws[i], cfgs[i].lr):
+                log.warning("sgd diverged at step %d (lr=%g)", t, cfgs[i].lr)
+                results[i] = RunResult(recs[i].records, True, ws[i])
+            elif t == steps[i]:
+                results[i] = RunResult(recs[i].records, False, ws[i])
+        live = [i for i in live if results[i] is None]
+    return results
 
 
 def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
@@ -744,8 +774,10 @@ def compare(configs) -> ComparisonResult:
     """Run several optimizers on one shared problem and merge the results.
 
     All configs must agree on the problem block and the seed; the merged
-    records are keyed by (optimizer label, data_read).  Divergence of an
-    individual run is recorded in its summary, not fatal.
+    records are keyed by (optimizer label, data_read).  Fixed-step SGD
+    runs that share a batch size are stepped together by
+    ``run_sgd_lanes``; records and summaries stay in config order.
+    Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
         raise ConfigError("compare needs at least one run config")
@@ -775,11 +807,22 @@ def compare(configs) -> ComparisonResult:
     for cfg in configs:
         counts[cfg.optimizer] = counts.get(cfg.optimizer, 0) + 1
 
+    results = [None] * len(configs)
+    for i, cfg in enumerate(configs):
+        if results[i] is not None:
+            continue
+        if cfg.optimizer != "sgd":
+            results[i] = run_experiment(bundle, cfg)
+            continue
+        lanes = [j for j, c in enumerate(configs)
+                 if c.optimizer == "sgd" and c.batch_size == cfg.batch_size]
+        for j, result in zip(lanes, run_sgd_lanes(bundle, [configs[j] for j in lanes])):
+            results[j] = result
+
     labeled = []
     summaries = []
-    for cfg in configs:
+    for cfg, result in zip(configs, results):
         label = _run_label(cfg, counts)
-        result = run_experiment(bundle, cfg)
         for r in result.records:
             labeled.append((label, r))
         reach = None

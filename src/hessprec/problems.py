@@ -202,9 +202,15 @@ class QuadraticOracle(HessianOracle):
         return rng.choice(self.problem.n_data, size=self.batch_size, replace=False)
 
     def gradient(self, w, batch):
+        return self.gradients([w], batch)[0]
+
+    def gradients(self, ws, batch):
+        # one gather for every w; each gradient keeps its own products, so
+        # it does not depend on which other vectors share the batch
         Phib = self.problem.Phi[:, batch]
-        resid = Phib.T @ w - self.problem.y[batch]
-        return self.problem.alpha_reg * w + Phib @ resid / batch.size
+        yb = self.problem.y[batch]
+        return [self.problem.alpha_reg * w + Phib @ (Phib.T @ w - yb) / batch.size
+                for w in ws]
 
     def hvp(self, w, s, batch):
         Phib = self.problem.Phi[:, batch]

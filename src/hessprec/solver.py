@@ -66,6 +66,10 @@ class HessianOracle(abc.ABC):
     def hvp(self, w, s, batch):
         """Mini-batch Hessian product with ``s`` on a previously drawn batch."""
 
+    def gradients(self, ws, batch):
+        """Mini-batch gradients at each of ``ws`` on one drawn batch."""
+        return [self.gradient(w, batch) for w in ws]
+
     def draw_batch(self):
         batch = self._draw()
         self.data_read += self.batch_size

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import hessprec.cli as cli_mod
 from hessprec.cli import _parse_set_args, main
 from hessprec.data import read_dataset, write_dataset
 from hessprec.harness import ConfigError
@@ -174,6 +175,31 @@ class TestRun:
         assert rc == 2
         assert out.exists() and len(out.read_text().splitlines()) > 1
         assert "diverged=True" in capsys.readouterr().out
+
+    def test_linalg_error_exits_2(self, tmp_path, monkeypatch, capsys):
+        def singular(bundle, cfg):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(cli_mod, "run_experiment", singular)
+        assert main(self.run_args(tmp_path / "x.csv")) == 2
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_mlp_label_out_of_range_exits_1(self, tmp_path, capsys, label):
+        data = tmp_path / "blobs.csv"
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 3, size=60)
+        labels[7] = label
+        write_dataset(data, rng.standard_normal((60, 5)), labels)
+        rc = main(["run", "--set", "problem.kind=mlp",
+                   "--set", f'problem.data="{data}"',
+                   "--set", "problem.input_dim=5", "--set", "problem.n_classes=3",
+                   "--set", "problem.hidden=[4]", "--optimizer", "sgd",
+                   "--lr", "0.1", "--steps", "2", "--batch-size", "16",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and f"label {label}" in err
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         rc = main(["run", "--set", "problem.flavor=1", "--optimizer", "sgd",

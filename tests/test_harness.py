@@ -22,6 +22,7 @@ from hessprec.harness import (
     run_experiment,
     run_precond_sgd,
     run_sgd,
+    run_sgd_lanes,
     write_comparison_csv,
     write_run_csv,
 )
@@ -151,6 +152,12 @@ class TestScaleVector:
         pc = ProblemConfig(kind="quadratic", n_features=5,
                            scales={"profile": "banded"})
         with pytest.raises(ConfigError, match="profile"):
+            pc.scale_vector()
+
+    def test_unknown_profile_reported_before_its_options(self):
+        pc = ProblemConfig(kind="quadratic", n_features=5,
+                           scales={"profile": "bogus", "lo": 0.1})
+        with pytest.raises(ConfigError, match="unknown scale profile 'bogus'"):
             pc.scale_vector()
 
     def test_unknown_scale_option(self):
@@ -373,13 +380,6 @@ class TestCsvOutput:
         assert lines[1] == "0,0,2.5,2.25,nan,0.1,0.0"
         assert lines[2] == "5,320,1.0,1.125,nan,0.1,0.0"
 
-    def test_run_csv_with_label(self, tmp_path):
-        path = tmp_path / "run.csv"
-        write_run_csv(path, self.records(), extra_label="sgd")
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("optimizer,step,")
-        assert lines[1].startswith("sgd,0,")
-
     def test_comparison_csv(self, tmp_path):
         path = tmp_path / "cmp.csv"
         write_comparison_csv(path, [("sgd", self.records()[0]),
@@ -468,3 +468,58 @@ class TestCompare:
         for s in result.summaries:
             assert s.label + ":" in text
         assert "to_target=never" in text
+
+
+class TestSgdLanes:
+    """compare steps SGD runs that share a batch size on one batch stream."""
+
+    def configs(self, kind):
+        if kind == "quadratic":
+            base = dict(problem=small_quadratic(), batch_size=64, seed=0)
+            return [
+                ExperimentConfig(optimizer="sgd", lr=0.1, steps=10, record_every=2, **base),
+                ExperimentConfig(optimizer="avg_inv", steps=5, record_every=1, **base),
+                ExperimentConfig(optimizer="sgd", lr=0.05, steps=14, record_every=3, **base),
+                ExperimentConfig(optimizer="sgd", lr=1e8, steps=30, record_every=4, **base),
+                ExperimentConfig(optimizer="sgd", lr=0.02, steps=6, record_every=1,
+                                 **dict(base, batch_size=32)),
+            ]
+        base = dict(problem=small_mlp(), optimizer="sgd", batch_size=30, seed=0)
+        return [
+            ExperimentConfig(lr=0.1, steps=12, record_every=2, **base),
+            ExperimentConfig(lr=0.3, epochs=2.0, record_every=5, **base),
+            ExperimentConfig(lr=1e6, steps=300, record_every=7, **base),
+        ]
+
+    def runs(self, kind):
+        cfgs = self.configs(kind)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = compare(cfgs)
+            solo = [run_experiment(build_problem(c.problem), c) for c in cfgs]
+        return cfgs, result, solo
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_comparison_csv_equals_solo_runs(self, tmp_path, kind):
+        cfgs, result, solo = self.runs(kind)
+        assert [s.diverged for s in result.summaries] == [r.diverged for r in solo]
+        assert any(r.diverged for r in solo) and not all(r.diverged for r in solo)
+        labels = [s.label for s in result.summaries]
+        write_comparison_csv(tmp_path / "lanes.csv", result.labeled_records)
+        write_comparison_csv(tmp_path / "solo.csv",
+                             [(lab, r) for lab, res in zip(labels, solo) for r in res.records])
+        assert (tmp_path / "lanes.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+
+    def test_each_lane_charged_once_per_step(self):
+        cfgs, result, solo = self.runs("quadratic")
+        for cfg, summary, alone in zip(cfgs, result.summaries, solo):
+            lane = [r for lab, r in result.labeled_records if lab == summary.label]
+            assert [r.data_read for r in lane] == [r.data_read for r in alone.records]
+            if cfg.optimizer == "sgd":
+                assert all(r.data_read == r.step * cfg.batch_size for r in lane)
+
+    def test_lanes_must_share_batch_stream(self):
+        bundle = build_problem(small_quadratic())
+        cfgs = [ExperimentConfig(problem=small_quadratic(), batch_size=b, steps=2)
+                for b in (32, 64)]
+        with pytest.raises(ConfigError, match="batch size"):
+            run_sgd_lanes(bundle, cfgs)

@@ -150,6 +150,16 @@ class TestQuadraticOracle:
         fd = fd_hvp(lambda v: oracle.gradient(v, batch), w, s)
         np.testing.assert_allclose(hv, fd, rtol=1e-5, atol=1e-7)
 
+    def test_gradients_equal_per_vector_calls(self):
+        p = self.make()
+        oracle = batch_oracle(p, 32, seed=0)
+        ws = list(np.random.default_rng(10).standard_normal((3, 6)))
+        batch = oracle.draw_batch()
+        grads = oracle.gradients(ws, batch)
+        assert len(grads) == 3
+        for g, w in zip(grads, ws):
+            assert g.tobytes() == oracle.gradient(w, batch).tobytes()
+
     def test_full_batch_equals_problem(self):
         p = self.make()
         oracle = batch_oracle(p, p.n_data, seed=0)
