@@ -2,6 +2,7 @@
 pre-conditioned SGD built on top of it."""
 
 from .inference import (
+    IncrementalPosterior,
     MatrixPrior,
     NoiseModel,
     ObservationSet,
@@ -44,6 +45,7 @@ __all__ = [
     "EstimationError",
     "GeneralizedEigenResult",
     "HessianOracle",
+    "IncrementalPosterior",
     "LowRankFactorPair",
     "MatrixPrior",
     "NoiseModel",

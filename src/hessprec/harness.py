@@ -52,10 +52,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # configuration
 
-def _take(d, key, default):
-    return d.pop(key) if key in d else default
-
-
 @dataclass(frozen=True)
 class ProblemConfig:
     kind: str = "quadratic"

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LowRankFactorPair, generalized_sym_eig, woodbury_solve
+from .linalg import LowRankFactorPair, SolveFailure, solve_capacitance, woodbury_solve
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,6 @@ class PosteriorMean:
         callers that have a cheaper fallback should catch it.
         """
         if not (np.isfinite(self.b0) and self.b0 > 0):
-            from .linalg import SolveFailure
-
             raise SolveFailure(f"cannot invert posterior with b0 = {self.b0!r}")
         return woodbury_solve(self.b0, LowRankFactorPair(self.A, self.C), v)
 
@@ -147,9 +145,67 @@ class PosteriorMean:
         return self.b0 * np.eye(self.n) + self.A @ self.C.T
 
 
+# A probe is accepted when its Cholesky pivot keeps more than this share of
+# its diagonal entry of M: pivot^2 > PIVOT_RTOL * M_kk.  With exact products
+# that asks for an out-of-span share ||s_perp|| / ||s|| above 1e-6, a level
+# the Cholesky factor of the Gram matrix still resolves above rounding.
+PIVOT_RTOL = 1e-12
+
+
 def _empty_posterior(prior):
     z = np.zeros((prior.n, 0))
     return PosteriorMean(prior=prior, A=z, C=z.copy())
+
+
+def _cho_solve(L, B):
+    """Solve ``L L.T X = B`` for a lower-triangular factor L."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, B))
+
+
+def _cholesky_row(L, b, c):
+    """Row k of the Cholesky factor of M from row k of M: ``M[k, :k] = b``, ``M[k, k] = c``.
+
+    ``L`` is the factor of the leading k x k block.  A sub-threshold
+    pivot (see ``PIVOT_RTOL``) names probe column k as dependent.
+    """
+    k = b.size
+    l = np.linalg.solve(L, b) if k else b
+    p2 = c - l @ l
+    if not p2 > PIVOT_RTOL * c:
+        raise ValueError(
+            f"probe column {k} is linearly dependent on earlier columns "
+            f"(Cholesky pivot^2 {p2:.3e} <= {PIVOT_RTOL:g} * {c:.3e}); the update cannot use it"
+        )
+    return np.append(l, np.sqrt(p2))
+
+
+def _cholesky(M):
+    L = np.zeros_like(M)
+    for k in range(M.shape[0]):
+        L[k, :k + 1] = _cholesky_row(L[:k, :k], M[k, :k], M[k, k])
+    return L
+
+
+def _mean(prior, L, S_rows, D_rows):
+    """The posterior update: ``A = w0 Delta M^-1`` and ``C = w0 S``.
+
+    ``S_rows`` and ``D_rows`` hold the probes and ``Delta = Y - b0 S`` as
+    rows, and ``L L.T = M = w0^2 S.T S + lam0 diag(noise_diag)``.
+    """
+    m = S_rows.shape[0]
+    if m == 0:
+        return _empty_posterior(prior)
+    # one GEMM with the m x m inverse; a triangular solve against N
+    # right-hand sides is about ten times slower at N = 1e5
+    w0 = prior.w0
+    return PosteriorMean(prior=prior, A=(w0 * _cho_solve(L, np.eye(m)) @ D_rows).T,
+                         C=(w0 * S_rows).T)
+
+
+def _from_scratch(prior, lam0, obs):
+    S = obs.S
+    M = prior.w0 ** 2 * (S.T @ S) + lam0 * np.diag(obs.noise_diag)
+    return _mean(prior, _cholesky(M), S.T, (obs.Y - prior.b0 * S).T)
 
 
 def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> PosteriorMean:
@@ -158,8 +214,9 @@ def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> PosteriorMean:
     With zero observation noise the update interpolates: the returned
     estimate satisfies ``B_m @ S = Y`` exactly, and reduces to
 
-        B_m = b0 I + (Y - b0 S) (S.T W S)^-1 S.T W,   W = w0 I.
+        B_m = b0 I + (Y - b0 S) (S.T W S)^-1 S.T W,   W = w0 I,
 
+    which is the ``lam0 = 0`` case of the one update in ``infer_noisy``.
     The probe columns must be linearly independent; the first dependent
     column is reported by index.
     """
@@ -169,52 +226,32 @@ def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> PosteriorMean:
         raise ValueError("noise-free update called with nonzero noise_diag")
     if obs.n != prior.n:
         raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
-    S, Y = obs.S, obs.Y
-    # QR without pivoting processes columns left to right, so a tiny
-    # diagonal entry of R flags the first column with (numerically) no
-    # component outside the span of its predecessors.
-    Rfac = np.linalg.qr(S, mode="r")
-    diag = np.abs(np.diag(Rfac))
-    col_norms = np.linalg.norm(S, axis=0)
-    bad = np.where(diag <= 1e-12 * col_norms)[0]
-    if bad.size:
-        raise ValueError(
-            f"probe column {bad[0]} is linearly dependent on earlier columns; "
-            "the noise-free update cannot use it"
-        )
-    delta = Y - prior.b0 * S
-    gram = prior.w0 * (S.T @ S)
-    A = np.linalg.solve(gram, delta.T).T  # delta @ gram^-1
-    C = prior.w0 * S
-    return PosteriorMean(prior=prior, A=A, C=C)
+    return _from_scratch(prior, 0.0, obs)
 
 
 def infer_noisy(prior: MatrixPrior, noise: NoiseModel, obs: ObservationSet) -> PosteriorMean:
-    """Posterior mean for noisy products.
+    """Posterior mean for noisy products, computed from scratch.
 
     The correction solves the structured system
 
         (W x S.T W S + Lam x noise_diag) vec X = vec(Y - b0 S)
 
-    where "x" couples row and column factors (row-major vectorization).
-    Only the column-side factor needs an actual generalized
-    eigendecomposition, of the pencil
+    where "x" couples row and column factors (row-major vectorization)
+    and (W, Lam) = (w0 I, lam0 I).  The row side is a pair of scaled
+    identities, so it collapses out and the system is one m x m SPD
+    solve:
 
-        (S.T W S) v = t * diag(noise_diag) v.
+        X = Delta M^-1,   M = w0^2 S.T S + lam0 diag(noise_diag),
 
-    The row side involves the pair of scaled identities (W, Lam) =
-    (w0 I, lam0 I), whose conjugate factorization is closed-form: the
-    vectors are ``I / sqrt(lam0)`` and every value equals ``w0 / lam0``.
-    Substituting that factorization into the joint solution collapses
-    the row dimension out entirely:
-
-        X = Delta V diag(1 / (w0 * t_i + lam0)) V.T,
-
-    with (t, V) from the column pencil above.  Cost is O(N m + m^3)
-    beyond the products with Delta, independent of N otherwise.
+    with ``Delta = Y - b0 S``; ``lam0 = 0`` is ``infer_noise_free``.  M is
+    factored by Cholesky, and a sub-threshold pivot (``PIVOT_RTOL``)
+    names the first dependent probe column.
 
     The returned factors are ``A = w0 X`` and ``C = w0 S``, so that
     ``b0 I + A C.T`` equals the posterior mean ``b0 I + W X S.T W``.
+    This is the reference form of the update, for a whole observation
+    set at once; the probing loop grows the same formula one probe at a
+    time in ``IncrementalPosterior``.
     """
     if noise.lam0 == 0:
         return infer_noise_free(prior, obs)
@@ -224,14 +261,78 @@ def infer_noisy(prior: MatrixPrior, noise: NoiseModel, obs: ObservationSet) -> P
         raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
     if np.any(obs.noise_diag <= 0):
         raise ValueError("noisy update requires strictly positive noise_diag entries")
-    S, Y = obs.S, obs.Y
-    w0, lam0 = prior.w0, noise.lam0
-    delta = Y - prior.b0 * S
-    pencil = generalized_sym_eig(w0 * (S.T @ S), np.diag(obs.noise_diag))
-    V, omega = pencil.vectors, pencil.values
-    coeff = 1.0 / (w0 * omega + lam0)
-    X = ((delta @ V) * coeff) @ V.T
-    return PosteriorMean(prior=prior, A=w0 * X, C=w0 * S)
+    return _from_scratch(prior, noise.lam0, obs)
+
+
+class IncrementalPosterior:
+    """The ``infer_noisy`` posterior, grown one probe at a time.
+
+    Probe-major buffers of shape ``capacity x N`` hold the probes S and
+    ``Delta = Y - b0 S`` one row per probe, so ``S[:m].T`` is the N x m
+    probe matrix in Fortran order.  Beside them sit the m x m matrices
+    ``S.T S`` and ``S.T Delta``, the noise diagonal ``lam0 ||s_i||^2`` and
+    the Cholesky factor L of ``M = w0^2 S.T S + lam0 diag(noise)``.
+
+    ``add`` extends all of them with GEMVs against the new row (two
+    passes over S, one over Delta) and one row of L, in O(N m + m^3);
+    ``solve`` works from the m x m Woodbury capacitance in O(N m + m^3);
+    ``mean`` forms the factored ``PosteriorMean`` once.
+    """
+
+    def __init__(self, prior: MatrixPrior, noise: NoiseModel, capacity: int):
+        self.prior = prior
+        self.lam0 = noise.lam0
+        self.S = np.empty((capacity, prior.n))
+        self.D = np.empty((capacity, prior.n))
+        self.StS = np.zeros((capacity, capacity))
+        self.StD = np.zeros((capacity, capacity))
+        self.noise = np.zeros(capacity)
+        self.L = np.zeros((capacity, capacity))
+        self.m = 0
+
+    def add(self, s, y):
+        """Absorb the probe ``s`` and its product ``y``.
+
+        Raises ``ValueError``, and leaves every buffer as it was, when the
+        pair is not finite or the probe's Cholesky pivot is sub-threshold.
+        """
+        k = self.m
+        if k == self.S.shape[0]:
+            raise ValueError(f"buffers are full ({k} probes)")
+        s = np.asarray(s, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(y))):
+            raise ValueError(f"probe column {k} or its product is not finite")
+        delta = y - self.prior.b0 * s
+        sts = np.append(self.S[:k] @ s, s @ s)
+        noise = self.lam0 * sts[k]
+        row = self.prior.w0 ** 2 * sts
+        self.L[k, :k + 1] = _cholesky_row(self.L[:k, :k], row[:k], row[k] + self.lam0 * noise)
+        self.S[k], self.D[k], self.noise[k] = s, delta, noise
+        self.StS[k, :k + 1] = self.StS[:k + 1, k] = sts
+        self.StD[k, :k + 1] = self.D[:k + 1] @ s
+        self.StD[:k, k] = self.S[:k] @ delta
+        self.m = k + 1
+
+    def solve(self, v):
+        """Solve ``(b0 I + A C.T) x = v`` through the capacitance ``b0 I + w0^2 S.T Delta M^-1``.
+
+        Raises ``SolveFailure`` when the capacitance is numerically singular.
+        """
+        b0, w0, k = self.prior.b0, self.prior.w0, self.m
+        if not (np.isfinite(b0) and b0 > 0):
+            raise SolveFailure(f"cannot invert posterior with b0 = {b0!r}")
+        v = np.asarray(v, dtype=float)
+        if k == 0:
+            return v / b0
+        L = self.L[:k, :k]
+        cap = b0 * np.eye(k) + w0 ** 2 * _cho_solve(L, self.StD[:k, :k].T).T
+        t = solve_capacitance(cap, w0 * (self.S[:k] @ v))
+        return (v - self.D[:k].T @ (w0 * _cho_solve(L, t))) / b0
+
+    def mean(self) -> PosteriorMean:
+        k = self.m
+        return _mean(self.prior, self.L[:k, :k], self.S[:k], self.D[:k])
 
 
 # ---------------------------------------------------------------------------

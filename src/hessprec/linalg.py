@@ -193,11 +193,19 @@ def woodbury_solve(b0, factors: LowRankFactorPair, rhs):
     if factors.m == 0:
         return rhs / b0
     A, C = factors.A, factors.C
-    cap = b0 * np.eye(factors.m) + C.T @ A
+    t = solve_capacitance(b0 * np.eye(factors.m) + C.T @ A, C.T @ rhs)
+    return (rhs - A @ t) / b0
+
+
+def solve_capacitance(cap, v):
+    """Solve the m x m capacitance system ``cap t = v`` of a Woodbury solve.
+
+    Raises ``SolveFailure`` when ``cap`` is numerically singular, that is
+    when its condition number is not finite or exceeds 1e14.
+    """
     cond = np.linalg.cond(cap)
     if not np.isfinite(cond) or cond > 1e14:
         raise SolveFailure(
             f"capacitance matrix is numerically singular (condition estimate {cond:.3e})"
         )
-    t = np.linalg.solve(cap, C.T @ rhs)
-    return (rhs - A @ t) / b0
+    return np.linalg.solve(cap, v)

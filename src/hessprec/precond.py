@@ -68,10 +68,6 @@ class Preconditioner:
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be positive, got {self.beta!r}")
 
-    def storage_floats(self) -> int:
-        """Floats held beyond the parameter vector itself: O(N k)."""
-        return self.spectral.U.size + self.spectral.sigma.size + 2
-
 
 @dataclass(frozen=True)
 class ScalarStep:
@@ -103,7 +99,9 @@ def reduce_rank(post, k: int) -> SpectralApprox:
     if k > effective:
         log.warning("requested rank %d exceeds numerical rank %d; reducing", k, effective)
         k = effective
-    return SpectralApprox(U=U[:, :k], sigma=sigma[:k])
+    # a contiguous copy: the strided U[:, :k] view of a wider U makes every
+    # apply_p_squared several times slower at large N
+    return SpectralApprox(U=np.ascontiguousarray(U[:, :k]), sigma=sigma[:k])
 
 
 def build(spectral: SpectralApprox, beta: float = 1.0, base_lr: float = 1.0):
@@ -139,13 +137,6 @@ def apply_p_squared(precond: Preconditioner, g):
         return a2 * g
     t = sp.U.T @ g
     return a2 * (g - sp.U @ t + sp.U @ ((precond.beta ** 2 / sp.sigma) * t))
-
-
-def apply_flops(n: int, k: int) -> int:
-    """Arithmetic estimate for one ``apply_p_squared`` call: O(N k)."""
-    # two thin products (2 N k multiply-adds each), the diagonal rescale,
-    # and the vector combination
-    return 4 * n * k + 3 * k + 3 * n
 
 
 def precond_to_dict(precond: Preconditioner) -> dict:

@@ -2,10 +2,11 @@
 
 Each iteration solves the current estimate against the latest gradient
 to pick the next probe direction, observes a noisy Hessian product along
-it, refreshes the gradient on the same mini-batch, and re-runs the
-posterior update on everything collected so far.  With exact products
-the probes reproduce the Krylov sequence of the underlying matrix; with
-noise they stay close to it while the posterior absorbs the error.
+it, refreshes the gradient on the same mini-batch, and adds the new pair
+to an incremental posterior, in O(N m + m^3) per probe with nothing
+rebuilt.  With exact products the probes reproduce the Krylov sequence
+of the underlying matrix; with noise they stay close to it while the
+posterior absorbs the error.
 """
 from __future__ import annotations
 
@@ -16,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import (
-    MatrixPrior,
-    NoiseModel,
-    ObservationSet,
-    PosteriorMean,
-    infer_noisy,
-)
+from .inference import IncrementalPosterior, MatrixPrior, NoiseModel, PosteriorMean
 from .linalg import SolveFailure
 
 log = logging.getLogger(__name__)
@@ -188,11 +183,13 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
     return PriorEstimates(b0=float(b0), w0=float(w0), lam0=float(lam0), mean_grad=gbar)
 
 
-def next_direction(post: PosteriorMean, r, normalize=False):
+def next_direction(post, r, normalize=False):
     """Probe direction ``-B^-1 r`` for the current estimate B.
 
-    Falls back to the prior-scaled gradient ``-r / b0`` (with a logged
-    warning) when the low-rank solve fails numerically.
+    ``post`` is a ``PosteriorMean`` or the probing loop's
+    ``IncrementalPosterior``.  Falls back to the prior-scaled gradient
+    ``-r / b0`` (with a logged warning) when the low-rank solve fails
+    numerically.
     """
     r = np.asarray(r, dtype=float)
     if np.linalg.norm(r) == 0:
@@ -214,22 +211,29 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     Per iteration: pick a direction with ``next_direction`` against the
     latest gradient, load one fresh batch, observe the curvature product
     along the (optionally normalized) probe and refresh the gradient on
-    that same batch, then re-run the posterior update on all collected
-    observations.  If an update fails (for instance a dependent probe in
-    the exact-product case once the reachable subspace is exhausted) the
-    previous posterior is returned with a warning.
+    that same batch, then add the pair to an ``IncrementalPosterior``,
+    which costs O(N m + m^3) and rebuilds nothing.  If a probe is
+    rejected (for instance a dependent probe in the exact-product case
+    once the reachable subspace is exhausted) the posterior of the
+    previous iteration is returned with a warning.  The returned
+    ``PosteriorMean`` is formed once, at the end.
+
+    Raises ``ValueError`` before the first batch is drawn when
+    ``config.iterations`` exceeds ``oracle.dim``.
 
     ``callback``, if given, receives one ``IterationRecord`` per
     completed iteration.
     """
     w = np.asarray(w, dtype=float)
     n = oracle.dim
+    if config.iterations > n:
+        raise ValueError(
+            f"iterations ({config.iterations}) exceed the parameter dimension ({n}); "
+            f"at most {n} probes can be independent"
+        )
     prior = MatrixPrior(b0=estimates.b0, w0=estimates.w0, n=n)
-    noise = NoiseModel(lam0=estimates.lam0)
-    post = PosteriorMean(prior=prior, A=np.zeros((n, 0)), C=np.zeros((n, 0)))
+    post = IncrementalPosterior(prior, NoiseModel(lam0=estimates.lam0), config.iterations)
     r = np.asarray(estimates.mean_grad, dtype=float)
-    probes: list[np.ndarray] = []
-    products: list[np.ndarray] = []
     for i in range(1, config.iterations + 1):
         t0 = time.perf_counter()
         raw = next_direction(post, r)
@@ -238,21 +242,16 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
         batch = oracle.draw_batch()
         y = oracle.hvp(w, s, batch)
         r = oracle.gradient(w, batch)
-        probes.append(s)
-        products.append(y)
-        obs = ObservationSet.from_probes(
-            np.column_stack(probes), np.column_stack(products), noise.lam0
-        )
         try:
-            post = infer_noisy(prior, noise, obs)
-        except (ValueError, SolveFailure) as exc:
+            post.add(s, y)
+        except ValueError as exc:
             log.warning(
                 "posterior update failed at iteration %d (%s); keeping previous estimate",
                 i, exc,
             )
-            return post
+            break
         if callback is not None:
             wall_ms = (time.perf_counter() - t0) * 1e3
             callback(IterationRecord(iteration=i, probe_norm=probe_norm,
                                      data_read=oracle.data_read, wall_ms=wall_ms))
-    return post
+    return post.mean()

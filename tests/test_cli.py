@@ -124,6 +124,15 @@ class TestSolve:
         assert all(b - a == 64 for a, b in zip(reads, reads[1:]))
         capsys.readouterr()
 
+    def test_more_iterations_than_dimensions_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "post.json"
+        rc = main(["solve", *SMALL, "--set", "solver.iterations=16", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "iterations (16) exceed the parameter dimension (12)" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestPrecond:
     def test_writes_loadable_preconditioner(self, tmp_path, capsys):

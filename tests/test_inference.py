@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hessprec.inference import (
+    IncrementalPosterior,
     MatrixPrior,
     NoiseModel,
     ObservationSet,
@@ -230,6 +231,61 @@ class TestNoisy:
         ref = dense_posterior_mean(0.8, 1.2, lam0, S, Y)
         scale = max(np.linalg.norm(ref), 1.0)
         assert np.linalg.norm(post.dense() - ref) <= 1e-8 * scale
+
+
+def rel_err(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+class TestIncrementalPosterior:
+    @pytest.mark.parametrize("lam0", [0.3, 0.0])
+    @pytest.mark.parametrize("seed,n,m", [(40, 7, 4), (41, 10, 6), (42, 12, 12)])
+    def test_matches_from_scratch_after_every_probe(self, seed, n, m, lam0):
+        b0, w0 = 0.9, 1.3
+        B, S, Y = make_case(seed, n, m, noise_std=0.1 if lam0 else 0.0)
+        prior, noise = MatrixPrior(b0, w0, n), NoiseModel(lam0)
+        state = IncrementalPosterior(prior, noise, capacity=m)
+        for j in range(1, m + 1):
+            state.add(S[:, j - 1], Y[:, j - 1])
+            Sj, Yj = S[:, :j], Y[:, :j]
+            got = state.mean().dense()
+            scratch = infer_noisy(prior, noise, ObservationSet.from_probes(Sj, Yj, lam0))
+            assert rel_err(got, scratch.dense()) <= 1e-10
+            assert rel_err(got, dense_posterior_mean(b0, w0, lam0, Sj, Yj)) <= 1e-10
+            np.testing.assert_allclose(state.StS[:j, :j], Sj.T @ Sj, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(state.StD[:j, :j], Sj.T @ (Yj - b0 * Sj),
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(state.noise[:j], lam0 * np.sum(Sj * Sj, axis=0))
+            v = np.random.default_rng(seed + j).standard_normal(n)
+            np.testing.assert_allclose(got @ state.solve(v), v, atol=1e-8)
+
+    def test_rejected_probe_leaves_buffers_and_posterior_unchanged(self):
+        B, S, Y = make_case(43, 8, 3)
+        state = IncrementalPosterior(MatrixPrior(1.1, 0.7, 8), NoiseModel(0.0), capacity=4)
+        for j in range(3):
+            state.add(S[:, j], Y[:, j])
+        names = ("S", "D", "StS", "StD", "noise", "L")
+        before = {name: getattr(state, name).tobytes() for name in names}
+        post = state.mean()
+        with pytest.raises(ValueError, match="column 3 is linearly dependent"):
+            state.add(S[:, 1], Y[:, 1])
+        assert state.m == 3
+        for name in names:
+            assert getattr(state, name).tobytes() == before[name], name
+        again = state.mean()
+        assert again.A.tobytes() == post.A.tobytes()
+        assert again.C.tobytes() == post.C.tobytes()
+
+    def test_rejects_non_finite_product(self):
+        state = IncrementalPosterior(MatrixPrior(1.0, 1.0, 3), NoiseModel(0.1), capacity=2)
+        with pytest.raises(ValueError, match="not finite"):
+            state.add(np.ones(3), np.array([1.0, np.nan, 0.0]))
+        assert state.m == 0
+
+    def test_empty_state_is_prior(self):
+        state = IncrementalPosterior(MatrixPrior(2.0, 1.0, 4), NoiseModel(0.5), capacity=3)
+        np.testing.assert_allclose(state.mean().dense(), 2.0 * np.eye(4))
+        np.testing.assert_allclose(state.solve(np.arange(4.0)), 0.5 * np.arange(4.0))
 
 
 class TestPosteriorMean:

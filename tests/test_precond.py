@@ -9,7 +9,6 @@ from hessprec.precond import (
     Preconditioner,
     ScalarStep,
     SpectralApprox,
-    apply_flops,
     apply_p_squared,
     build,
     precond_from_dict,
@@ -106,6 +105,13 @@ class TestReduceRank:
             sp = reduce_rank(post, 2)
         assert sp.k == 1
         assert any("numerical rank" in rec.message for rec in caplog.records)
+
+    def test_kept_directions_are_c_contiguous(self):
+        rng = np.random.default_rng(4)
+        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=30),
+                             A=rng.standard_normal((30, 8)), C=rng.standard_normal((30, 8)))
+        for k in (3, 8):
+            assert reduce_rank(post, k).U.flags.c_contiguous
 
     def test_rank_bounds(self):
         post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=4),
@@ -297,19 +303,6 @@ class TestSerializationAndCosts:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="kind"):
             precond_from_dict({"kind": "posterior_mean"})
-
-    def test_storage_is_linear_in_n(self):
-        rng = np.random.default_rng(12)
-        for n, k in [(10, 2), (50, 4), (200, 8)]:
-            Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
-            sp = SpectralApprox(U=Q, sigma=np.geomspace(10, 1, k))
-            precond, _ = build(sp)
-            assert precond.storage_floats() == n * k + k + 2
-
-    def test_apply_cost_is_linear_in_n(self):
-        assert apply_flops(100, 4) < 10 * apply_flops(10, 4) + 1000
-        assert apply_flops(1000, 4) == pytest.approx(
-            4 * 1000 * 4 + 3 * 4 + 3 * 1000)
 
 
 class TestStochasticConsistency:

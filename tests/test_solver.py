@@ -3,7 +3,13 @@ import logging
 import numpy as np
 import pytest
 
-from hessprec.inference import MatrixPrior, PosteriorMean
+from hessprec.inference import (
+    MatrixPrior,
+    NoiseModel,
+    ObservationSet,
+    PosteriorMean,
+    infer_noisy,
+)
 from hessprec.problems import QuadraticProblem, batch_oracle
 from hessprec.solver import (
     EstimationError,
@@ -285,6 +291,58 @@ class TestRunInference:
                                  SolverConfig(iterations=4, init_samples=2))
         assert post.m == 1
         assert any("keeping previous" in rec.message for rec in caplog.records)
+
+    def test_rejected_probe_returns_previous_posterior(self):
+        # the repeated second probe is rejected under lam0 = 0, so the
+        # result is bitwise the one-probe posterior
+        def build(iterations):
+            oracle = MatrixOracle(np.eye(5), np.ones(5))
+            est = estimate_parameters(oracle, np.zeros(5), init_samples=2)
+            return run_inference(oracle, np.zeros(5), est,
+                                 SolverConfig(iterations=iterations, init_samples=2))
+
+        one, four = build(1), build(4)
+        assert four.A.tobytes() == one.A.tobytes()
+        assert four.C.tobytes() == one.C.tobytes()
+
+    def test_loop_matches_from_scratch_update_after_every_probe(self):
+        rng = np.random.default_rng(9)
+        Phi = rng.standard_normal((10, 300))
+        problem = QuadraticProblem(Phi=Phi, y=rng.standard_normal(300), alpha_reg=1e-3)
+        for iters in range(1, 9):
+            oracle = batch_oracle(problem, 16, seed=3)
+            est = estimate_parameters(oracle, np.zeros(10), init_samples=3)
+            assert est.lam0 > 0
+            probes, products = [], []
+            hvp = oracle.hvp
+
+            def recording_hvp(w, s, batch):
+                y = hvp(w, s, batch)
+                probes.append(s)
+                products.append(y)
+                return y
+
+            oracle.hvp = recording_hvp
+            post = run_inference(oracle, np.zeros(10), est,
+                                 SolverConfig(iterations=iters, init_samples=3))
+            assert post.m == iters
+            prior = MatrixPrior(est.b0, est.w0, 10)
+            ref = infer_noisy(prior, NoiseModel(est.lam0), ObservationSet.from_probes(
+                np.column_stack(probes), np.column_stack(products), est.lam0))
+            err = np.linalg.norm(post.dense() - ref.dense()) / np.linalg.norm(ref.dense())
+            assert err <= 1e-10
+
+    def test_rejects_more_iterations_than_dimensions_before_drawing(self):
+        rng = np.random.default_rng(7)
+        problem = QuadraticProblem(Phi=rng.standard_normal((5, 200)),
+                                   y=rng.standard_normal(200), alpha_reg=1e-3)
+        oracle = batch_oracle(problem, 16, seed=0)
+        est = estimate_parameters(oracle, np.zeros(5), init_samples=3)
+        reads = oracle.data_read
+        with pytest.raises(ValueError, match=r"iterations \(8\) exceed the parameter "
+                                             r"dimension \(5\)"):
+            run_inference(oracle, np.zeros(5), est, SolverConfig(iterations=8))
+        assert oracle.data_read == reads
 
     def test_solver_config_validation(self):
         with pytest.raises(ValueError, match="iterations"):
