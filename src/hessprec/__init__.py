@@ -14,7 +14,6 @@ from .inference import (
 )
 from .linalg import (
     GeneralizedEigenResult,
-    LowRankFactorPair,
     SolveFailure,
     generalized_sym_eig,
     sym_eig,
@@ -35,6 +34,7 @@ from .solver import (
     HessianOracle,
     PriorEstimates,
     SolverConfig,
+    SolverSettings,
     estimate_parameters,
     run_inference,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "GeneralizedEigenResult",
     "HessianOracle",
     "IncrementalPosterior",
-    "LowRankFactorPair",
     "MatrixPrior",
     "NoiseModel",
     "ObservationSet",
@@ -55,6 +54,7 @@ __all__ = [
     "PriorEstimates",
     "ScalarStep",
     "SolverConfig",
+    "SolverSettings",
     "SolveFailure",
     "SpectralApprox",
     "apply_p_squared",

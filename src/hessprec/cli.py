@@ -33,7 +33,7 @@ from .harness import (
 from .inference import save_posterior
 from .linalg import SolveFailure
 from .precond import precond_to_dict
-from .solver import EstimationError, SolverConfig, estimate_parameters, run_inference
+from .solver import EstimationError, estimate_parameters, run_inference
 
 
 def _parse_set_args(items):
@@ -144,15 +144,11 @@ def _cmd_solve(args):
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
     w = bundle.init_w(cfg.seed)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
-    solver_cfg = SolverConfig(iterations=cfg.solver.iterations,
-                              init_samples=cfg.solver.init_samples,
-                              normalize_probes=cfg.solver.normalize_probes,
-                              mode="full")
     fh = cb = None
     if args.log:
         fh, cb = _iteration_log_writer(args.log, cfg.timing)
     try:
-        post = run_inference(oracle, w, est, solver_cfg, callback=cb)
+        post = run_inference(oracle, w, est, cfg.solver, callback=cb)
     finally:
         if fh is not None:
             fh.close()

@@ -35,7 +35,8 @@ from .problems import (
     scales_two_band,
     squared_data_loss,
 )
-from .solver import EstimationError, SolverConfig, estimate_parameters, run_inference
+from .solver import (ConfigError, EstimationError, SolverSettings, estimate_parameters,
+                     run_inference)
 
 log = logging.getLogger(__name__)
 
@@ -43,10 +44,6 @@ RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
                    "test_accuracy", "step_length", "wall_ms")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg", "newton_oracle")
-
-
-class ConfigError(ValueError):
-    """Bad or inconsistent configuration (CLI exit code 1)."""
 
 
 # ---------------------------------------------------------------------------
@@ -123,33 +120,6 @@ class ProblemConfig:
                 f"explicit scales have {arr.size} entries but n_features={self.n_features}"
             )
         return arr
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    iterations: int = 16
-    init_samples: int = 5
-    rank: int = 16
-    beta: float = 1.0
-    mode: str = "full"
-    normalize_probes: bool = True
-
-    def __post_init__(self):
-        if self.mode not in ("full", "scalar"):
-            raise ConfigError(f"solver mode must be 'full' or 'scalar', got {self.mode!r}")
-        if self.iterations < 1 or self.init_samples < 2 or self.rank < 1:
-            raise ConfigError("solver iterations/init_samples/rank out of range")
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        kwargs = {k: d.pop(k) for k in list(d) if k in cls.__dataclass_fields__}
-        if d:
-            raise ConfigError(f"unknown solver config keys: {sorted(d)}")
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -278,20 +248,25 @@ def write_comparison_csv(path, labeled_records):
 # ---------------------------------------------------------------------------
 # problem bundles
 
+def _load_dataset(pc: ProblemConfig, generate):
+    """``(X, labels)`` read from ``pc.data``, or else ``generate()``'s synthetic set."""
+    if pc.data is None:
+        return generate()
+    X, y = datagen.read_dataset(pc.data)
+    if X.shape[1] != pc.input_dim:
+        raise ConfigError(
+            f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
+        )
+    return X, y
+
+
 class QuadraticBundle:
     kind = "quadratic"
 
     def __init__(self, pc: ProblemConfig):
-        if pc.data is not None:
-            X, y = datagen.read_dataset(pc.data)
-            if X.shape[1] != pc.input_dim:
-                raise ConfigError(
-                    f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
-                )
-        else:
-            X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
-                                          pc.n_features, pc.noise, pc.signal_dim,
-                                          pc.equal_coef)
+        X, y = _load_dataset(pc, lambda: datagen.gen_regression(
+            pc.data_seed, pc.n_samples, pc.input_dim, pc.n_features, pc.noise,
+            pc.signal_dim, pc.equal_coef))
         spec = FeatureMapSpec(pc.input_dim, pc.scale_vector())
         Phi = polynomial_features(X, spec).T  # features x samples
         tr, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
@@ -336,15 +311,8 @@ class LogisticBundle:
     kind = "logistic"
 
     def __init__(self, pc: ProblemConfig):
-        if pc.data is not None:
-            X, labels = datagen.read_dataset(pc.data)
-            if X.shape[1] != pc.input_dim:
-                raise ConfigError(
-                    f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
-                )
-        else:
-            X, labels = datagen.gen_classification(pc.data_seed, pc.n_samples,
-                                                   pc.input_dim, pc.separation)
+        X, labels = _load_dataset(pc, lambda: datagen.gen_classification(
+            pc.data_seed, pc.n_samples, pc.input_dim, pc.separation))
         tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
         self.problem = LogisticProblem(X[tr], labels[tr], pc.reg)
         self._test = LogisticProblem(X[te], labels[te], pc.reg) if te.size else None
@@ -389,23 +357,17 @@ class MLPBundle:
     kind = "mlp"
 
     def __init__(self, pc: ProblemConfig):
+        X, targets = _load_dataset(pc, lambda: datagen.gen_blobs(
+            pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes, pc.separation))
         if pc.data is not None:
-            X, raw_t = datagen.read_dataset(pc.data)
-            if X.shape[1] != pc.input_dim:
-                raise ConfigError(
-                    f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
-                )
             # a negative label would wrap in the one-hot index, a large one escape it
-            bad = (raw_t != np.round(raw_t)) | (raw_t < 0) | (raw_t >= pc.n_classes)
+            bad = (targets != np.round(targets)) | (targets < 0) | (targets >= pc.n_classes)
             if np.any(bad):
                 raise ConfigError(
-                    f"dataset {pc.data} has label {raw_t[bad][0]:g}; "
+                    f"dataset {pc.data} has label {targets[bad][0]:g}; "
                     f"labels must be integers in [0, {pc.n_classes})"
                 )
-            targets = raw_t.astype(int)
-        else:
-            X, targets = datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim,
-                                           pc.n_classes, pc.separation)
+            targets = targets.astype(int)
         tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
         self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,),
                           activation="tanh", loss="cross_entropy", reg=pc.reg)
@@ -565,14 +527,11 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
 
     Returns ``(preconditioner, lr, posterior, estimates)``.  Raises
     ``EstimationError`` / ``SolveFailure`` / ``ValueError`` on failure;
-    callers decide whether to fall back.
+    callers decide whether to fall back.  ``settings.mode`` is not read:
+    this is the full-mode construction.
     """
     est = estimate_parameters(oracle, w, settings.init_samples, mode="full")
-    solver_cfg = SolverConfig(iterations=settings.iterations,
-                              init_samples=settings.init_samples,
-                              normalize_probes=settings.normalize_probes,
-                              mode="full")
-    post = run_inference(oracle, w, est, solver_cfg)
+    post = run_inference(oracle, w, est, settings)
     if post.m == 0:
         raise EstimationError("active solver produced no usable observations")
     k = min(settings.rank, post.m)
@@ -587,8 +546,9 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     Full mode builds P once up front and applies P^2 to every gradient;
     scalar mode skips the projection and instead refreshes the scalar
     step length at rebuild boundaries (every ``rebuild_every`` epochs,
-    with an optional fixed-rate warmup epoch first).  Construction
-    failures fall back to plain SGD with a warning.
+    with an optional fixed-rate warmup epoch first).  Numerical
+    construction failures fall back to plain SGD with a warning; a
+    ``ConfigError`` (such as more probes than dimensions) propagates.
     """
     steps = cfg.n_steps(bundle.n_train)
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
@@ -603,6 +563,8 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
                         construction_data_read=oracle.data_read,
                         b0=est.b0, w0=est.w0, lam0=est.lam0)
             step_length = lr * precond.alpha ** 2
+        except ConfigError:
+            raise
         except (EstimationError, SolveFailure, ValueError) as exc:
             log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
             precond, lr, step_length = None, cfg.lr, cfg.lr

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LowRankFactorPair, SolveFailure, solve_capacitance, woodbury_solve
+from .linalg import SolveFailure, solve_capacitance, woodbury_solve
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ObservationSet:
 
 @dataclass(frozen=True)
 class PosteriorMean:
-    """Posterior mean estimate ``b0 * I + A @ C.T`` in factored form."""
+    """Posterior mean estimate ``b0 * I + A @ C.T``, with N x m factors, m <= N."""
 
     prior: MatrixPrior
     A: np.ndarray
@@ -102,8 +102,14 @@ class PosteriorMean:
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
         C = np.asarray(self.C, dtype=float)
-        if A.shape != C.shape or A.ndim != 2:
-            raise ValueError(f"bad factor shapes: {A.shape} vs {C.shape}")
+        if A.ndim != 2 or C.ndim != 2:
+            raise ValueError("factors must be two-dimensional arrays")
+        if A.shape != C.shape:
+            raise ValueError(f"factor shapes differ: {A.shape} vs {C.shape}")
+        if A.shape[1] > A.shape[0]:
+            raise ValueError(
+                f"factors have more columns ({A.shape[1]}) than rows ({A.shape[0]})"
+            )
         if A.shape[0] != self.prior.n:
             raise ValueError(
                 f"factor row count {A.shape[0]} does not match prior dimension {self.prior.n}"
@@ -138,7 +144,7 @@ class PosteriorMean:
         """
         if not (np.isfinite(self.b0) and self.b0 > 0):
             raise SolveFailure(f"cannot invert posterior with b0 = {self.b0!r}")
-        return woodbury_solve(self.b0, LowRankFactorPair(self.A, self.C), v)
+        return woodbury_solve(self.b0, self.A, self.C, v)
 
     def dense(self):
         """Materialize the N x N estimate.  Test and toy-problem use only."""

@@ -17,40 +17,6 @@ class SolveFailure(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LowRankFactorPair:
-    """The N x N product ``A @ C.T`` kept in factored form.
-
-    ``A`` and ``C`` are both N x m with m <= N; the product itself is
-    never formed.
-    """
-
-    A: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        if A.ndim != 2 or C.ndim != 2:
-            raise ValueError("factors must be two-dimensional arrays")
-        if A.shape != C.shape:
-            raise ValueError(f"factor shapes differ: {A.shape} vs {C.shape}")
-        if A.shape[1] > A.shape[0]:
-            raise ValueError(
-                f"factor pair has more columns ({A.shape[1]}) than rows ({A.shape[0]})"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[1]
-
-
-@dataclass(frozen=True)
 class GeneralizedEigenResult:
     """Solution of ``G v = t R v``: values descending, vectors R-orthonormal."""
 
@@ -146,12 +112,12 @@ def generalized_sym_eig(G, R, tol=1e-10):
     return GeneralizedEigenResult(values=vals, vectors=V)
 
 
-def thin_svd_product(factors: LowRankFactorPair):
+def thin_svd_product(A, C):
     """Thin SVD of ``A @ C.T`` without forming the N x N product.
 
-    QR-factor both thin matrices, run a dense SVD on the m x m core
-    ``Ra @ Rc.T``, and rotate the orthonormal QR bases by the core's
-    singular vectors.  Total cost O(N m^2).
+    ``A`` and ``C`` are N x m with m <= N.  QR-factor both, run a dense
+    SVD on the m x m core ``Ra @ Rc.T``, and rotate the orthonormal QR
+    bases by the core's singular vectors.  Total cost O(N m^2).
 
     Returns
     -------
@@ -163,8 +129,7 @@ def thin_svd_product(factors: LowRankFactorPair):
     V : (N, m) array
         Right singular vectors.
     """
-    A, C = factors.A, factors.C
-    n, m = factors.n, factors.m
+    n, m = A.shape
     if m == 0:
         return np.zeros((n, 0)), np.zeros(0), np.zeros((n, 0))
     Qa, Ra = np.linalg.qr(A)
@@ -173,11 +138,11 @@ def thin_svd_product(factors: LowRankFactorPair):
     return Qa @ u, sigma, Qc @ vt.T
 
 
-def woodbury_solve(b0, factors: LowRankFactorPair, rhs):
+def woodbury_solve(b0, A, C, rhs):
     """Solve ``(b0 I + A C.T) x = rhs`` by the matrix-inversion lemma.
 
-    Only the m x m capacitance system ``(b0 I_m + C.T A)`` is ever
-    factorized:
+    ``A`` and ``C`` are N x m.  Only the m x m capacitance system
+    ``(b0 I_m + C.T A)`` is ever factorized:
 
         x = (rhs - A (b0 I + C.T A)^-1 C.T rhs) / b0
 
@@ -190,10 +155,10 @@ def woodbury_solve(b0, factors: LowRankFactorPair, rhs):
     if not np.isfinite(b0) or b0 <= 0:
         raise ValueError(f"diagonal weight b0 must be positive and finite, got {b0!r}")
     rhs = np.asarray(rhs, dtype=float)
-    if factors.m == 0:
+    m = A.shape[1]
+    if m == 0:
         return rhs / b0
-    A, C = factors.A, factors.C
-    t = solve_capacitance(b0 * np.eye(factors.m) + C.T @ A, C.T @ rhs)
+    t = solve_capacitance(b0 * np.eye(m) + C.T @ A, C.T @ rhs)
     return (rhs - A @ t) / b0
 
 

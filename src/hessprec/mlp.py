@@ -7,10 +7,9 @@ autodiff framework involved; everything is plain numpy, which keeps the
 arithmetic bit-reproducible across runs.
 
 Parameters are flattened layer by layer as (W_1, b_1, W_2, b_2, ...),
-with W_l of shape (fan_out, fan_in).  The product supports restriction
-to a single layer's diagonal block: the direction is zeroed outside the
-block before the pass and the result zeroed outside it after, which is
-the building block for block-diagonal curvature treatments.
+with W_l of shape (fan_out, fan_in).  ``MLPOracle`` serves mini-batch
+gradients and products on the seeded batches of
+:class:`hessprec.solver.HessianOracle`.
 """
 from __future__ import annotations
 
@@ -141,25 +140,12 @@ class ToyNet:
                     delta = delta * (1.0 - A[l] * A[l])
         return self.pack(grads)
 
-    def hvp(self, w, v, X, targets, layer=None):
-        """Exact Hessian product with direction ``v`` on the given batch.
-
-        ``layer`` (0-based) restricts to that layer's diagonal block:
-        off-block components of the direction are treated as zero and
-        off-block components of the output are discarded.
-        """
+    def hvp(self, w, v, X, targets):
+        """Exact Hessian product with direction ``v`` on the given batch."""
         w = np.asarray(w, dtype=float)
         v = np.asarray(v, dtype=float)
         if v.shape != w.shape:
             raise ValueError(f"direction shape {v.shape} does not match parameters {w.shape}")
-        if layer is not None:
-            if not 0 <= layer < self.n_layers:
-                raise ValueError(f"layer must be in [0, {self.n_layers - 1}], got {layer}")
-            mask = np.zeros_like(v)
-            ws, bs = self.layer_slices()[layer]
-            mask[ws] = v[ws]
-            mask[bs] = v[bs]
-            v = mask
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
         layers = self.unpack(w)
@@ -201,23 +187,11 @@ class ToyNet:
                 else:
                     rdelta = rback
                     delta = back
-        result = self.pack(out)
-        if layer is not None:
-            keep = np.zeros_like(result)
-            ws, bs = self.layer_slices()[layer]
-            keep[ws] = result[ws]
-            keep[bs] = result[bs]
-            result = keep
-        return result
+        return self.pack(out)
 
     def accuracy(self, w, X, targets):
         pred = self.logits(w, X).argmax(axis=1)
         return float(np.mean(pred == np.asarray(targets)))
-
-
-def mlp_hvp(net: ToyNet, w, s, X, targets, layer=None):
-    """Module-level alias for :meth:`ToyNet.hvp`."""
-    return net.hvp(w, s, X, targets, layer=layer)
 
 
 class MLPOracle(HessianOracle):
@@ -228,23 +202,14 @@ class MLPOracle(HessianOracle):
         targets = np.asarray(targets)
         if X.shape[0] != targets.shape[0]:
             raise ValueError("X and targets disagree on sample count")
-        if batch_size > X.shape[0]:
-            raise ValueError(f"batch_size {batch_size} exceeds data size {X.shape[0]}")
-        super().__init__(batch_size)
+        super().__init__(batch_size, X.shape[0], seed)
         self.net = net
         self.X = X
         self.targets = targets
-        self.seed = int(seed)
-        self._counter = 0
 
     @property
     def dim(self) -> int:
         return self.net.n_params
-
-    def _draw(self):
-        rng = np.random.default_rng([np.uint32(self.seed), np.uint32(self._counter)])
-        self._counter += 1
-        return rng.choice(self.X.shape[0], size=self.batch_size, replace=False)
 
     def gradient(self, w, batch):
         return self.net.gradient(w, self.X[batch], self.targets[batch])

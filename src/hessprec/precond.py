@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LowRankFactorPair, thin_svd_product
+from .linalg import thin_svd_product
 from .solver import PriorEstimates
 
 log = logging.getLogger(__name__)
@@ -91,7 +91,7 @@ def reduce_rank(post, k: int) -> SpectralApprox:
     """
     if not 1 <= k <= post.m:
         raise ValueError(f"rank k must be in [1, {post.m}], got {k}")
-    U, sigma, _ = thin_svd_product(LowRankFactorPair(post.A, post.C))
+    U, sigma, _ = thin_svd_product(post.A, post.C)
     if sigma[0] == 0:
         effective = 0
     else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LowRankFactorPair, SolveFailure, woodbury_solve
+from .linalg import SolveFailure, woodbury_solve
 from .solver import HessianOracle
 
 log = logging.getLogger(__name__)
@@ -26,42 +26,38 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FeatureMapSpec:
-    """Second-order polynomial features with optional per-feature scaling.
+    """Second-order polynomial features with per-feature scaling.
 
-    The raw stacked vector is ``[x, vec(x x.T)]`` of length d + d^2.
-    With ``scales=None`` the map is the identity on that stack.  With a
-    scale vector of length q, the map selects the distinct monomials in
-    a fixed order (the d linear terms, then the upper triangle of
-    ``x x.T`` row by row, then the trace ``||x||^2``), truncates to the
-    first q, and multiplies entrywise by ``scales``.  For d = 21 the
-    distinct-monomial count is 21 + 231 + 1 = 253.
+    With a scale vector of length q, the map selects the distinct
+    monomials in a fixed order (the d linear terms, then the upper
+    triangle of ``x x.T`` row by row, then the trace ``||x||^2``),
+    truncates to the first q, and multiplies entrywise by ``scales``.
+    For d = 21 the distinct-monomial count is 21 + 231 + 1 = 253.
     """
 
     input_dim: int
-    scales: np.ndarray | None = None
+    scales: np.ndarray
 
     def __post_init__(self):
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        if self.scales is not None:
-            scales = np.asarray(self.scales, dtype=float)
-            if scales.ndim != 1 or scales.size < 1:
-                raise ValueError("scales must be a non-empty vector")
-            if np.any(scales <= 0):
-                raise ValueError("scales must be strictly positive")
-            d = self.input_dim
-            limit = d + d * (d + 1) // 2 + 1
-            if scales.size > limit:
-                raise ValueError(
-                    f"at most {limit} distinct monomial features exist for input_dim={d}, "
-                    f"got {scales.size} scales"
-                )
-            object.__setattr__(self, "scales", scales)
+        scales = np.asarray(self.scales, dtype=float)
+        if scales.ndim != 1 or scales.size < 1:
+            raise ValueError("scales must be a non-empty vector")
+        if np.any(scales <= 0):
+            raise ValueError("scales must be strictly positive")
+        d = self.input_dim
+        limit = d + d * (d + 1) // 2 + 1
+        if scales.size > limit:
+            raise ValueError(
+                f"at most {limit} distinct monomial features exist for input_dim={d}, "
+                f"got {scales.size} scales"
+            )
+        object.__setattr__(self, "scales", scales)
 
     @property
     def n_features(self) -> int:
-        d = self.input_dim
-        return d + d * d if self.scales is None else self.scales.size
+        return self.scales.size
 
 
 def scales_log_uniform(n_features: int, lo: float = 1e-3, hi: float = 1.0):
@@ -104,11 +100,7 @@ def polynomial_features(X, spec: FeatureMapSpec):
     Xb = np.atleast_2d(X)
     if Xb.shape[1] != spec.input_dim:
         raise ValueError(f"expected inputs of dimension {spec.input_dim}, got {Xb.shape[1]}")
-    if spec.scales is None:
-        outer = Xb[:, :, None] * Xb[:, None, :]
-        feats = np.concatenate([Xb, outer.reshape(Xb.shape[0], -1)], axis=1)
-    else:
-        feats = raw_monomials(Xb, spec.input_dim, spec.scales.size) * spec.scales
+    feats = raw_monomials(Xb, spec.input_dim, spec.scales.size) * spec.scales
     return feats[0] if single else feats
 
 
@@ -170,36 +162,16 @@ def exact_solution(problem: QuadraticProblem):
     return np.linalg.solve(problem.hessian(), rhs)
 
 
-def _batch_rng(seed, counter):
-    return np.random.default_rng([np.uint32(seed), np.uint32(counter)])
-
-
 class QuadraticOracle(HessianOracle):
-    """Mini-batch oracle for :class:`QuadraticProblem`.
-
-    Batches are uniform without replacement within a batch and
-    independent across calls; each draw seeds its own generator from the
-    root seed plus a call counter, so runs replay exactly.
-    """
+    """Mini-batch oracle for :class:`QuadraticProblem` on the base class's seeded batches."""
 
     def __init__(self, problem: QuadraticProblem, batch_size: int, seed: int):
-        if batch_size > problem.n_data:
-            raise ValueError(
-                f"batch_size {batch_size} exceeds data size {problem.n_data}"
-            )
-        super().__init__(batch_size)
+        super().__init__(batch_size, problem.n_data, seed)
         self.problem = problem
-        self.seed = int(seed)
-        self._counter = 0
 
     @property
     def dim(self) -> int:
         return self.problem.n_features
-
-    def _draw(self):
-        rng = _batch_rng(self.seed, self._counter)
-        self._counter += 1
-        return rng.choice(self.problem.n_data, size=self.batch_size, replace=False)
 
     def gradient(self, w, batch):
         return self.gradients([w], batch)[0]
@@ -284,21 +256,12 @@ class LogisticProblem:
 
 class LogisticOracle(HessianOracle):
     def __init__(self, problem: LogisticProblem, batch_size: int, seed: int):
-        if batch_size > problem.n_data:
-            raise ValueError(f"batch_size {batch_size} exceeds data size {problem.n_data}")
-        super().__init__(batch_size)
+        super().__init__(batch_size, problem.n_data, seed)
         self.problem = problem
-        self.seed = int(seed)
-        self._counter = 0
 
     @property
     def dim(self) -> int:
         return self.problem.n_features
-
-    def _draw(self):
-        rng = _batch_rng(self.seed, self._counter)
-        self._counter += 1
-        return rng.choice(self.problem.n_data, size=self.batch_size, replace=False)
 
     def gradient(self, w, batch):
         Xb = self.problem.X[batch]
@@ -334,19 +297,17 @@ def avg_inv_baseline(problem: QuadraticProblem, batch_size: int, n_batches: int,
     """
     if n_batches < 1:
         raise ValueError(f"n_batches must be at least 1, got {n_batches}")
-    if batch_size > problem.n_data:
-        raise ValueError(f"batch_size {batch_size} exceeds data size {problem.n_data}")
+    # the batches of a QuadraticOracle with this seed, skipped ones included
+    oracle = QuadraticOracle(problem, batch_size, seed)
     total = np.zeros(problem.n_features)
     used = 0
     for t in range(n_batches):
-        rng = _batch_rng(seed, t)
-        idx = rng.choice(problem.n_data, size=batch_size, replace=False)
+        idx = oracle.draw_batch()
         Phib = problem.Phi[:, idx]
         rhs = Phib @ problem.y[idx] / batch_size
         try:
             if batch_size <= problem.n_features:
-                wt = woodbury_solve(problem.alpha_reg,
-                                    LowRankFactorPair(Phib / batch_size, Phib), rhs)
+                wt = woodbury_solve(problem.alpha_reg, Phib / batch_size, Phib, rhs)
             else:
                 Hb = Phib @ Phib.T / batch_size \
                     + problem.alpha_reg * np.eye(problem.n_features)

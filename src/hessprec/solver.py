@@ -6,7 +6,9 @@ it, refreshes the gradient on the same mini-batch, and adds the new pair
 to an incremental posterior, in O(N m + m^3) per probe with nothing
 rebuilt.  With exact products the probes reproduce the Krylov sequence
 of the underlying matrix; with noise they stay close to it while the
-posterior absorbs the error.
+posterior absorbs the error.  The module also owns the oracle base
+class, whose seeded batch stream every method is charged on, and the
+one settings type, ``SolverSettings``.
 """
 from __future__ import annotations
 
@@ -36,12 +38,19 @@ class HessianOracle(abc.ABC):
     already-loaded batch is free, so a caller that needs both from the
     same data pays for it once.  The convenience wrappers
     ``noisy_gradient`` / ``noisy_hvp`` draw their own batch per call.
+    A subclass over a dataset passes its size ``n_data`` and a seed to
+    inherit ``_draw``'s batch stream; any other subclass overrides it.
     """
 
-    def __init__(self, batch_size: int):
+    def __init__(self, batch_size: int, n_data: int | None = None, seed: int = 0):
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
+        if n_data is not None and batch_size > n_data:
+            raise ValueError(f"batch_size {batch_size} exceeds data size {n_data}")
         self.batch_size = int(batch_size)
+        self.n_data = n_data
+        self.seed = int(seed)
+        self._counter = 0
         self.data_read = 0
 
     @property
@@ -49,9 +58,12 @@ class HessianOracle(abc.ABC):
     def dim(self) -> int:
         """Dimension of the parameter vector."""
 
-    @abc.abstractmethod
     def _draw(self):
-        """Return a handle for one fresh independent mini-batch."""
+        """Indices of one fresh batch, drawn without replacement by a generator
+        seeded from ``(seed, call counter)``, so runs replay exactly."""
+        rng = np.random.default_rng([np.uint32(self.seed), np.uint32(self._counter)])
+        self._counter += 1
+        return rng.choice(self.n_data, size=self.batch_size, replace=False)
 
     @abc.abstractmethod
     def gradient(self, w, batch):
@@ -96,20 +108,43 @@ class PriorEstimates:
         object.__setattr__(self, "mean_grad", np.asarray(self.mean_grad, dtype=float))
 
 
+class ConfigError(ValueError):
+    """Bad or inconsistent configuration (CLI exit code 1)."""
+
+
 @dataclass(frozen=True)
-class SolverConfig:
-    iterations: int
+class SolverSettings:
+    """Settings of scale estimation, the probing loop and pre-conditioner assembly."""
+
+    iterations: int = 16
     init_samples: int = 5
-    normalize_probes: bool = True
+    rank: int = 16
+    beta: float = 1.0
     mode: str = "full"
+    normalize_probes: bool = True
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be at least 1, got {self.iterations}")
-        if self.init_samples < 2:
-            raise ValueError(f"init_samples must be at least 2, got {self.init_samples}")
         if self.mode not in ("full", "scalar"):
-            raise ValueError(f"mode must be 'full' or 'scalar', got {self.mode!r}")
+            raise ConfigError(f"solver mode must be 'full' or 'scalar', got {self.mode!r}")
+        for name, low in (("iterations", 1), ("init_samples", 2), ("rank", 1)):
+            if (value := getattr(self, name)) < low:
+                raise ConfigError(f"solver {name} must be at least {low}, got {value}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ConfigError(f"solver beta must be positive and finite, got {self.beta!r}")
+
+    @classmethod
+    def from_dict(cls, d):
+        d = dict(d)
+        kwargs = {k: d.pop(k) for k in list(d) if k in cls.__dataclass_fields__}
+        if d:
+            raise ConfigError(f"unknown solver config keys: {sorted(d)}")
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+SolverConfig = SolverSettings
 
 
 @dataclass(frozen=True)
@@ -205,40 +240,41 @@ def next_direction(post, r, normalize=False):
 
 
 def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
-                  config: SolverConfig, callback=None) -> PosteriorMean:
+                  settings: SolverSettings, callback=None) -> PosteriorMean:
     """Run the active probing loop and return the final posterior mean.
 
-    Per iteration: pick a direction with ``next_direction`` against the
-    latest gradient, load one fresh batch, observe the curvature product
-    along the (optionally normalized) probe and refresh the gradient on
-    that same batch, then add the pair to an ``IncrementalPosterior``,
-    which costs O(N m + m^3) and rebuilds nothing.  If a probe is
-    rejected (for instance a dependent probe in the exact-product case
-    once the reachable subspace is exhausted) the posterior of the
-    previous iteration is returned with a warning.  The returned
+    Per iteration (``settings.iterations`` of them): pick a direction
+    with ``next_direction`` against the latest gradient, load one fresh
+    batch, observe the curvature product along the probe (normalized if
+    ``settings.normalize_probes``) and refresh the gradient on that same
+    batch, then add the pair to an ``IncrementalPosterior``, which costs
+    O(N m + m^3) and rebuilds nothing.  If a probe is rejected (for
+    instance a dependent probe in the exact-product case once the
+    reachable subspace is exhausted) the posterior of the previous
+    iteration is returned with a warning.  The returned
     ``PosteriorMean`` is formed once, at the end.
 
-    Raises ``ValueError`` before the first batch is drawn when
-    ``config.iterations`` exceeds ``oracle.dim``.
+    Raises ``ConfigError`` before the first batch is drawn when
+    ``settings.iterations`` exceeds ``oracle.dim``.
 
     ``callback``, if given, receives one ``IterationRecord`` per
     completed iteration.
     """
     w = np.asarray(w, dtype=float)
     n = oracle.dim
-    if config.iterations > n:
-        raise ValueError(
-            f"iterations ({config.iterations}) exceed the parameter dimension ({n}); "
+    if settings.iterations > n:
+        raise ConfigError(
+            f"iterations ({settings.iterations}) exceed the parameter dimension ({n}); "
             f"at most {n} probes can be independent"
         )
     prior = MatrixPrior(b0=estimates.b0, w0=estimates.w0, n=n)
-    post = IncrementalPosterior(prior, NoiseModel(lam0=estimates.lam0), config.iterations)
+    post = IncrementalPosterior(prior, NoiseModel(lam0=estimates.lam0), settings.iterations)
     r = np.asarray(estimates.mean_grad, dtype=float)
-    for i in range(1, config.iterations + 1):
+    for i in range(1, settings.iterations + 1):
         t0 = time.perf_counter()
         raw = next_direction(post, r)
         probe_norm = float(np.linalg.norm(raw))
-        s = raw / probe_norm if config.normalize_probes else raw
+        s = raw / probe_norm if settings.normalize_probes else raw
         batch = oracle.draw_batch()
         y = oracle.hvp(w, s, batch)
         r = oracle.gradient(w, batch)

@@ -193,6 +193,17 @@ class TestRun:
         assert main(self.run_args(tmp_path / "x.csv")) == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_precond_iterations_above_dimension_exits_1(self, tmp_path, capsys, caplog):
+        out = tmp_path / "run.csv"
+        rc = main(["run", *SMALL, "--optimizer", "precond_sgd", "--set",
+                   "solver.iterations=16", "--steps", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "config error: iterations (16) exceed the parameter dimension (12)" in err
+        assert "Traceback" not in err
+        assert not any("fallback" in r.getMessage() for r in caplog.records)
+        assert not out.exists()
+
     @pytest.mark.parametrize("label", [-1, 3])
     def test_mlp_label_out_of_range_exits_1(self, tmp_path, capsys, label):
         data = tmp_path / "blobs.csv"

@@ -92,6 +92,10 @@ class TestConfigs:
             ExperimentConfig(lr=-0.1)
         with pytest.raises(ConfigError, match="solver mode"):
             SolverSettings(mode="diagonal")
+        with pytest.raises(ConfigError, match="beta"):
+            SolverSettings(beta=0.0)
+        with pytest.raises(ConfigError, match="solver rank must be at least 1, got 0"):
+            SolverSettings(rank=0)
 
     def test_n_steps_resolution(self):
         cfg = ExperimentConfig(steps=7, epochs=2.0)
@@ -429,6 +433,14 @@ class TestCompare:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError, match="at least one"):
             compare([])
+
+    def test_precond_config_error_is_raised_not_a_fallback(self):
+        cfgs = self.configs()
+        cfgs[2] = ExperimentConfig(problem=small_quadratic(), optimizer="precond_sgd",
+                                   lr=0.05, batch_size=64, steps=10, seed=0,
+                                   solver=SolverSettings(iterations=16, init_samples=3))
+        with pytest.raises(ConfigError, match=r"iterations \(16\) exceed"):
+            compare(cfgs)
 
     def test_explicit_target_loss(self):
         bundle = build_problem(small_quadratic())

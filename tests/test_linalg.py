@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hessprec.inference import MatrixPrior, PosteriorMean
 from hessprec.linalg import (
     GeneralizedEigenResult,
-    LowRankFactorPair,
     SolveFailure,
     generalized_sym_eig,
     sym_eig,
@@ -24,21 +24,27 @@ def random_spd(rng, n, floor=0.1):
 
 
 class TestFactorPair:
+    """The factored pair ``A @ C.T`` is held and checked by ``PosteriorMean``."""
+
+    @staticmethod
+    def make(A, C):
+        return PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=len(A)), A=A, C=C)
+
     def test_shapes_and_properties(self):
-        pair = LowRankFactorPair(np.ones((5, 2)), np.zeros((5, 2)))
-        assert pair.n == 5 and pair.m == 2
+        post = self.make(np.ones((5, 2)), np.zeros((5, 2)))
+        assert post.n == 5 and post.m == 2
 
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match="shapes differ"):
-            LowRankFactorPair(np.ones((5, 2)), np.ones((5, 3)))
+            self.make(np.ones((5, 2)), np.ones((5, 3)))
 
     def test_rejects_wide_factors(self):
         with pytest.raises(ValueError, match="more columns"):
-            LowRankFactorPair(np.ones((2, 5)), np.ones((2, 5)))
+            self.make(np.ones((2, 5)), np.ones((2, 5)))
 
     def test_rejects_one_dimensional(self):
         with pytest.raises(ValueError, match="two-dimensional"):
-            LowRankFactorPair(np.ones(5), np.ones(5))
+            self.make(np.ones(5), np.ones(5))
 
 
 class TestSymEig:
@@ -132,7 +138,7 @@ class TestThinSvdProduct:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((30, 5))
         C = rng.standard_normal((30, 5))
-        U, sigma, V = thin_svd_product(LowRankFactorPair(A, C))
+        U, sigma, V = thin_svd_product(A, C)
         np.testing.assert_allclose(U @ np.diag(sigma) @ V.T, A @ C.T, atol=1e-10)
         np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-12)
         np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-12)
@@ -142,7 +148,7 @@ class TestThinSvdProduct:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((20, 4))
         C = rng.standard_normal((20, 4))
-        _, sigma, _ = thin_svd_product(LowRankFactorPair(A, C))
+        _, sigma, _ = thin_svd_product(A, C)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-10)
 
@@ -151,12 +157,12 @@ class TestThinSvdProduct:
         A = rng.standard_normal((15, 4))
         A[:, 3] = A[:, 0]  # rank 3
         C = rng.standard_normal((15, 4))
-        _, sigma, _ = thin_svd_product(LowRankFactorPair(A, C))
+        _, sigma, _ = thin_svd_product(A, C)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
 
     def test_empty_factors(self):
-        U, sigma, V = thin_svd_product(LowRankFactorPair(np.zeros((7, 0)), np.zeros((7, 0))))
+        U, sigma, V = thin_svd_product(np.zeros((7, 0)), np.zeros((7, 0)))
         assert U.shape == (7, 0) and sigma.shape == (0,) and V.shape == (7, 0)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
@@ -166,7 +172,7 @@ class TestThinSvdProduct:
         n = m + rng.integers(0, 20)
         A = rng.standard_normal((n, m))
         C = rng.standard_normal((n, m))
-        U, sigma, V = thin_svd_product(LowRankFactorPair(A, C))
+        U, sigma, V = thin_svd_product(A, C)
         scale = max(np.linalg.norm(A @ C.T), 1.0)
         assert np.linalg.norm(U @ np.diag(sigma) @ V.T - A @ C.T) <= 1e-9 * scale
 
@@ -179,20 +185,19 @@ class TestWoodburySolve:
         C = rng.standard_normal((n, m))
         rhs = rng.standard_normal(n)
         b0 = 0.7
-        x = woodbury_solve(b0, LowRankFactorPair(A, C), rhs)
+        x = woodbury_solve(b0, A, C, rhs)
         dense = np.linalg.solve(b0 * np.eye(n) + A @ C.T, rhs)
         np.testing.assert_allclose(x, dense, atol=1e-10)
 
     def test_empty_factors_scale_only(self):
         rhs = np.array([2.0, -4.0])
-        x = woodbury_solve(2.0, LowRankFactorPair(np.zeros((2, 0)), np.zeros((2, 0))), rhs)
+        x = woodbury_solve(2.0, np.zeros((2, 0)), np.zeros((2, 0)), rhs)
         np.testing.assert_allclose(x, [1.0, -2.0])
 
     def test_rejects_bad_b0(self):
-        pair = LowRankFactorPair(np.zeros((2, 0)), np.zeros((2, 0)))
         for b0 in (0.0, -1.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="b0"):
-                woodbury_solve(b0, pair, np.ones(2))
+                woodbury_solve(b0, np.zeros((2, 0)), np.zeros((2, 0)), np.ones(2))
 
     def test_singular_capacitance_raises(self):
         # A = u, C = -(b0/||u||^2) u makes b0 I + A C.T exactly singular
@@ -200,7 +205,7 @@ class TestWoodburySolve:
         b0 = 1.5
         C = -(b0 / 9.0) * u
         with pytest.raises(SolveFailure, match="singular"):
-            woodbury_solve(b0, LowRankFactorPair(u, C), np.ones(3))
+            woodbury_solve(b0, u, C, np.ones(3))
 
     @given(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
@@ -213,7 +218,7 @@ class TestWoodburySolve:
         rhs = rng.standard_normal(n)
         B = b0 * np.eye(n) + A @ C.T
         try:
-            x = woodbury_solve(b0, LowRankFactorPair(A, C), rhs)
+            x = woodbury_solve(b0, A, C, rhs)
         except SolveFailure:
             assert np.linalg.cond(B) > 1e12
             return

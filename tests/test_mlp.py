@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hessprec.mlp import MLPOracle, ToyNet, mlp_hvp
+from hessprec.mlp import MLPOracle, ToyNet
 
 
 def fd_gradient(f, w, eps=1e-6):
@@ -17,13 +17,13 @@ def fd_hvp(grad, w, s, eps=1e-6):
     return (grad(w + eps * s) - grad(w - eps * s)) / (2 * eps)
 
 
-def dense_hessian(net, w, X, targets, layer=None):
+def dense_hessian(net, w, X, targets):
     n = w.size
     H = np.zeros((n, n))
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
-        H[:, i] = net.hvp(w, e, X, targets, layer=layer)
+        H[:, i] = net.hvp(w, e, X, targets)
     return H
 
 
@@ -170,52 +170,6 @@ class TestHvp:
         expected = grouped[np.ix_(perm, perm)] + 0.1 * np.eye(net.n_params)
         H = dense_hessian(net, w, X, targets)
         np.testing.assert_allclose(H, expected, atol=1e-10)
-
-    def test_module_level_alias(self):
-        net = tiny_net()
-        X, targets = tiny_data(net)
-        w = net.init_params(seed=14)
-        s = np.random.default_rng(15).standard_normal(net.n_params)
-        np.testing.assert_array_equal(mlp_hvp(net, w, s, X, targets),
-                                      net.hvp(w, s, X, targets))
-
-
-class TestLayerRestriction:
-    def test_masked_identity(self):
-        net = tiny_net(sizes=(3, 5, 4, 3))
-        X, targets = tiny_data(net)
-        w = net.init_params(seed=16)
-        s = np.random.default_rng(17).standard_normal(net.n_params)
-        slices = net.layer_slices()
-        for layer in range(len(slices)):
-            mask = np.zeros(net.n_params)
-            sl_w, sl_b = slices[layer]
-            mask[sl_w] = 1.0
-            mask[sl_b] = 1.0
-            restricted = net.hvp(w, s, X, targets, layer=layer)
-            full_of_masked = net.hvp(w, mask * s, X, targets)
-            np.testing.assert_allclose(restricted, mask * full_of_masked,
-                                       rtol=1e-9, atol=1e-11)
-            assert np.all(restricted[mask == 0.0] == 0.0)
-
-    def test_blocks_match_dense_diagonal(self):
-        net = tiny_net(sizes=(2, 3, 2))
-        X, targets = tiny_data(net)
-        w = net.init_params(seed=18)
-        H = dense_hessian(net, w, X, targets)
-        for layer, (sl_w, sl_b) in enumerate(net.layer_slices()):
-            idx = np.r_[np.arange(*sl_w.indices(net.n_params)),
-                        np.arange(*sl_b.indices(net.n_params))]
-            Hl = dense_hessian(net, w, X, targets, layer=layer)
-            np.testing.assert_allclose(Hl[np.ix_(idx, idx)],
-                                       H[np.ix_(idx, idx)], atol=1e-10)
-
-    def test_bad_layer_index(self):
-        net = tiny_net()
-        X, targets = tiny_data(net)
-        w = net.init_params(seed=19)
-        with pytest.raises(ValueError, match="layer"):
-            net.hvp(w, np.ones(net.n_params), X, targets, layer=5)
 
 
 class TestAccuracy:

@@ -44,14 +44,6 @@ class TestFeatureMap:
         spec = FeatureMapSpec(input_dim=d, scales=np.ones(253))
         assert spec.n_features == 253
 
-    def test_identity_map_is_raw_stack(self):
-        x = np.array([1.0, 2.0, -1.0])
-        spec = FeatureMapSpec(input_dim=3)
-        feats = polynomial_features(x, spec)
-        assert feats.shape == (3 + 9,)
-        np.testing.assert_allclose(feats[:3], x)
-        np.testing.assert_allclose(feats[3:], np.outer(x, x).ravel())
-
     def test_monomial_order_and_trace_term(self):
         x = np.array([2.0, 3.0])
         feats = raw_monomials(x[None, :], 2, 6)[0]
@@ -314,11 +306,11 @@ class TestAvgInvBaseline:
         calls = {"n": 0}
         real = problems_mod.woodbury_solve
 
-        def flaky(b0, factors, rhs):
+        def flaky(b0, A, C, rhs):
             calls["n"] += 1
             if calls["n"] == 1:
                 raise SolveFailure("synthetic failure")
-            return real(b0, factors, rhs)
+            return real(b0, A, C, rhs)
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", flaky)
         with caplog.at_level(logging.WARNING, logger="hessprec.problems"):
@@ -330,7 +322,7 @@ class TestAvgInvBaseline:
     def test_all_batches_failing_raises(self, monkeypatch):
         p = self.make(n_feat=10)
 
-        def broken(b0, factors, rhs):
+        def broken(b0, A, C, rhs):
             raise SolveFailure("synthetic failure")
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", broken)

@@ -10,7 +10,14 @@ from hessprec.inference import (
     PosteriorMean,
     infer_noisy,
 )
-from hessprec.problems import QuadraticProblem, batch_oracle
+from hessprec.mlp import MLPOracle, ToyNet
+from hessprec.problems import (
+    LogisticOracle,
+    LogisticProblem,
+    QuadraticOracle,
+    QuadraticProblem,
+    batch_oracle,
+)
 from hessprec.solver import (
     EstimationError,
     HessianOracle,
@@ -21,6 +28,30 @@ from hessprec.solver import (
     next_direction,
     run_inference,
 )
+
+
+def dataset_oracle(kind, n_data, batch_size, seed):
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((n_data, 3))
+    if kind == "quadratic":
+        problem = QuadraticProblem(Phi=X.T, y=rng.standard_normal(n_data), alpha_reg=1e-3)
+        return QuadraticOracle(problem, batch_size, seed)
+    if kind == "logistic":
+        labels = np.where(rng.random(n_data) < 0.5, -1.0, 1.0)
+        return LogisticOracle(LogisticProblem(X=X, labels=labels, reg=1e-3), batch_size, seed)
+    return MLPOracle(ToyNet((3, 2)), X, rng.integers(0, 2, n_data), batch_size, seed)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_dataset_oracles_draw_the_seeded_batch_stream(kind):
+    n_data, batch_size, seed = 50, 7, 11
+    oracle = dataset_oracle(kind, n_data, batch_size, seed)
+    for t in range(6):
+        want = np.random.default_rng([seed, t]).choice(n_data, size=batch_size, replace=False)
+        np.testing.assert_array_equal(oracle.draw_batch(), want)
+    assert oracle.data_read == 6 * batch_size
+    with pytest.raises(ValueError, match="batch_size 51 exceeds data size 50"):
+        dataset_oracle(kind, n_data, n_data + 1, seed)
 
 
 class MatrixOracle(HessianOracle):
