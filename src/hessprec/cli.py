@@ -193,14 +193,17 @@ def _cmd_compare(args):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(payload, dict) or "runs" not in payload:
+    if not isinstance(payload, dict):
+        payload = {}
+    base, runs = payload.get("base", {}), payload.get("runs")
+    if not (isinstance(base, dict) and isinstance(runs, list)
+            and all(isinstance(entry, dict) for entry in runs)):
         raise ConfigError('compare config must be {"base": {...}, "runs": [{...}, ...]}')
-    base = payload.get("base", {})
     overrides = _parse_set_args(args.set)
     if args.seed is not None:
         overrides["seed"] = args.seed
     configs = []
-    for entry in payload["runs"]:
+    for entry in runs:
         merged = merge_config(merge_config(base, entry), overrides)
         configs.append(ExperimentConfig.from_dict(merged))
     result = compare(configs)

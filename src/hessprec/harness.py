@@ -1,11 +1,16 @@
 """Experiment harness: configs, optimizer loops, baselines, comparisons.
 
-All loops share a cost axis: cumulative samples loaded from disk
-(``data_read``), charged through the oracle including everything spent
-on pre-conditioner construction, so curves from different methods are
-directly comparable.  Runs are deterministic given (config, seed); wall
-times are recorded only when ``timing`` is enabled and written as 0.0
-otherwise so that emitted CSVs are byte-for-byte reproducible.
+Two problem kinds cover the paper's two experiments: ``quadratic``, the
+ill-conditioned regression on polynomial features with the averaged
+inverse and CG baselines, and ``mlp``, the small network of the
+learning-rate sweep.  All loops share a cost axis: cumulative samples
+loaded from disk (``data_read``), charged through the oracle including
+everything spent on pre-conditioner construction, so curves from
+different methods are directly comparable.  Runs are deterministic given
+(config, seed); wall times are recorded only when ``timing`` is enabled
+and written as 0.0 otherwise so that emitted CSVs are byte-for-byte
+reproducible.  Every record, baselines' included, is built by one
+``_Recorder``.
 """
 from __future__ import annotations
 
@@ -23,27 +28,24 @@ from .mlp import MLPOracle, ToyNet
 from .precond import apply_p_squared, build, reduce_rank, scalar_step
 from .problems import (
     FeatureMapSpec,
-    LogisticProblem,
     QuadraticProblem,
     avg_inv_baseline,
     batch_oracle,
     cg_baseline,
     exact_solution,
-    logistic_oracle,
     polynomial_features,
     scales_log_uniform,
-    scales_two_band,
     squared_data_loss,
 )
-from .solver import (ConfigError, EstimationError, SolverSettings, estimate_parameters,
-                     run_inference)
+from .solver import (ConfigError, EstimationError, SolverSettings, config_from_dict,
+                     estimate_parameters, run_inference)
 
 log = logging.getLogger(__name__)
 
 RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
                    "test_accuracy", "step_length", "wall_ms")
 
-OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg", "newton_oracle")
+OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
 
 
 # ---------------------------------------------------------------------------
@@ -61,65 +63,30 @@ class ProblemConfig:
     noise: float = 0.05
     signal_dim: int | None = None
     equal_coef: bool = False
-    scales: object = None
-    hidden: tuple = (32, 16)
+    scales: tuple[float, ...] | None = None
+    hidden: tuple[int, ...] = (32, 16)
     n_classes: int = 10
     separation: float = 3.0
     test_fraction: float = 0.2
     data_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("quadratic", "logistic", "mlp"):
-            raise ConfigError(f"unknown problem kind {self.kind!r}")
+        if self.kind not in ("quadratic", "mlp"):
+            raise ConfigError(f"unknown problem kind {self.kind!r}; choose from quadratic, mlp")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        if isinstance(self.scales, list):
+        if self.scales is not None:
             object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        elif isinstance(self.scales, dict):
-            object.__setattr__(self, "scales", tuple(sorted(self.scales.items())))
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        kwargs = {}
-        for name in cls.__dataclass_fields__:
-            if name in d:
-                kwargs[name] = d.pop(name)
-        if d:
-            raise ConfigError(f"unknown problem config keys: {sorted(d)}")
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    from_dict = classmethod(config_from_dict)
 
     def scale_vector(self):
-        """Materialize the per-feature scale profile as an array."""
-        s = self.scales
-        if s is None:
+        """The per-feature scales as an array; log-uniform from 1 to 1e-3 by default."""
+        if self.scales is None:
             return scales_log_uniform(self.n_features, 1e-3, 1.0)
-        if isinstance(s, tuple) and s and isinstance(s[0], tuple):
-            opts = dict(s)
-            profile = opts.pop("profile", "log_uniform")
-            if profile == "log_uniform":
-                make = scales_log_uniform
-                kwargs = dict(lo=float(opts.pop("lo", 1e-3)), hi=float(opts.pop("hi", 1.0)))
-            elif profile == "two_band":
-                make = scales_two_band
-                kwargs = dict(head=int(opts.pop("head", 16)),
-                              head_lo=float(opts.pop("head_lo", 1e-2)),
-                              head_hi=float(opts.pop("head_hi", 1.0)),
-                              tail_hi=float(opts.pop("tail_hi", 1e-4)),
-                              tail_lo=opts.pop("tail_lo", None))
-            else:
-                raise ConfigError(f"unknown scale profile {profile!r}")
-            if opts:
-                raise ConfigError(f"unknown scale options: {sorted(opts)}")
-            return make(self.n_features, **kwargs)
-        arr = np.asarray(s, dtype=float)
-        if arr.size != self.n_features:
-            raise ConfigError(
-                f"explicit scales have {arr.size} entries but n_features={self.n_features}"
-            )
-        return arr
+        if len(self.scales) != self.n_features:
+            raise ConfigError(f"explicit scales have {len(self.scales)} entries "
+                              f"but n_features={self.n_features}")
+        return np.array(self.scales)
 
 
 @dataclass(frozen=True)
@@ -146,29 +113,22 @@ class ExperimentConfig:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.lr < 0 or not np.isfinite(self.lr):
             raise ConfigError(f"lr must be a non-negative finite number, got {self.lr}")
+        if self.steps is not None and self.steps < 1:
+            raise ConfigError(f"steps must be positive, got {self.steps}")
+        if self.epochs is not None and not (np.isfinite(self.epochs) and self.epochs > 0):
+            raise ConfigError(f"epochs must be a positive finite number, got {self.epochs}")
+        if not 0 <= self.seed < 2 ** 32:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
         if self.rebuild_every < 1:
             raise ConfigError(f"rebuild_every must be positive, got {self.rebuild_every}")
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        problem = ProblemConfig.from_dict(d.pop("problem", {}))
-        solver = SolverSettings.from_dict(d.pop("solver", {}))
-        kwargs = {k: d.pop(k) for k in list(d) if k in cls.__dataclass_fields__}
-        if d:
-            raise ConfigError(f"unknown config keys: {sorted(d)}")
-        try:
-            return cls(problem=problem, solver=solver, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    from_dict = classmethod(config_from_dict)
 
     def n_steps(self, n_train):
         if self.steps is not None:
-            if self.steps < 1:
-                raise ConfigError(f"steps must be positive, got {self.steps}")
-            return int(self.steps)
+            return self.steps
         if self.epochs is not None:
             return max(1, math.ceil(self.epochs * n_train / self.batch_size))
         raise ConfigError("either steps or epochs must be set")
@@ -180,6 +140,8 @@ def load_config(path, overrides=None):
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     if overrides:
         payload = merge_config(payload, overrides)
     return ExperimentConfig.from_dict(payload)
@@ -307,52 +269,6 @@ class QuadraticBundle:
         return self._optimum
 
 
-class LogisticBundle:
-    kind = "logistic"
-
-    def __init__(self, pc: ProblemConfig):
-        X, labels = _load_dataset(pc, lambda: datagen.gen_classification(
-            pc.data_seed, pc.n_samples, pc.input_dim, pc.separation))
-        tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
-        self.problem = LogisticProblem(X[tr], labels[tr], pc.reg)
-        self._test = LogisticProblem(X[te], labels[te], pc.reg) if te.size else None
-        self._optimum = None
-
-    @property
-    def n_train(self):
-        return self.problem.n_data
-
-    @property
-    def dim(self):
-        return self.problem.n_features
-
-    def make_oracle(self, batch_size, seed):
-        return logistic_oracle(self.problem, batch_size, seed)
-
-    def init_w(self, seed):
-        return np.zeros(self.dim)
-
-    def train_loss(self, w):
-        return self.problem.loss(w)
-
-    def test_loss(self, w):
-        if self._test is None:
-            return float("nan")
-        margins = self._test.labels * (self._test.X @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
-
-    def test_accuracy(self, w):
-        if self._test is None:
-            return float("nan")
-        return self._test.accuracy(w)
-
-    def optimum(self):
-        if self._optimum is None:
-            w_star = damped_newton(self.problem, np.zeros(self.dim))
-            self._optimum = (w_star, self.problem.loss(w_star))
-        return self._optimum
-
-
 class MLPBundle:
     kind = "mlp"
 
@@ -413,32 +329,11 @@ def build_problem(pc: ProblemConfig):
     try:
         if pc.kind == "quadratic":
             return QuadraticBundle(pc)
-        if pc.kind == "logistic":
-            return LogisticBundle(pc)
-        if pc.kind == "mlp":
-            return MLPBundle(pc)
+        return MLPBundle(pc)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown problem kind {pc.kind!r}")
-
-
-def damped_newton(problem, w0, tol=1e-10, max_iter=100, callback=None):
-    """Full-batch Newton with backtracking, to tight gradient tolerance."""
-    w = np.asarray(w0, dtype=float).copy()
-    for i in range(max_iter):
-        g = problem.gradient(w)
-        if np.linalg.norm(g) <= tol:
-            break
-        d = np.linalg.solve(problem.hessian_at(w), g)
-        t, L0, gd = 1.0, problem.loss(w), float(g @ d)
-        while t > 1e-10 and problem.loss(w - t * d) > L0 - 1e-4 * t * gd:
-            t *= 0.5
-        w = w - t * d
-        if callback is not None:
-            callback(i, w.copy())
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -602,82 +497,44 @@ def _scalar_rebuild(oracle, w, settings: SolverSettings, previous_eta, attempts=
         except EstimationError as exc:
             log.warning("scalar estimation attempt failed (%s)", exc)
             continue
-        return scalar_step(est, previous=previous_eta).eta
+        return scalar_step(est, previous=previous_eta)
     log.warning("scalar estimation failed %d times; keeping step %g", attempts, previous_eta)
     return previous_eta
 
 
 def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
-    if cfg.optimizer == "newton_oracle":
-        return _run_newton(bundle, cfg)
-    if cfg.optimizer == "avg_inv":
-        return _run_avg_inv(bundle, cfg)
-    if cfg.optimizer == "cg":
-        return _run_cg(bundle, cfg)
-    raise ConfigError(f"{cfg.optimizer!r} is not a baseline")
-
-
-def _run_newton(bundle, cfg):
-    t0 = time.perf_counter()
-    if bundle.kind == "quadratic":
-        w_star, _ = bundle.optimum()
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        recs = [RunRecord(1, bundle.n_train, bundle.train_loss(w_star),
-                          bundle.test_loss(w_star), bundle.test_accuracy(w_star),
-                          0.0, wall)]
-        return RunResult(recs, False, w_star)
-    if bundle.kind == "logistic":
-        recs = []
-
-        def cb(i, w):
-            wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-            recs.append(RunRecord(i + 1, (i + 1) * bundle.n_train, bundle.train_loss(w),
-                                  bundle.test_loss(w), bundle.test_accuracy(w), 0.0, wall))
-
-        w_star = damped_newton(bundle.problem, bundle.init_w(cfg.seed), callback=cb)
-        return RunResult(recs, False, w_star)
-    raise ConfigError(f"newton_oracle is not available for {bundle.kind!r} problems")
-
-
-def _run_avg_inv(bundle, cfg):
+    if cfg.optimizer not in ("avg_inv", "cg"):
+        raise ConfigError(f"{cfg.optimizer!r} is not a baseline")
     if bundle.kind != "quadratic":
-        raise ConfigError("avg_inv baseline only applies to quadratic problems")
-    n_batches = cfg.n_steps(bundle.n_train)
-    t0 = time.perf_counter()
-    recs = []
+        raise ConfigError(f"{cfg.optimizer} baseline only applies to quadratic problems")
+    n = cfg.n_steps(bundle.n_train)
+    if cfg.optimizer == "avg_inv":
+        return _run_avg_inv(bundle, cfg, n)
+    return _run_cg(bundle, cfg, n)
+
+
+def _run_avg_inv(bundle, cfg, n_batches):
+    rec = _Recorder(bundle, cfg, None, n_batches)
 
     def cb(t, w_mean):
         if (t + 1) % cfg.record_every == 0 or t == 0 or t + 1 == n_batches:
-            wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-            recs.append(RunRecord(t + 1, (t + 1) * cfg.batch_size,
-                                  bundle.train_loss(w_mean), bundle.test_loss(w_mean),
-                                  bundle.test_accuracy(w_mean), 0.0, wall))
+            rec.emit(t + 1, w_mean, 0.0, data_read=(t + 1) * cfg.batch_size)
 
     w = avg_inv_baseline(bundle.problem, cfg.batch_size, n_batches, cfg.seed, callback=cb)
-    return RunResult(recs, False, w)
+    return RunResult(rec.records, False, w)
 
 
-def _run_cg(bundle, cfg):
-    if bundle.kind != "quadratic":
-        raise ConfigError("cg baseline only applies to quadratic problems")
-    iters = cfg.n_steps(bundle.n_train)
+def _run_cg(bundle, cfg, iters):
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
     problem = bundle.problem
     b = problem.Phi @ problem.y / problem.n_data  # one full pass over the data
-    base_read = bundle.n_train
-    t0 = time.perf_counter()
-    recs = []
+    rec = _Recorder(bundle, cfg, oracle, iters)
 
     def cb(t, x, res_norm):
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.timing else 0.0
-        train = bundle.train_loss(x) if np.all(np.isfinite(x)) else float("nan")
-        test = bundle.test_loss(x) if np.isfinite(train) else float("nan")
-        acc = bundle.test_accuracy(x) if np.isfinite(train) else float("nan")
-        recs.append(RunRecord(t + 1, base_read + oracle.data_read, train, test, acc,
-                              0.0, wall))
+        rec.emit(t + 1, x, 0.0, data_read=bundle.n_train + oracle.data_read)
 
     w, diverged = cg_baseline(oracle, b, iters, callback=cb)
-    return RunResult(recs, diverged, w, {"diverged": diverged})
+    return RunResult(rec.records, diverged, w, {"diverged": diverged})
 
 
 def run_experiment(bundle, cfg: ExperimentConfig) -> RunResult:

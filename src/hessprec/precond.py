@@ -69,17 +69,6 @@ class Preconditioner:
             raise ValueError(f"beta must be positive, got {self.beta!r}")
 
 
-@dataclass(frozen=True)
-class ScalarStep:
-    """A bare learning rate, for the mode that skips the projection entirely."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise ValueError(f"step length must be positive, got {self.eta!r}")
-
-
 def reduce_rank(post, k: int) -> SpectralApprox:
     """Compress the posterior's low-rank part to its top-k left directions.
 
@@ -156,15 +145,13 @@ def precond_from_dict(payload: dict) -> Preconditioner:
     if payload.get("kind") != "preconditioner":
         raise ValueError(f"not a preconditioner payload: kind={payload.get('kind')!r}")
     n, k = int(payload["n"]), int(payload["k"])
-    spectral = SpectralApprox(
-        U=np.asarray(payload["U"], dtype=float).reshape(n, k),
-        sigma=np.asarray(payload["sigma"], dtype=float),
-    )
+    spectral = SpectralApprox(U=np.asarray(payload["U"], dtype=float).reshape(n, k),
+                              sigma=np.asarray(payload["sigma"], dtype=float))
     return Preconditioner(spectral=spectral, alpha=float(payload["alpha"]),
                           beta=float(payload["beta"]))
 
 
-def scalar_step(estimates: PriorEstimates, previous: float | None = None) -> ScalarStep:
+def scalar_step(estimates: PriorEstimates, previous: float | None = None) -> float:
     """Learning rate from the scalar curvature estimate: ``eta = 1 / b0``.
 
     A non-positive or non-finite estimate keeps the previous step with a
@@ -175,5 +162,5 @@ def scalar_step(estimates: PriorEstimates, previous: float | None = None) -> Sca
         if previous is None:
             raise ValueError(f"scalar step estimate is unusable ({eta!r}) and no fallback given")
         log.warning("scalar step estimate unusable (%r); keeping previous %g", eta, previous)
-        return ScalarStep(eta=previous)
-    return ScalarStep(eta=float(eta))
+        return previous
+    return float(eta)

@@ -2,11 +2,12 @@
 
 The regression problem mirrors the classic setup of an ill-conditioned
 quadratic produced by a polynomial feature expansion with hand-picked
-per-feature scales; logistic regression supplies a convex non-quadratic
-case.  Both expose mini-batch oracles with the draw-once / evaluate-free
-cost model from :mod:`hessprec.solver`, plus two reference baselines
-(averaged per-batch inverses, and conjugate gradients on noisy
-products).
+per-feature scales; it is the problem of the paper's pre-conditioned SGD
+experiment, and its two reference baselines live here too (averaged
+per-batch inverses, and conjugate gradients on noisy products).
+Logistic regression supplies a convex non-quadratic oracle, used by no
+experiment, for checking the estimator on a Hessian that moves with ``w``.
+Both oracles use the draw-once / evaluate-free cost model of :mod:`hessprec.solver`.
 """
 from __future__ import annotations
 
@@ -69,14 +70,12 @@ def scales_log_uniform(n_features: int, lo: float = 1e-3, hi: float = 1.0):
 
 def scales_two_band(n_features: int, head: int, head_lo: float, tail_hi: float,
                     head_hi: float = 1.0, tail_lo: float = None):
-    """A dominant log-spaced head band followed by a far smaller tail band."""
+    """A log-spaced head band, then a far smaller tail band; a config takes it as a list."""
     if not 1 <= head < n_features:
         raise ValueError(f"head size must be in [1, {n_features - 1}], got {head}")
-    if tail_lo is None:
-        tail_lo = tail_hi / 10.0
-    head_scales = np.logspace(np.log10(head_hi), np.log10(head_lo), head)
-    tail_scales = np.logspace(np.log10(tail_hi), np.log10(tail_lo), n_features - head)
-    return np.concatenate([head_scales, tail_scales])
+    tail_lo = tail_hi / 10.0 if tail_lo is None else tail_lo
+    return np.concatenate([np.logspace(np.log10(head_hi), np.log10(head_lo), head),
+                           np.logspace(np.log10(tail_hi), np.log10(tail_lo), n_features - head)])
 
 
 def raw_monomials(X, input_dim, count):

@@ -7,14 +7,18 @@ to an incremental posterior, in O(N m + m^3) per probe with nothing
 rebuilt.  With exact products the probes reproduce the Krylov sequence
 of the underlying matrix; with noise they stay close to it while the
 posterior absorbs the error.  The module also owns the oracle base
-class, whose seeded batch stream every method is charged on, and the
-one settings type, ``SolverSettings``.
+class, whose seeded batch stream every method is charged on, the one
+settings type, ``SolverSettings``, and ``config_from_dict``, the one
+JSON-to-config path of every config type.
 """
 from __future__ import annotations
 
 import abc
+import dataclasses
 import logging
 import time
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +116,49 @@ class ConfigError(ValueError):
     """Bad or inconsistent configuration (CLI exit code 1)."""
 
 
+def _fits(tp, value):
+    """Whether a JSON value fits a field annotation: an int field takes
+    integers only (no bools, no floats), a float field takes any number."""
+    if typing.get_origin(tp) is types.UnionType:
+        return any(_fits(arg, value) for arg in typing.get_args(tp))
+    if typing.get_origin(tp) is tuple:
+        return (isinstance(value, (list, tuple))
+                and all(_fits(typing.get_args(tp)[0], v) for v in value))
+    if tp is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, (int, float) if tp is float else tp)
+
+
+def config_from_dict(cls, payload, block="config"):
+    """Build the config dataclass ``cls`` from a JSON object.
+
+    Rejects a payload that is not an object, unknown keys and values whose
+    JSON type does not fit the field; a nested config block is built by
+    the same rules.  Every failure is a ``ConfigError``.
+    """
+    if not isinstance(payload, dict):
+        raise ConfigError(f"the {block} block must be a JSON object, got {payload!r}")
+    unknown = sorted(set(payload) - set(cls.__dataclass_fields__))
+    if unknown:
+        raise ConfigError(f"unknown {block} keys: {unknown}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in payload.items():
+        tp = hints[name]
+        if dataclasses.is_dataclass(tp):
+            value = config_from_dict(tp, value, name)
+        elif not _fits(tp, value):
+            shown = str(tp) if typing.get_origin(tp) else tp.__name__
+            raise ConfigError(f"{block} entry {name!r} must be {shown}, got {value!r}")
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class SolverSettings:
     """Settings of scale estimation, the probing loop and pre-conditioner assembly."""
@@ -132,16 +179,7 @@ class SolverSettings:
         if not (np.isfinite(self.beta) and self.beta > 0):
             raise ConfigError(f"solver beta must be positive and finite, got {self.beta!r}")
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        kwargs = {k: d.pop(k) for k in list(d) if k in cls.__dataclass_fields__}
-        if d:
-            raise ConfigError(f"unknown solver config keys: {sorted(d)}")
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+    from_dict = classmethod(config_from_dict)
 
 
 SolverConfig = SolverSettings

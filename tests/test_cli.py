@@ -1,16 +1,30 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hessprec.cli as cli_mod
 from hessprec.cli import _parse_set_args, main
 from hessprec.data import read_dataset, write_dataset
-from hessprec.harness import ConfigError
+from hessprec.harness import (
+    ConfigError,
+    ExperimentConfig,
+    ProblemConfig,
+    SolverSettings,
+    build_problem,
+    construct_preconditioner,
+)
 from hessprec.inference import load_posterior
 from hessprec.precond import precond_from_dict
+from hessprec.solver import estimate_parameters, run_inference
 
 SMALL = [
     "--set", "problem.n_samples=400",
@@ -21,6 +35,13 @@ SMALL = [
     "--set", "solver.rank=6",
     "--batch-size", "64",
 ]
+
+
+def small_setup(argv):
+    """Bundle, oracle and start point of a CLI config, as the subcommands build them."""
+    cfg = cli_mod._config_from_args(cli_mod.build_parser().parse_args(argv))
+    bundle = build_problem(cfg.problem)
+    return cfg, bundle.make_oracle(cfg.batch_size, cfg.seed), bundle.init_w(cfg.seed)
 
 
 class TestSetParsing:
@@ -114,8 +135,17 @@ class TestSolve:
         log = tmp_path / "iters.csv"
         rc = main(["solve", *SMALL, "--out", str(out), "--log", str(log)])
         assert rc == 0
-        post = load_posterior(out)
-        assert post.n == 12 and post.m == 6
+        with open(out) as fh:
+            payload = json.load(fh)
+        cfg, oracle, w = small_setup(["solve", *SMALL, "--out", str(out)])
+        est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
+        post = run_inference(oracle, w, est, cfg.solver)
+        assert payload["kind"] == "posterior_mean"
+        assert (payload["n"], payload["m"]) == (12, 6) == (post.n, post.m)
+        assert (payload["b0"], payload["w0"]) == (post.prior.b0, post.prior.w0)
+        np.testing.assert_array_equal(np.reshape(payload["A"], (12, 6)), post.A)
+        np.testing.assert_array_equal(np.reshape(payload["C"], (12, 6)), post.C)
+        np.testing.assert_array_equal(load_posterior(out).A, post.A)
         lines = log.read_text().splitlines()
         assert lines[0] == "iteration,probe_norm,data_read,wall_ms"
         assert len(lines) == 7
@@ -140,10 +170,19 @@ class TestPrecond:
         rc = main(["precond", *SMALL, "--out", str(out)])
         assert rc == 0
         with open(out) as fh:
-            precond = precond_from_dict(json.load(fh))
-        assert precond.spectral.n == 12
-        assert 1 <= precond.spectral.k <= 6
-        assert precond.alpha >= 1.0
+            payload = json.load(fh)
+        cfg, oracle, w = small_setup(["precond", *SMALL, "--out", str(out)])
+        precond, _, _, _ = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
+        sp = precond.spectral
+        assert payload["kind"] == "preconditioner"
+        assert payload["n"] == 12 and 1 <= payload["k"] <= 6
+        assert (payload["n"], payload["k"]) == sp.U.shape
+        assert (payload["alpha"], payload["beta"]) == (precond.alpha, precond.beta)
+        assert payload["alpha"] >= 1.0
+        np.testing.assert_array_equal(payload["sigma"], sp.sigma)
+        np.testing.assert_array_equal(np.reshape(payload["U"], sp.U.shape), sp.U)
+        loaded = precond_from_dict(payload)
+        np.testing.assert_array_equal(loaded.spectral.U, sp.U)
         capsys.readouterr()
 
 
@@ -297,3 +336,87 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+# Each bad input: (subcommand, extra CLI arguments, JSON written to the
+# --config file or None).  A run gets SMALL's settings as --set overrides,
+# which a later --set of the same key replaces.
+BAD_INPUTS = {
+    "config-is-a-list": ("run", [], [1, 2]),
+    "problem-not-an-object": ("run", ["--set", "problem=3"], None),
+    "solver-not-an-object": ("run", ["--set", "solver=3"], None),
+    "noise-is-a-string": ("run", ["--set", 'problem.noise="x"'], None),
+    "iterations-not-an-integer": ("run", ["--set", "solver.iterations=2.5"], None),
+    "batch-size-not-an-integer": ("run", ["--set", "batch_size=1.5"], None),
+    "batch-size-is-a-bool": ("run", ["--set", "batch_size=true"], None),
+    "steps-not-an-integer": ("run", ["--set", "steps=2.5"], None),
+    "steps-zero": ("run", ["--set", "steps=0"], None),
+    "timing-not-a-bool": ("run", ["--set", "timing=1"], None),
+    "hidden-not-integers": ("run", ["--set", "problem.hidden=[8,2.5]"], None),
+    "scales-entry-null": ("run", ["--set", "problem.scales=[1.0,null]"], None),
+    "target-loss-is-a-string": ("run", ["--set", 'target_loss="x"'], None),
+    "epochs-inf": ("run", ["--epochs", "inf"], None),
+    "epochs-negative": ("run", ["--epochs", "-3"], None),
+    "epochs-nan": ("run", ["--epochs", "nan"], None),
+    "epochs-zero": ("run", ["--epochs", "0"], None),
+    "seed-negative": ("run", ["--set", "seed=-1"], None),
+    "seed-past-32-bits": ("run", ["--set", "seed=4294967296"], None),
+    "scales-profile-dict": ("run", ["--set", 'problem.scales={"profile": "two_band"}'], None),
+    "logistic-kind": ("run", ["--set", "problem.kind=logistic"], None),
+    "newton-optimizer": ("run", ["--optimizer", "newton_oracle"], None),
+    "compare-runs-of-ints": ("compare", [], {"base": {}, "runs": [1]}),
+    "compare-runs-an-object": ("compare", [], {"base": {}, "runs": {"optimizer": "sgd"}}),
+    "compare-base-a-list": ("compare", [], {"base": [1], "runs": [{"optimizer": "sgd"}]}),
+}
+
+
+@pytest.mark.parametrize("command, extra, payload", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exits_1_with_a_message(tmp_path, capsys, command, extra, payload):
+    args = [command, "--out", str(tmp_path / "out.csv")]
+    if payload is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(payload))
+        args += ["--config", str(tmp_path / "cfg.json")]
+    if command == "run":
+        args += [*SMALL[:-2], "--set", "batch_size=64", "--set", "steps=3",
+                 "--optimizer", "sgd"]
+    rc = main(args + extra)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+TINY = {
+    "optimizer": "precond_sgd", "batch_size": 32, "lr": 0.001, "steps": 4,
+    "record_every": 2, "seed": 0,
+    "problem": {"n_samples": 200, "input_dim": 3, "n_features": 8},
+    "solver": {"iterations": 4, "init_samples": 3, "rank": 4},
+}
+FIELDS = ([f.name for f in dataclasses.fields(ExperimentConfig)
+           if f.name not in ("problem", "solver")]
+          + [f"problem.{f.name}" for f in dataclasses.fields(ProblemConfig)]
+          + [f"solver.{f.name}" for f in dataclasses.fields(SolverSettings)])
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(-10, 10).filter(lambda x: x != int(x)),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 4), st.floats(-2, 2)), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
+def test_any_value_in_one_field_exits_cleanly(field, value):
+    payload = json.loads(json.dumps(TINY))
+    *block, name = field.split(".")
+    (payload[block[0]] if block else payload)[name] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with open(f"{tmp}/cfg.json", "w") as fh:
+            json.dump(payload, fh)
+        rc = main(["run", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/out.csv"])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

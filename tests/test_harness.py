@@ -27,6 +27,7 @@ from hessprec.harness import (
     write_run_csv,
 )
 from hessprec.mlp import ToyNet
+from hessprec.problems import scales_two_band
 from hessprec.solver import EstimationError
 
 
@@ -41,13 +42,6 @@ def small_quadratic(**kw):
     base = dict(kind="quadratic", n_samples=400, input_dim=4, n_features=12,
                 alpha_reg=1e-2, noise=0.05, scales=[1.0] * 12,
                 test_fraction=0.2, data_seed=0)
-    base.update(kw)
-    return ProblemConfig(**base)
-
-
-def small_logistic(**kw):
-    base = dict(kind="logistic", n_samples=200, input_dim=4, separation=2.0,
-                reg=1e-2, test_fraction=0.2, data_seed=0)
     base.update(kw)
     return ProblemConfig(**base)
 
@@ -97,6 +91,12 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="solver rank must be at least 1, got 0"):
             SolverSettings(rank=0)
 
+    def test_from_dict_takes_integers_for_float_fields(self):
+        cfg = ExperimentConfig.from_dict({"lr": 1, "epochs": 2,
+                                          "problem": {"scales": [1, 0.5], "signal_dim": None}})
+        assert cfg.lr == 1 and cfg.epochs == 2
+        assert cfg.problem.scales == (1.0, 0.5)
+
     def test_n_steps_resolution(self):
         cfg = ExperimentConfig(steps=7, epochs=2.0)
         assert cfg.n_steps(320) == 7  # explicit steps win
@@ -141,9 +141,10 @@ class TestScaleVector:
         assert s[-1] == pytest.approx(1e-3)
 
     def test_two_band_profile_dict(self):
-        pc = ProblemConfig(kind="quadratic", n_features=10,
-                           scales={"profile": "two_band", "head": 4,
-                                   "head_lo": 0.1, "tail_hi": 1e-3})
+        # a profile reaches the config as the explicit list it expands to
+        pc = ProblemConfig.from_dict({
+            "kind": "quadratic", "n_features": 10,
+            "scales": scales_two_band(10, head=4, head_lo=0.1, tail_hi=1e-3).tolist()})
         s = pc.scale_vector()
         assert s[3] == pytest.approx(0.1) and s[4] == pytest.approx(1e-3)
 
@@ -153,22 +154,20 @@ class TestScaleVector:
             pc.scale_vector()
 
     def test_unknown_profile(self):
-        pc = ProblemConfig(kind="quadratic", n_features=5,
-                           scales={"profile": "banded"})
-        with pytest.raises(ConfigError, match="profile"):
-            pc.scale_vector()
+        with pytest.raises(ConfigError, match="'scales' must be"):
+            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
+                                     "scales": {"profile": "banded"}})
 
     def test_unknown_profile_reported_before_its_options(self):
-        pc = ProblemConfig(kind="quadratic", n_features=5,
-                           scales={"profile": "bogus", "lo": 0.1})
-        with pytest.raises(ConfigError, match="unknown scale profile 'bogus'"):
-            pc.scale_vector()
+        # the dict is refused as a whole, before any of its keys is read
+        with pytest.raises(ConfigError, match=r"^problem entry 'scales' must be"):
+            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
+                                     "scales": {"profile": "bogus", "lo": 0.1}}, "problem")
 
     def test_unknown_scale_option(self):
-        pc = ProblemConfig(kind="quadratic", n_features=5,
-                           scales={"profile": "log_uniform", "high": 2.0})
-        with pytest.raises(ConfigError, match="high"):
-            pc.scale_vector()
+        with pytest.raises(ConfigError, match="'scales' must be"):
+            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
+                                     "scales": {"profile": "log_uniform", "high": 2.0}})
 
 
 class TestBundles:
@@ -184,12 +183,6 @@ class TestBundles:
         assert b.optimum() is b.optimum()
         assert loss_star == pytest.approx(b.train_loss(w_star))
         np.testing.assert_allclose(b.problem.gradient(w_star), 0.0, atol=1e-10)
-
-    def test_logistic_newton_optimum(self):
-        b = build_problem(small_logistic())
-        w_star, loss_star = b.optimum()
-        np.testing.assert_allclose(b.problem.gradient(w_star), 0.0, atol=1e-8)
-        assert loss_star < b.train_loss(np.zeros(b.dim))
 
     def test_mlp_test_loss_is_data_term(self):
         b = build_problem(small_mlp())
@@ -313,27 +306,6 @@ class TestRunPrecondSgd:
 
 
 class TestBaselines:
-    def test_newton_on_quadratic(self):
-        bundle = build_problem(small_quadratic())
-        cfg = ExperimentConfig(problem=small_quadratic(),
-                               optimizer="newton_oracle", steps=1)
-        res = run_baseline(bundle, cfg)
-        assert len(res.records) == 1
-        rec = res.records[0]
-        assert rec.step == 1 and rec.data_read == 320
-        assert rec.train_loss == pytest.approx(bundle.optimum()[1])
-
-    def test_newton_on_logistic(self):
-        bundle = build_problem(small_logistic())
-        cfg = ExperimentConfig(problem=small_logistic(),
-                               optimizer="newton_oracle", steps=1)
-        res = run_baseline(bundle, cfg)
-        assert len(res.records) >= 2
-        reads = [r.data_read for r in res.records]
-        assert all(r % bundle.n_train == 0 for r in reads)
-        np.testing.assert_allclose(bundle.problem.gradient(res.w), 0.0,
-                                   atol=1e-8)
-
     def test_avg_inv_cadence(self):
         bundle = build_problem(small_quadratic())
         cfg = ExperimentConfig(problem=small_quadratic(), optimizer="avg_inv",
@@ -354,20 +326,27 @@ class TestBaselines:
         assert all(b - a == 64 for a, b in zip(reads, reads[1:]))
 
     def test_kind_restrictions(self):
-        logistic = build_problem(small_logistic())
         mlp = build_problem(small_mlp())
-        with pytest.raises(ConfigError, match="quadratic"):
-            run_baseline(logistic, ExperimentConfig(problem=small_logistic(),
-                                                    optimizer="avg_inv", steps=2))
-        with pytest.raises(ConfigError, match="quadratic"):
-            run_baseline(logistic, ExperimentConfig(problem=small_logistic(),
-                                                    optimizer="cg", steps=2))
-        with pytest.raises(ConfigError, match="newton_oracle"):
-            run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
-                                               optimizer="newton_oracle", steps=1))
+        for optimizer in ("avg_inv", "cg"):
+            with pytest.raises(ConfigError, match="quadratic"):
+                run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
+                                                   optimizer=optimizer, steps=2))
         with pytest.raises(ConfigError, match="not a baseline"):
-            run_baseline(logistic, ExperimentConfig(problem=small_logistic(),
-                                                    optimizer="sgd", steps=2))
+            run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
+                                               optimizer="sgd", steps=2))
+
+    @pytest.mark.parametrize("optimizer", ["avg_inv", "cg"])
+    def test_wall_ms_only_with_timing(self, optimizer):
+        bundle = build_problem(small_quadratic())
+        cfg = ExperimentConfig(problem=small_quadratic(), optimizer=optimizer,
+                               batch_size=32, steps=6, record_every=1)
+        untimed = run_baseline(bundle, cfg)
+        assert len(untimed.records) > 2
+        assert all(r.wall_ms == 0.0 for r in untimed.records)
+        timed = run_baseline(bundle, dataclasses.replace(cfg, timing=True))
+        walls = [r.wall_ms for r in timed.records]
+        assert walls[0] > 0 and all(b >= a for a, b in zip(walls, walls[1:]))
+        assert [r.data_read for r in timed.records] == [r.data_read for r in untimed.records]
 
 
 class TestCsvOutput:

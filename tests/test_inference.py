@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,3 +342,23 @@ class TestSerialization:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="kind"):
             posterior_from_dict({"kind": "something_else"})
+
+    def test_dict_holds_prior_and_factors_row_major(self):
+        B, S, Y = make_case(30, 8, 3, noise_std=0.1)
+        post = infer_noisy(MatrixPrior(0.7, 1.4, 8), NoiseModel(0.2),
+                           ObservationSet.from_probes(S, Y, 0.2))
+        payload = json.loads(json.dumps(posterior_to_dict(post)))
+        assert payload["kind"] == "posterior_mean"
+        assert (payload["n"], payload["m"]) == (8, 3)
+        assert (payload["b0"], payload["w0"]) == (0.7, 1.4)
+        np.testing.assert_array_equal(np.reshape(payload["A"], (8, 3)), post.A)
+        np.testing.assert_array_equal(np.reshape(payload["C"], (8, 3)), post.C)
+
+    def test_saved_file_is_the_dict(self, tmp_path):
+        B, S, Y = make_case(31, 6, 2)
+        post = infer_noise_free(MatrixPrior(1.1, 0.8, 6),
+                                ObservationSet.from_probes(S, Y, 0.0))
+        path = tmp_path / "post.json"
+        save_posterior(path, post)
+        with open(path) as fh:
+            assert json.load(fh) == json.loads(json.dumps(posterior_to_dict(post)))

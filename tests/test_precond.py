@@ -1,3 +1,4 @@
+import json
 import logging
 import types
 
@@ -7,7 +8,6 @@ import pytest
 from hessprec.inference import MatrixPrior, PosteriorMean
 from hessprec.precond import (
     Preconditioner,
-    ScalarStep,
     SpectralApprox,
     apply_p_squared,
     build,
@@ -262,7 +262,7 @@ class TestScalarStep:
     def test_isotropic_curvature(self):
         oracle = MatrixOracle(5.0 * np.eye(4), np.ones(4))
         est = estimate_parameters(oracle, np.zeros(4), init_samples=2, mode="scalar")
-        assert scalar_step(est).eta == pytest.approx(0.2)
+        assert scalar_step(est) == pytest.approx(0.2)
 
     def test_rayleigh_quotient_of_squares(self):
         # B = diag(1, 100) probed along (1,1)/sqrt(2): eta = 101/10001
@@ -270,13 +270,13 @@ class TestScalarStep:
         s = np.array([1.0, 1.0]) / np.sqrt(2.0)
         oracle = ScriptedOracle([s, s], B)
         est = estimate_parameters(oracle, np.zeros(2), init_samples=2, mode="scalar")
-        assert scalar_step(est).eta == pytest.approx(101.0 / 10001.0, rel=1e-12)
+        assert scalar_step(est) == pytest.approx(101.0 / 10001.0, rel=1e-12)
 
     def test_unusable_estimate_keeps_previous(self, caplog):
         fake = types.SimpleNamespace(b0=np.inf)
         with caplog.at_level(logging.WARNING, logger="hessprec.precond"):
             step = scalar_step(fake, previous=0.05)
-        assert step.eta == 0.05
+        assert step == 0.05
         assert any("keeping previous" in rec.message for rec in caplog.records)
 
     def test_unusable_estimate_without_fallback_raises(self):
@@ -285,8 +285,14 @@ class TestScalarStep:
             scalar_step(fake)
 
     def test_scalar_step_validation(self):
-        with pytest.raises(ValueError, match="positive"):
-            ScalarStep(eta=0.0)
+        # the step is a plain positive float; a negative or nan curvature never passes
+        est = types.SimpleNamespace(b0=4.0)
+        assert type(scalar_step(est)) is float and scalar_step(est) == 0.25
+        for b0 in (-2.0, np.nan):
+            fake = types.SimpleNamespace(b0=b0)
+            with pytest.raises(ValueError, match="unusable"):
+                scalar_step(fake)
+            assert scalar_step(fake, previous=0.05) == 0.05
 
 
 class TestSerializationAndCosts:
@@ -303,6 +309,18 @@ class TestSerializationAndCosts:
     def test_rejects_wrong_kind(self):
         with pytest.raises(ValueError, match="kind"):
             precond_from_dict({"kind": "posterior_mean"})
+
+    def test_dict_holds_factors_row_major(self):
+        rng = np.random.default_rng(11)
+        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        sp = SpectralApprox(U=Q[:, :2], sigma=np.array([4.0, 1.0]))
+        precond, _ = build(sp, beta=0.9)
+        payload = json.loads(json.dumps(precond_to_dict(precond)))
+        assert payload["kind"] == "preconditioner"
+        assert (payload["n"], payload["k"]) == (6, 2)
+        assert payload["alpha"] == precond.alpha and payload["beta"] == 0.9
+        assert payload["sigma"] == [4.0, 1.0]
+        np.testing.assert_array_equal(np.reshape(payload["U"], (6, 2)), sp.U)
 
 
 class TestStochasticConsistency:
