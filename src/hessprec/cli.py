@@ -26,6 +26,7 @@ from .harness import (
     construct_preconditioner,
     load_config,
     merge_config,
+    read_config_object,
     run_experiment,
     write_comparison_csv,
     write_run_csv,
@@ -94,17 +95,11 @@ def _cmd_gen_data(args):
         X, y = datagen.gen_regression(args.seed or 0, args.n_samples,
                                       input_dim=d, n_features=n_features,
                                       noise=args.noise)
-    elif args.kind == "classification":
-        X, y = datagen.gen_classification(args.seed or 0, args.n_samples,
-                                          input_dim=args.input_dim or 784,
-                                          separation=args.separation)
-    elif args.kind == "blobs":
+    else:
         X, y = datagen.gen_blobs(args.seed or 0, args.n_samples,
                                  input_dim=args.input_dim or 20,
                                  n_classes=args.n_classes,
                                  separation=args.separation)
-    else:
-        raise ConfigError(f"unknown dataset kind {args.kind!r}")
     datagen.write_dataset(args.out, X, y)
     print(f"wrote {X.shape[0]} samples x {X.shape[1]} features to {args.out}")
     return 0
@@ -126,32 +121,21 @@ def _cmd_estimate(args):
     return 0
 
 
-def _iteration_log_writer(path, timing):
-    fh = open(path, "w")
-    fh.write("iteration,probe_norm,data_read,wall_ms\n")
-
-    def cb(record):
-        wall = record.wall_ms if timing else 0.0
-        fh.write(f"{record.iteration},{record.probe_norm!r},"
-                 f"{record.data_read},{wall!r}\n")
-
-    return fh, cb
-
-
 def _cmd_solve(args):
     cfg = _config_from_args(args)
     bundle = build_problem(cfg.problem)
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
     w = bundle.init_w(cfg.seed)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
-    fh = cb = None
-    if args.log:
-        fh, cb = _iteration_log_writer(args.log, cfg.timing)
+    records = []
     try:
-        post = run_inference(oracle, w, est, cfg.solver, callback=cb)
+        post = run_inference(oracle, w, est, cfg.solver, callback=records.append)
     finally:
-        if fh is not None:
-            fh.close()
+        # written even when the loop fails, so the log shows how far it got
+        if args.log:
+            datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read", "wall_ms"),
+                              ([str(r.iteration), repr(r.probe_norm), str(r.data_read),
+                                repr(r.wall_ms if cfg.timing else 0.0)] for r in records))
     save_posterior(args.out, post)
     print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
@@ -188,13 +172,7 @@ def _cmd_run(args):
 def _cmd_compare(args):
     if args.config is None:
         raise ConfigError("compare requires --config")
-    try:
-        with open(args.config) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    if not isinstance(payload, dict):
-        payload = {}
+    payload = read_config_object(args.config)
     base, runs = payload.get("base", {}), payload.get("runs")
     if not (isinstance(base, dict) and isinstance(runs, list)
             and all(isinstance(entry, dict) for entry in runs)):
@@ -226,7 +204,7 @@ def build_parser():
 
     p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
     p.add_argument("--kind", required=True,
-                   choices=("regression", "classification", "blobs"))
+                   choices=("regression", "blobs"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-samples", dest="n_samples", type=int, required=True)

@@ -1,9 +1,11 @@
-"""Synthetic dataset generators and the CSV on-disk format.
+"""Synthetic dataset generators, the dataset CSV format and the one CSV writer.
 
-CSV layout: a header row, one sample per line, feature columns first
-and the target last.  Targets are the regression value, the +/-1 class
-label, or the integer class index depending on the problem kind.
-Floats are written with enough digits to round-trip exactly.
+Dataset layout: a header row, one sample per line, feature columns
+first and the target last.  Targets are the regression value or the
+integer class index depending on the problem kind.  Floats are written
+with enough digits to round-trip exactly.  ``write_csv`` writes every
+CSV the package emits: datasets, run records and the solver's
+iteration log.
 """
 from __future__ import annotations
 
@@ -69,19 +71,26 @@ def gen_blobs(seed, n_samples, input_dim=20, n_classes=10, separation=3.0):
     return X, labels
 
 
+def write_csv(path, columns, rows):
+    """Write a header of ``columns``, then one line per row of string cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
+def _target_cell(target):
+    """An integral target as an integer, any other with round-trip digits."""
+    if float(target) == int(target):
+        return str(int(target))
+    return f"{float(target):.17g}"
+
+
 def write_dataset(path, X, y):
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y)
-    header = ",".join(f"x{j}" for j in range(X.shape[1])) + ",target"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row, target in zip(X, y):
-            cells = [f"{v:.17g}" for v in row]
-            if float(target) == int(target):
-                cells.append(str(int(target)))
-            else:
-                cells.append(f"{float(target):.17g}")
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, [f"x{j}" for j in range(X.shape[1])] + ["target"],
+              ([f"{v:.17g}" for v in row] + [_target_cell(target)]
+               for row, target in zip(X, np.asarray(y))))
 
 
 def read_dataset(path):

@@ -73,6 +73,12 @@ class ProblemConfig:
     def __post_init__(self):
         if self.kind not in ("quadratic", "mlp"):
             raise ConfigError(f"unknown problem kind {self.kind!r}; choose from quadratic, mlp")
+        for name, low in (("n_samples", 1), ("input_dim", 1), ("n_features", 1),
+                          ("n_classes", 2)):
+            if (value := getattr(self, name)) < low:
+                raise ConfigError(f"problem {name} must be at least {low}, got {value}")
+        if not (np.isfinite(self.noise) and self.noise >= 0):
+            raise ConfigError(f"problem noise must be non-negative and finite, got {self.noise}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.scales is not None:
             object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
@@ -134,7 +140,8 @@ class ExperimentConfig:
         raise ConfigError("either steps or epochs must be set")
 
 
-def load_config(path, overrides=None):
+def read_config_object(path):
+    """The JSON object in the file at ``path``; anything else is a ``ConfigError``."""
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -142,6 +149,11 @@ def load_config(path, overrides=None):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    return payload
+
+
+def load_config(path, overrides=None):
+    payload = read_config_object(path)
     if overrides:
         payload = merge_config(payload, overrides)
     return ExperimentConfig.from_dict(payload)
@@ -189,22 +201,15 @@ def _csv_row(rec):
     return [str(rec.step), str(rec.data_read)] + [repr(float(x)) for x in floats]
 
 
-def _write_csv(path, columns, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
 def write_run_csv(path, records):
     """Write records in the exact run-CSV schema."""
-    _write_csv(path, RUN_CSV_COLUMNS, (_csv_row(rec) for rec in records))
+    datagen.write_csv(path, RUN_CSV_COLUMNS, (_csv_row(rec) for rec in records))
 
 
 def write_comparison_csv(path, labeled_records):
     """Write (label, record) pairs: an ``optimizer`` column, then the run-CSV schema."""
-    _write_csv(path, ("optimizer",) + RUN_CSV_COLUMNS,
-               ([label] + _csv_row(rec) for label, rec in labeled_records))
+    datagen.write_csv(path, ("optimizer",) + RUN_CSV_COLUMNS,
+                      ([label] + _csv_row(rec) for label, rec in labeled_records))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +290,7 @@ class MLPBundle:
                 )
             targets = targets.astype(int)
         tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
-        self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,),
-                          activation="tanh", loss="cross_entropy", reg=pc.reg)
+        self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=pc.reg)
         self._train = (X[tr], targets[tr])
         self._test = (X[te], targets[te])
 

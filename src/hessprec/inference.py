@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SolveFailure, solve_capacitance, woodbury_solve
+from .linalg import (SolveFailure, cho_solve, cholesky, cholesky_row, solve_capacitance,
+                     woodbury_solve)
 
 
 @dataclass(frozen=True)
@@ -151,45 +152,9 @@ class PosteriorMean:
         return self.b0 * np.eye(self.n) + self.A @ self.C.T
 
 
-# A probe is accepted when its Cholesky pivot keeps more than this share of
-# its diagonal entry of M: pivot^2 > PIVOT_RTOL * M_kk.  With exact products
-# that asks for an out-of-span share ||s_perp|| / ||s|| above 1e-6, a level
-# the Cholesky factor of the Gram matrix still resolves above rounding.
-PIVOT_RTOL = 1e-12
-
-
 def _empty_posterior(prior):
     z = np.zeros((prior.n, 0))
     return PosteriorMean(prior=prior, A=z, C=z.copy())
-
-
-def _cho_solve(L, B):
-    """Solve ``L L.T X = B`` for a lower-triangular factor L."""
-    return np.linalg.solve(L.T, np.linalg.solve(L, B))
-
-
-def _cholesky_row(L, b, c):
-    """Row k of the Cholesky factor of M from row k of M: ``M[k, :k] = b``, ``M[k, k] = c``.
-
-    ``L`` is the factor of the leading k x k block.  A sub-threshold
-    pivot (see ``PIVOT_RTOL``) names probe column k as dependent.
-    """
-    k = b.size
-    l = np.linalg.solve(L, b) if k else b
-    p2 = c - l @ l
-    if not p2 > PIVOT_RTOL * c:
-        raise ValueError(
-            f"probe column {k} is linearly dependent on earlier columns "
-            f"(Cholesky pivot^2 {p2:.3e} <= {PIVOT_RTOL:g} * {c:.3e}); the update cannot use it"
-        )
-    return np.append(l, np.sqrt(p2))
-
-
-def _cholesky(M):
-    L = np.zeros_like(M)
-    for k in range(M.shape[0]):
-        L[k, :k + 1] = _cholesky_row(L[:k, :k], M[k, :k], M[k, k])
-    return L
 
 
 def _mean(prior, L, S_rows, D_rows):
@@ -204,14 +169,14 @@ def _mean(prior, L, S_rows, D_rows):
     # one GEMM with the m x m inverse; a triangular solve against N
     # right-hand sides is about ten times slower at N = 1e5
     w0 = prior.w0
-    return PosteriorMean(prior=prior, A=(w0 * _cho_solve(L, np.eye(m)) @ D_rows).T,
+    return PosteriorMean(prior=prior, A=(w0 * cho_solve(L, np.eye(m)) @ D_rows).T,
                          C=(w0 * S_rows).T)
 
 
 def _from_scratch(prior, lam0, obs):
     S = obs.S
     M = prior.w0 ** 2 * (S.T @ S) + lam0 * np.diag(obs.noise_diag)
-    return _mean(prior, _cholesky(M), S.T, (obs.Y - prior.b0 * S).T)
+    return _mean(prior, cholesky(M), S.T, (obs.Y - prior.b0 * S).T)
 
 
 def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> PosteriorMean:
@@ -250,8 +215,8 @@ def infer_noisy(prior: MatrixPrior, noise: NoiseModel, obs: ObservationSet) -> P
         X = Delta M^-1,   M = w0^2 S.T S + lam0 diag(noise_diag),
 
     with ``Delta = Y - b0 S``; ``lam0 = 0`` is ``infer_noise_free``.  M is
-    factored by Cholesky, and a sub-threshold pivot (``PIVOT_RTOL``)
-    names the first dependent probe column.
+    factored by ``linalg.cholesky``, and a sub-threshold pivot
+    (``linalg.PIVOT_RTOL``) names the first dependent probe column.
 
     The returned factors are ``A = w0 X`` and ``C = w0 S``, so that
     ``b0 I + A C.T`` equals the posterior mean ``b0 I + W X S.T W``.
@@ -313,7 +278,7 @@ class IncrementalPosterior:
         sts = np.append(self.S[:k] @ s, s @ s)
         noise = self.lam0 * sts[k]
         row = self.prior.w0 ** 2 * sts
-        self.L[k, :k + 1] = _cholesky_row(self.L[:k, :k], row[:k], row[k] + self.lam0 * noise)
+        self.L[k, :k + 1] = cholesky_row(self.L[:k, :k], row[:k], row[k] + self.lam0 * noise)
         self.S[k], self.D[k], self.noise[k] = s, delta, noise
         self.StS[k, :k + 1] = self.StS[:k + 1, k] = sts
         self.StD[k, :k + 1] = self.D[:k + 1] @ s
@@ -332,9 +297,9 @@ class IncrementalPosterior:
         if k == 0:
             return v / b0
         L = self.L[:k, :k]
-        cap = b0 * np.eye(k) + w0 ** 2 * _cho_solve(L, self.StD[:k, :k].T).T
+        cap = b0 * np.eye(k) + w0 ** 2 * cho_solve(L, self.StD[:k, :k].T).T
         t = solve_capacitance(cap, w0 * (self.S[:k] @ v))
-        return (v - self.D[:k].T @ (w0 * _cho_solve(L, t))) / b0
+        return (v - self.D[:k].T @ (w0 * cho_solve(L, t))) / b0
 
     def mean(self) -> PosteriorMean:
         k = self.m
@@ -356,23 +321,8 @@ def posterior_to_dict(post: PosteriorMean) -> dict:
     }
 
 
-def posterior_from_dict(payload: dict) -> PosteriorMean:
-    if payload.get("kind") != "posterior_mean":
-        raise ValueError(f"not a posterior_mean payload: kind={payload.get('kind')!r}")
-    n, m = int(payload["n"]), int(payload["m"])
-    prior = MatrixPrior(b0=float(payload["b0"]), w0=float(payload["w0"]), n=n)
-    A = np.asarray(payload["A"], dtype=float).reshape(n, m)
-    C = np.asarray(payload["C"], dtype=float).reshape(n, m)
-    return PosteriorMean(prior=prior, A=A, C=C)
-
-
 def save_posterior(path, post: PosteriorMean):
     """Write the posterior to ``path`` as a JSON document (row-major factors)."""
     with open(path, "w") as fh:
         json.dump(posterior_to_dict(post), fh)
         fh.write("\n")
-
-
-def load_posterior(path) -> PosteriorMean:
-    with open(path) as fh:
-        return posterior_from_dict(json.load(fh))

@@ -61,22 +61,42 @@ def sym_eig(M, tol=1e-10):
     return vals[order], vecs[:, order]
 
 
-def _cholesky_with_pivot_diagnostic(R):
-    try:
-        return np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        pass
-    # Locate the first leading principal block that fails, purely for the
-    # error message; R is small so the rescan is cheap.
-    for k in range(R.shape[0]):
-        try:
-            np.linalg.cholesky(R[: k + 1, : k + 1])
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                f"right-hand matrix is not positive definite: "
-                f"Cholesky factorization fails at pivot {k}"
-            ) from None
-    raise ValueError("right-hand matrix is not positive definite")
+# A Cholesky pivot is accepted when it keeps more than this share of its
+# diagonal entry: pivot^2 > PIVOT_RTOL * M_kk.  For the Gram matrix of
+# exact probe products that asks for an out-of-span share ||s_perp|| / ||s||
+# above 1e-6, a level the Cholesky factor still resolves above rounding.
+PIVOT_RTOL = 1e-12
+
+
+def cho_solve(L, B):
+    """Solve ``L L.T X = B`` for a lower-triangular factor L."""
+    return np.linalg.solve(L.T, np.linalg.solve(L, B))
+
+
+def cholesky_row(L, b, c):
+    """Row k of the Cholesky factor of M from row k of M: ``M[k, :k] = b``, ``M[k, k] = c``.
+
+    ``L`` is the factor of the leading k x k block.  A sub-threshold
+    pivot (see ``PIVOT_RTOL``) names column k as dependent.
+    """
+    k = b.size
+    l = np.linalg.solve(L, b) if k else b
+    p2 = c - l @ l
+    if not p2 > PIVOT_RTOL * c:
+        raise ValueError(
+            f"column {k} is linearly dependent on earlier columns or the matrix is not "
+            f"positive definite (Cholesky pivot {k}: pivot^2 {p2:.3e} <= "
+            f"{PIVOT_RTOL:g} * {c:.3e})"
+        )
+    return np.append(l, np.sqrt(p2))
+
+
+def cholesky(M):
+    """Lower Cholesky factor of the symmetric M, built row by row with ``cholesky_row``."""
+    L = np.zeros_like(M)
+    for k in range(M.shape[0]):
+        L[k, :k + 1] = cholesky_row(L[:k, :k], M[k, :k], M[k, k])
+    return L
 
 
 def generalized_sym_eig(G, R, tol=1e-10):
@@ -93,7 +113,7 @@ def generalized_sym_eig(G, R, tol=1e-10):
         Symmetric.
     R : (m, m) array
         Symmetric positive definite.  A failing Cholesky pivot is
-        reported by index.
+        reported by index (see ``cholesky_row``).
 
     Returns
     -------
@@ -104,7 +124,7 @@ def generalized_sym_eig(G, R, tol=1e-10):
     R = _require_symmetric(R, "right-hand matrix", tol)
     if G.shape != R.shape:
         raise ValueError(f"pencil shapes differ: {G.shape} vs {R.shape}")
-    L = _cholesky_with_pivot_diagnostic(R)
+    L = cholesky(R)
     T = np.linalg.solve(L, G)
     M = np.linalg.solve(L, T.T).T  # L^-1 G L^-T
     vals, Q = sym_eig(0.5 * (M + M.T), tol=tol)
@@ -116,8 +136,10 @@ def thin_svd_product(A, C):
     """Thin SVD of ``A @ C.T`` without forming the N x N product.
 
     ``A`` and ``C`` are N x m with m <= N.  QR-factor both, run a dense
-    SVD on the m x m core ``Ra @ Rc.T``, and rotate the orthonormal QR
-    bases by the core's singular vectors.  Total cost O(N m^2).
+    SVD on the m x m core ``Ra @ Rc.T``, and rotate A's orthonormal QR
+    basis by the core's left singular vectors.  Only the R factor of C
+    is formed, because the right singular vectors are not returned.
+    Total cost O(N m^2).
 
     Returns
     -------
@@ -126,16 +148,14 @@ def thin_svd_product(A, C):
     sigma : (m,) array
         Singular values, descending and non-negative.  Rank-deficient
         input simply yields trailing zeros.
-    V : (N, m) array
-        Right singular vectors.
     """
     n, m = A.shape
     if m == 0:
-        return np.zeros((n, 0)), np.zeros(0), np.zeros((n, 0))
+        return np.zeros((n, 0)), np.zeros(0)
     Qa, Ra = np.linalg.qr(A)
-    Qc, Rc = np.linalg.qr(C)
-    u, sigma, vt = np.linalg.svd(Ra @ Rc.T)
-    return Qa @ u, sigma, Qc @ vt.T
+    Rc = np.linalg.qr(C, mode="r")
+    u, sigma, _ = np.linalg.svd(Ra @ Rc.T)
+    return Qa @ u, sigma
 
 
 def woodbury_solve(b0, A, C, rhs):

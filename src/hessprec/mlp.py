@@ -1,6 +1,8 @@
 """A small dense network with an exact Hessian-vector product.
 
-The product is computed by the forward-over-reverse trick: a forward
+The network has tanh hidden layers and a softmax cross-entropy loss on
+integer class labels, the one network of the learning-rate sweep.  The
+product is computed by the forward-over-reverse trick: a forward
 pass carrying directional derivatives of every activation, then a
 backward pass carrying directional derivatives of every delta.  No
 autodiff framework involved; everything is plain numpy, which keeps the
@@ -22,22 +24,15 @@ from .solver import HessianOracle
 
 @dataclass(frozen=True)
 class ToyNet:
-    """Layer sizes, activation ("tanh" or "linear"), loss ("cross_entropy" or
-    "squared"), and an L2 penalty applied to every parameter."""
+    """Layer sizes and an L2 penalty applied to every parameter."""
 
     sizes: tuple
-    activation: str = "tanh"
-    loss: str = "cross_entropy"
     reg: float = 0.0
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError(f"need at least input and output sizes, got {sizes}")
-        if self.activation not in ("tanh", "linear"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.loss not in ("cross_entropy", "squared"):
-            raise ValueError(f"unknown loss {self.loss!r}")
         if not (np.isfinite(self.reg) and self.reg >= 0):
             raise ValueError(f"reg must be non-negative, got {self.reg!r}")
         object.__setattr__(self, "sizes", sizes)
@@ -88,10 +83,7 @@ class ToyNet:
         for idx, (W, b) in enumerate(layers):
             z = A[-1] @ W.T + b
             Z.append(z)
-            if idx < len(layers) - 1 and self.activation == "tanh":
-                A.append(np.tanh(z))
-            else:
-                A.append(z)
+            A.append(np.tanh(z) if idx < len(layers) - 1 else z)
         return Z, A
 
     def logits(self, w, X):
@@ -99,28 +91,22 @@ class ToyNet:
         return A[-1]
 
     def _out_delta(self, zL, targets):
-        """Per-sample output delta (not averaged) and any cached quantities."""
-        if self.loss == "cross_entropy":
-            z = zL - zL.max(axis=1, keepdims=True)
-            e = np.exp(z)
-            P = e / e.sum(axis=1, keepdims=True)
-            onehot = np.zeros_like(P)
-            onehot[np.arange(len(targets)), targets] = 1.0
-            return P - onehot, P
-        return zL - targets, None
+        """Per-sample output delta (not averaged) and the softmax probabilities."""
+        z = zL - zL.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        P = e / e.sum(axis=1, keepdims=True)
+        onehot = np.zeros_like(P)
+        onehot[np.arange(len(targets)), targets] = 1.0
+        return P - onehot, P
 
     def loss_value(self, w, X, targets):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layers = self.unpack(w)
         _, A = self._forward(layers, X)
         zL = A[-1]
-        if self.loss == "cross_entropy":
-            z = zL - zL.max(axis=1, keepdims=True)
-            lse = np.log(np.exp(z).sum(axis=1))
-            data = float(np.mean(lse - z[np.arange(len(targets)), targets]))
-        else:
-            diff = zL - targets
-            data = 0.5 * float(np.mean(np.sum(diff * diff, axis=1)))
+        z = zL - zL.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        data = float(np.mean(lse - z[np.arange(len(targets)), targets]))
         return data + 0.5 * self.reg * float(w @ w)
 
     def gradient(self, w, X, targets):
@@ -135,9 +121,7 @@ class ToyNet:
             grads[l] = (delta.T @ A[l] / n + self.reg * W,
                         delta.mean(axis=0) + self.reg * b)
             if l > 0:
-                delta = delta @ W
-                if self.activation == "tanh":
-                    delta = delta * (1.0 - A[l] * A[l])
+                delta = (delta @ W) * (1.0 - A[l] * A[l])
         return self.pack(grads)
 
     def hvp(self, w, v, X, targets):
@@ -158,17 +142,11 @@ class ToyNet:
         for idx, ((W, b), (V, c)) in enumerate(zip(layers, dirs)):
             rz = RA[-1] @ W.T + A[idx] @ V.T + c
             RZ.append(rz)
-            if idx < self.n_layers - 1 and self.activation == "tanh":
-                RA.append((1.0 - A[idx + 1] * A[idx + 1]) * rz)
-            else:
-                RA.append(rz)
+            RA.append((1.0 - A[idx + 1] * A[idx + 1]) * rz if idx < self.n_layers - 1 else rz)
 
         delta, P = self._out_delta(Z[-1], targets)
-        if self.loss == "cross_entropy":
-            prz = P * RZ[-1]
-            rdelta = prz - P * prz.sum(axis=1, keepdims=True)
-        else:
-            rdelta = RZ[-1]
+        prz = P * RZ[-1]
+        rdelta = prz - P * prz.sum(axis=1, keepdims=True)
 
         out = [None] * self.n_layers
         for l in range(self.n_layers - 1, -1, -1):
@@ -179,14 +157,10 @@ class ToyNet:
             if l > 0:
                 back = delta @ W
                 rback = rdelta @ W + delta @ V
-                if self.activation == "tanh":
-                    act_d = 1.0 - A[l] * A[l]
-                    ract_d = -2.0 * A[l] * RA[l]
-                    rdelta = rback * act_d + back * ract_d
-                    delta = back * act_d
-                else:
-                    rdelta = rback
-                    delta = back
+                act_d = 1.0 - A[l] * A[l]
+                ract_d = -2.0 * A[l] * RA[l]
+                rdelta = rback * act_d + back * ract_d
+                delta = back * act_d
         return self.pack(out)
 
     def accuracy(self, w, X, targets):

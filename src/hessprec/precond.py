@@ -80,7 +80,7 @@ def reduce_rank(post, k: int) -> SpectralApprox:
     """
     if not 1 <= k <= post.m:
         raise ValueError(f"rank k must be in [1, {post.m}], got {k}")
-    U, sigma, _ = thin_svd_product(post.A, post.C)
+    U, sigma = thin_svd_product(post.A, post.C)
     if sigma[0] == 0:
         effective = 0
     else:
@@ -139,16 +139,6 @@ def precond_to_dict(precond: Preconditioner) -> dict:
         "sigma": sp.sigma.tolist(),
         "U": sp.U.ravel().tolist(),
     }
-
-
-def precond_from_dict(payload: dict) -> Preconditioner:
-    if payload.get("kind") != "preconditioner":
-        raise ValueError(f"not a preconditioner payload: kind={payload.get('kind')!r}")
-    n, k = int(payload["n"]), int(payload["k"])
-    spectral = SpectralApprox(U=np.asarray(payload["U"], dtype=float).reshape(n, k),
-                              sigma=np.asarray(payload["sigma"], dtype=float))
-    return Preconditioner(spectral=spectral, alpha=float(payload["alpha"]),
-                          beta=float(payload["beta"]))
 
 
 def scalar_step(estimates: PriorEstimates, previous: float | None = None) -> float:

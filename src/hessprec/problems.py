@@ -68,16 +68,6 @@ def scales_log_uniform(n_features: int, lo: float = 1e-3, hi: float = 1.0):
     return np.logspace(np.log10(hi), np.log10(lo), n_features)
 
 
-def scales_two_band(n_features: int, head: int, head_lo: float, tail_hi: float,
-                    head_hi: float = 1.0, tail_lo: float = None):
-    """A log-spaced head band, then a far smaller tail band; a config takes it as a list."""
-    if not 1 <= head < n_features:
-        raise ValueError(f"head size must be in [1, {n_features - 1}], got {head}")
-    tail_lo = tail_hi / 10.0 if tail_lo is None else tail_lo
-    return np.concatenate([np.logspace(np.log10(head_hi), np.log10(head_lo), head),
-                           np.logspace(np.log10(tail_hi), np.log10(tail_lo), n_features - head)])
-
-
 def raw_monomials(X, input_dim, count):
     """First ``count`` distinct monomials [x, upper-tri(x x.T), ||x||^2], unscaled."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -248,9 +238,6 @@ class LogisticProblem:
         z = self.X @ w
         d = sigmoid(z) * sigmoid(-z)
         return (self.X * d[:, None]).T @ self.X / self.n_data + self.reg * np.eye(self.n_features)
-
-    def accuracy(self, w):
-        return float(np.mean((self.X @ w > 0) == (self.labels > 0)))
 
 
 class LogisticOracle(HessianOracle):

@@ -168,7 +168,6 @@ class SolverSettings:
     rank: int = 16
     beta: float = 1.0
     mode: str = "full"
-    normalize_probes: bool = True
 
     def __post_init__(self):
         if self.mode not in ("full", "scalar"):
@@ -256,7 +255,7 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
     return PriorEstimates(b0=float(b0), w0=float(w0), lam0=float(lam0), mean_grad=gbar)
 
 
-def next_direction(post, r, normalize=False):
+def next_direction(post, r):
     """Probe direction ``-B^-1 r`` for the current estimate B.
 
     ``post`` is a ``PosteriorMean`` or the probing loop's
@@ -268,13 +267,10 @@ def next_direction(post, r, normalize=False):
     if np.linalg.norm(r) == 0:
         raise ValueError("residual is zero; no probe direction exists")
     try:
-        s = -post.solve(r)
+        return -post.solve(r)
     except SolveFailure as exc:
         log.warning("posterior solve failed (%s); falling back to gradient direction", exc)
-        s = -r / post.prior.b0
-    if normalize:
-        s = s / np.linalg.norm(s)
-    return s
+        return -r / post.prior.b0
 
 
 def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
@@ -282,15 +278,14 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     """Run the active probing loop and return the final posterior mean.
 
     Per iteration (``settings.iterations`` of them): pick a direction
-    with ``next_direction`` against the latest gradient, load one fresh
-    batch, observe the curvature product along the probe (normalized if
-    ``settings.normalize_probes``) and refresh the gradient on that same
-    batch, then add the pair to an ``IncrementalPosterior``, which costs
-    O(N m + m^3) and rebuilds nothing.  If a probe is rejected (for
-    instance a dependent probe in the exact-product case once the
-    reachable subspace is exhausted) the posterior of the previous
-    iteration is returned with a warning.  The returned
-    ``PosteriorMean`` is formed once, at the end.
+    with ``next_direction`` against the latest gradient, scale it to unit
+    length, load one fresh batch, observe the curvature product along the
+    probe and refresh the gradient on that same batch, then add the pair
+    to an ``IncrementalPosterior``, which costs O(N m + m^3) and rebuilds
+    nothing.  If a probe is rejected (for instance a dependent probe in
+    the exact-product case once the reachable subspace is exhausted) the
+    posterior of the previous iteration is returned with a warning.  The
+    returned ``PosteriorMean`` is formed once, at the end.
 
     Raises ``ConfigError`` before the first batch is drawn when
     ``settings.iterations`` exceeds ``oracle.dim``.
@@ -312,7 +307,7 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
         t0 = time.perf_counter()
         raw = next_direction(post, r)
         probe_norm = float(np.linalg.norm(raw))
-        s = raw / probe_norm if settings.normalize_probes else raw
+        s = raw / probe_norm
         batch = oracle.draw_batch()
         y = oracle.hvp(w, s, batch)
         r = oracle.gradient(w, batch)

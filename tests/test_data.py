@@ -97,6 +97,14 @@ class TestDatasetIo:
         _, back = read_dataset(path)
         np.testing.assert_array_equal(back.astype(int), labels)
 
+    def test_written_bytes(self, tmp_path):
+        # features and float targets in round-trip %.17g, integral targets as integers
+        path = tmp_path / "golden.csv"
+        write_dataset(path, np.array([[0.1, -2.0], [1e-20, 3.5]]), np.array([2.0, 0.25]))
+        assert path.read_bytes() == (b"x0,x1,target\n"
+                                     b"0.10000000000000001,-2,2\n"
+                                     b"9.9999999999999995e-21,3.5,0.25\n")
+
     def test_single_column_rejected(self, tmp_path):
         path = tmp_path / "thin.csv"
         path.write_text("target\n1.0\n2.0\n")

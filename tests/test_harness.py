@@ -27,7 +27,6 @@ from hessprec.harness import (
     write_run_csv,
 )
 from hessprec.mlp import ToyNet
-from hessprec.problems import scales_two_band
 from hessprec.solver import EstimationError
 
 
@@ -141,10 +140,10 @@ class TestScaleVector:
         assert s[-1] == pytest.approx(1e-3)
 
     def test_two_band_profile_dict(self):
-        # a profile reaches the config as the explicit list it expands to
-        pc = ProblemConfig.from_dict({
-            "kind": "quadratic", "n_features": 10,
-            "scales": scales_two_band(10, head=4, head_lo=0.1, tail_hi=1e-3).tolist()})
+        # a two-band profile reaches the config as the explicit list it expands to
+        two_band = np.concatenate([np.logspace(0, -1, 4), np.logspace(-3, -4, 6)])
+        pc = ProblemConfig.from_dict({"kind": "quadratic", "n_features": 10,
+                                      "scales": two_band.tolist()})
         s = pc.scale_vector()
         assert s[3] == pytest.approx(0.1) and s[4] == pytest.approx(1e-3)
 
@@ -187,8 +186,7 @@ class TestBundles:
     def test_mlp_test_loss_is_data_term(self):
         b = build_problem(small_mlp())
         w = b.init_w(seed=1)
-        bare = ToyNet(b.net.sizes, activation="tanh", loss="cross_entropy",
-                      reg=0.0)
+        bare = ToyNet(b.net.sizes, reg=0.0)
         X_te, t_te = b._test
         assert b.test_loss(w) == pytest.approx(bare.loss_value(w, X_te, t_te))
         assert 0.0 <= b.test_accuracy(w) <= 1.0

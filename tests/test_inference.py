@@ -12,8 +12,6 @@ from hessprec.inference import (
     PosteriorMean,
     infer_noise_free,
     infer_noisy,
-    load_posterior,
-    posterior_from_dict,
     posterior_to_dict,
     save_posterior,
 )
@@ -320,29 +318,6 @@ class TestPosteriorMean:
 
 
 class TestSerialization:
-    def test_dict_round_trip(self):
-        B, S, Y = make_case(30, 8, 3, noise_std=0.1)
-        post = infer_noisy(MatrixPrior(0.7, 1.4, 8), NoiseModel(0.2),
-                           ObservationSet.from_probes(S, Y, 0.2))
-        back = posterior_from_dict(posterior_to_dict(post))
-        np.testing.assert_array_equal(back.A, post.A)
-        np.testing.assert_array_equal(back.C, post.C)
-        assert back.prior == post.prior
-
-    def test_file_round_trip(self, tmp_path):
-        B, S, Y = make_case(31, 6, 2)
-        post = infer_noise_free(MatrixPrior(1.1, 0.8, 6),
-                                ObservationSet.from_probes(S, Y, 0.0))
-        path = tmp_path / "post.json"
-        save_posterior(path, post)
-        back = load_posterior(path)
-        v = np.random.default_rng(32).standard_normal(6)
-        np.testing.assert_allclose(back.apply(v), post.apply(v), atol=0)
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            posterior_from_dict({"kind": "something_else"})
-
     def test_dict_holds_prior_and_factors_row_major(self):
         B, S, Y = make_case(30, 8, 3, noise_std=0.1)
         post = infer_noisy(MatrixPrior(0.7, 1.4, 8), NoiseModel(0.2),

@@ -138,32 +138,37 @@ class TestThinSvdProduct:
         rng = np.random.default_rng(4)
         A = rng.standard_normal((30, 5))
         C = rng.standard_normal((30, 5))
-        U, sigma, V = thin_svd_product(A, C)
-        np.testing.assert_allclose(U @ np.diag(sigma) @ V.T, A @ C.T, atol=1e-10)
+        U, sigma = thin_svd_product(A, C)
+        # U spans the column space of A C.T, so projecting onto it changes nothing
+        np.testing.assert_allclose(U @ (U.T @ (A @ C.T)), A @ C.T, atol=1e-10)
         np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-12)
-        np.testing.assert_allclose(V.T @ V, np.eye(5), atol=1e-12)
         assert np.all(sigma >= 0) and np.all(np.diff(sigma) <= 0)
 
     def test_matches_dense_svd_values(self):
         rng = np.random.default_rng(5)
         A = rng.standard_normal((20, 4))
         C = rng.standard_normal((20, 4))
-        _, sigma, _ = thin_svd_product(A, C)
-        dense = np.linalg.svd(A @ C.T, compute_uv=False)
-        np.testing.assert_allclose(sigma, dense[:4], atol=1e-10)
+        U, sigma = thin_svd_product(A, C)
+        dense_u, dense_s, _ = np.linalg.svd(A @ C.T)
+        np.testing.assert_allclose(sigma, dense_s[:4], atol=1e-10)
+        # each left vector equals the dense one up to sign
+        signs = np.sign(np.sum(U * dense_u[:, :4], axis=0))
+        np.testing.assert_allclose(U * signs, dense_u[:, :4], atol=1e-10)
+        # the rows of U.T A C.T are the right vectors scaled by sigma
+        np.testing.assert_allclose(np.linalg.norm(U.T @ A @ C.T, axis=1), sigma, atol=1e-10)
 
     def test_rank_deficient_trailing_zeros(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((15, 4))
         A[:, 3] = A[:, 0]  # rank 3
         C = rng.standard_normal((15, 4))
-        _, sigma, _ = thin_svd_product(A, C)
+        _, sigma = thin_svd_product(A, C)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
 
     def test_empty_factors(self):
-        U, sigma, V = thin_svd_product(np.zeros((7, 0)), np.zeros((7, 0)))
-        assert U.shape == (7, 0) and sigma.shape == (0,) and V.shape == (7, 0)
+        U, sigma = thin_svd_product(np.zeros((7, 0)), np.zeros((7, 0)))
+        assert U.shape == (7, 0) and sigma.shape == (0,)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
@@ -172,9 +177,11 @@ class TestThinSvdProduct:
         n = m + rng.integers(0, 20)
         A = rng.standard_normal((n, m))
         C = rng.standard_normal((n, m))
-        U, sigma, V = thin_svd_product(A, C)
-        scale = max(np.linalg.norm(A @ C.T), 1.0)
-        assert np.linalg.norm(U @ np.diag(sigma) @ V.T - A @ C.T) <= 1e-9 * scale
+        U, sigma = thin_svd_product(A, C)
+        B = A @ C.T
+        scale = max(np.linalg.norm(B), 1.0)
+        assert np.linalg.norm(U @ (U.T @ B) - B) <= 1e-9 * scale
+        assert np.allclose(np.linalg.norm(U.T @ B, axis=1), sigma, atol=1e-9 * scale)
 
 
 class TestWoodburySolve:

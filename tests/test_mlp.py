@@ -27,17 +27,14 @@ def dense_hessian(net, w, X, targets):
     return H
 
 
-def tiny_net(loss="cross_entropy", reg=1e-3, sizes=(3, 4, 3)):
-    return ToyNet(sizes=sizes, activation="tanh", loss=loss, reg=reg)
+def tiny_net(reg=1e-3, sizes=(3, 4, 3)):
+    return ToyNet(sizes=sizes, reg=reg)
 
 
 def tiny_data(net, n=12, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, net.sizes[0]))
-    if net.loss == "cross_entropy":
-        targets = rng.integers(0, net.sizes[-1], size=n)
-    else:
-        targets = rng.standard_normal((n, net.sizes[-1]))
+    targets = rng.integers(0, net.sizes[-1], size=n)
     return X, targets
 
 
@@ -69,9 +66,8 @@ class TestParams:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("loss", ["cross_entropy", "squared"])
-    def test_matches_fd_of_loss(self, loss):
-        net = tiny_net(loss=loss)
+    def test_matches_fd_of_loss(self):
+        net = tiny_net()
         X, targets = tiny_data(net)
         w = net.init_params(seed=1)
         g = net.gradient(w, X, targets)
@@ -109,9 +105,8 @@ class TestGradient:
 
 
 class TestHvp:
-    @pytest.mark.parametrize("loss", ["cross_entropy", "squared"])
-    def test_matches_fd_of_gradient(self, loss):
-        net = tiny_net(loss=loss)
+    def test_matches_fd_of_gradient(self):
+        net = tiny_net()
         X, targets = tiny_data(net)
         w = net.init_params(seed=5)
         rng = np.random.default_rng(6)
@@ -151,16 +146,20 @@ class TestHvp:
                                    rtol=1e-10, atol=1e-12)
 
     def test_linear_single_layer_closed_form(self):
-        # one linear layer with squared loss: curvature is data-independent of w
-        net = ToyNet(sizes=(3, 2), activation="linear", loss="squared", reg=0.1)
+        # one linear layer under softmax cross-entropy is softmax regression:
+        # the curvature is the mean over samples of (diag(p) - p p.T) kron xa xa.T
+        net = ToyNet(sizes=(3, 2), reg=0.1)
         X, targets = tiny_data(net, n=20, seed=12)
         w = net.init_params(seed=13)
         n = len(X)
         Xa = np.hstack([X, np.ones((n, 1))])  # inputs with bias column
-        block = Xa.T @ Xa / n
+        Z = net.logits(w, X)
+        P = np.exp(Z - Z.max(axis=1, keepdims=True))
+        P /= P.sum(axis=1, keepdims=True)
         # grouped order (w_k, b_k) per output unit, then permute to the
         # packed layout (all weights row-major, then all biases)
-        grouped = np.kron(np.eye(2), block)
+        grouped = sum(np.kron(np.diag(p) - np.outer(p, p), np.outer(xa, xa))
+                      for p, xa in zip(P, Xa)) / n
         d = 3
         perm = np.concatenate([
             np.concatenate([np.arange(k * (d + 1), k * (d + 1) + d)

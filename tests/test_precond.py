@@ -11,7 +11,6 @@ from hessprec.precond import (
     SpectralApprox,
     apply_p_squared,
     build,
-    precond_from_dict,
     precond_to_dict,
     reduce_rank,
     scalar_step,
@@ -296,20 +295,6 @@ class TestScalarStep:
 
 
 class TestSerializationAndCosts:
-    def test_dict_round_trip(self):
-        rng = np.random.default_rng(11)
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        sp = SpectralApprox(U=Q[:, :2], sigma=np.array([4.0, 1.0]))
-        precond, _ = build(sp, beta=0.9)
-        back = precond_from_dict(precond_to_dict(precond))
-        np.testing.assert_array_equal(back.spectral.U, precond.spectral.U)
-        np.testing.assert_array_equal(back.spectral.sigma, precond.spectral.sigma)
-        assert back.alpha == precond.alpha and back.beta == precond.beta
-
-    def test_rejects_wrong_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            precond_from_dict({"kind": "posterior_mean"})
-
     def test_dict_holds_factors_row_major(self):
         rng = np.random.default_rng(11)
         Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))

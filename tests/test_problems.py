@@ -17,7 +17,6 @@ from hessprec.problems import (
     polynomial_features,
     raw_monomials,
     scales_log_uniform,
-    scales_two_band,
     sigmoid,
     squared_data_loss,
 )
@@ -76,13 +75,6 @@ class TestFeatureMap:
         s = scales_log_uniform(5, lo=1e-2, hi=1.0)
         assert s[0] == pytest.approx(1.0) and s[-1] == pytest.approx(1e-2)
         assert np.all(np.diff(s) < 0)
-
-    def test_two_band_profile(self):
-        s = scales_two_band(10, head=4, head_lo=0.1, tail_hi=1e-3)
-        assert s.size == 10
-        assert s[0] == pytest.approx(1.0) and s[3] == pytest.approx(0.1)
-        assert s[4] == pytest.approx(1e-3) and s[-1] == pytest.approx(1e-4)
-        assert s[3] / s[4] == pytest.approx(100.0)
 
 
 class TestQuadraticProblem:
@@ -256,11 +248,6 @@ class TestLogistic:
         with pytest.raises(ValueError, match="labels"):
             LogisticProblem(X=np.ones((3, 2)), labels=np.array([0.0, 1.0, -1.0]),
                             reg=1e-2)
-
-    def test_accuracy(self):
-        X = np.array([[1.0], [-1.0], [2.0]])
-        p = LogisticProblem(X=X, labels=np.array([1.0, -1.0, -1.0]), reg=1e-2)
-        assert p.accuracy(np.array([1.0])) == pytest.approx(2.0 / 3.0)
 
 
 class TestAvgInvBaseline:

@@ -198,12 +198,6 @@ class TestNextDirection:
         s = next_direction(post, r)
         np.testing.assert_allclose(s, -np.linalg.solve(B, r), atol=1e-9)
 
-    def test_normalize(self):
-        post = PosteriorMean(prior=MatrixPrior(b0=2.0, w0=1.0, n=3),
-                             A=np.zeros((3, 0)), C=np.zeros((3, 0)))
-        s = next_direction(post, np.array([3.0, 0.0, 4.0]), normalize=True)
-        assert np.linalg.norm(s) == pytest.approx(1.0)
-
     def test_zero_residual_rejected(self):
         post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=3),
                              A=np.zeros((3, 0)), C=np.zeros((3, 0)))
@@ -307,8 +301,7 @@ class TestRunInference:
         oracle = MatrixOracle(B, rng.standard_normal(7))
         est = estimate_parameters(oracle, np.zeros(7), init_samples=2)
         post = run_inference(oracle, np.zeros(7), est,
-                             SolverConfig(iterations=3, init_samples=2,
-                                          normalize_probes=True))
+                             SolverConfig(iterations=3, init_samples=2))
         S = post.C / est.w0
         np.testing.assert_allclose(np.linalg.norm(S, axis=0), 1.0, atol=1e-12)
 
