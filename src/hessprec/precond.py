@@ -72,15 +72,29 @@ class Preconditioner:
 def reduce_rank(post, k: int) -> SpectralApprox:
     """Compress the posterior's low-rank part to its top-k left directions.
 
-    Runs the thin SVD of ``A @ C.T`` (O(N m^2), the N x N product is
-    never formed) and keeps the k leading left singular vectors and
-    values.  If the requested rank runs into numerically zero singular
+    Runs the thin SVD of ``A @ C.T`` from the factors' m x m Gram
+    matrices (``linalg.thin_svd_product``: O(N m^2) in GEMMs, no QR, the
+    N x N product never formed), forms only the k leading left singular
+    vectors and keeps them with their values.  The leading values carry
+    the Gram method's smallest error, about eps * (sigma_1 / sigma_k)^2
+    relative.  If the requested rank runs into numerically zero singular
     values (below ``1e-12 * sigma_1``) the rank is reduced to the
     numerical rank with a warning rather than inverting noise.
+
+    The two cuts do different jobs.  ``linalg.GRAM_RTOL`` acts on each
+    factor: directions of A or C below about 3e-7 of their largest
+    singular value never reach the core SVD and show here as zeros.
+    This cut acts on the product, whose condition number can reach the
+    product of the factors' (up to 1e13), and keeps the rank from
+    running into values at the core SVD's rounding level, about
+    eps * sigma_1.  It stays
+    at 1e-12: no test needs it moved, and raising it to sigma_1 / 670,
+    where the Gram method's error reaches 1e-10, would clip ranks that a
+    Householder reduction keeps.
     """
     if not 1 <= k <= post.m:
         raise ValueError(f"rank k must be in [1, {post.m}], got {k}")
-    U, sigma = thin_svd_product(post.A, post.C)
+    U, sigma = thin_svd_product(post.A, post.C, keep=k)
     if sigma[0] == 0:
         effective = 0
     else:
@@ -88,8 +102,8 @@ def reduce_rank(post, k: int) -> SpectralApprox:
     if k > effective:
         log.warning("requested rank %d exceeds numerical rank %d; reducing", k, effective)
         k = effective
-    # a contiguous copy: the strided U[:, :k] view of a wider U makes every
-    # apply_p_squared several times slower at large N
+    # a contiguous copy when the rank was clipped: the strided U[:, :k] view
+    # of a wider U makes every apply_p_squared several times slower at large N
     return SpectralApprox(U=np.ascontiguousarray(U[:, :k]), sigma=sigma[:k])
 
 
@@ -114,10 +128,10 @@ def apply_p_squared(precond: Preconditioner, g):
 
     Expanding P^2 with orthonormal U:
 
-        P^2 g = alpha^2 * (g - U (U.T g) + U diag(beta^2 / sigma) (U.T g))
+        P^2 g = alpha^2 * (g + U diag(beta^2 / sigma - 1) (U.T g))
 
     so the complement of span(U) is scaled by alpha^2 alone, and each
-    retained direction by alpha^2 * beta^2 / sigma_i.
+    retained direction by alpha^2 * beta^2 / sigma_i.  U is read twice.
     """
     g = np.asarray(g, dtype=float)
     sp = precond.spectral
@@ -125,7 +139,7 @@ def apply_p_squared(precond: Preconditioner, g):
     if sp.k == 0:
         return a2 * g
     t = sp.U.T @ g
-    return a2 * (g - sp.U @ t + sp.U @ ((precond.beta ** 2 / sp.sigma) * t))
+    return a2 * (g + sp.U @ ((precond.beta ** 2 / sp.sigma - 1.0) * t))
 
 
 def precond_to_dict(precond: Preconditioner) -> dict:

@@ -194,6 +194,19 @@ class TestPrecond:
         np.testing.assert_array_equal(np.reshape(payload["U"], sp.U.shape), sp.U)
         capsys.readouterr()
 
+    def test_failed_rank_reduction_exits_2(self, tmp_path, monkeypatch, capsys):
+        def fails(A, C, keep=None):
+            raise SolveFailure("synthetic rank-reduction failure")
+
+        monkeypatch.setattr("hessprec.precond.thin_svd_product", fails)
+        out = tmp_path / "P.json"
+        rc = main(["precond", *SMALL, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "numerical failure: synthetic rank-reduction failure" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestRun:
     def run_args(self, out, extra=()):

@@ -26,6 +26,7 @@ from hessprec.harness import (
     write_comparison_csv,
     write_run_csv,
 )
+from hessprec.linalg import SolveFailure
 from hessprec.mlp import ToyNet
 from hessprec.solver import EstimationError
 
@@ -285,6 +286,28 @@ class TestRunPrecondSgd:
                                  record_every=5, seed=0)
         res_s = run_sgd(bundle, cfg_s)
         assert_same_records(res_p.records, res_s.records)
+
+    def test_failed_rank_reduction_falls_back_to_plain_sgd(self, monkeypatch, caplog):
+        def fails(A, C, keep=None):
+            raise SolveFailure("synthetic rank-reduction failure")
+
+        monkeypatch.setattr("hessprec.precond.thin_svd_product", fails)
+        cfg_p = self.cfg()
+        bundle = build_problem(cfg_p.problem)
+        import logging
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res_p = run_precond_sgd(bundle, cfg_p)
+        assert res_p.info["fallback"] == "synthetic rank-reduction failure"
+        assert any("plain SGD fallback" in r.message for r in caplog.records)
+        # plain SGD steps after the batches construction read before failing
+        assert not res_p.diverged
+        assert res_p.records[0].data_read == (3 + 6) * 64
+        assert [r.step for r in res_p.records] == [0, 5, 10, 15]
+        assert all(r.step_length == cfg_p.lr for r in res_p.records)
+        # a config error is still raised, not turned into the fallback
+        cfg_bad = self.cfg(solver=SolverSettings(iterations=16, init_samples=3))
+        with pytest.raises(ConfigError, match=r"iterations \(16\) exceed"):
+            run_precond_sgd(bundle, cfg_bad)
 
     def test_scalar_mode_rebuild_count(self):
         solver = SolverSettings(init_samples=3, mode="scalar")

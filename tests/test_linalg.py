@@ -166,6 +166,70 @@ class TestThinSvdProduct:
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
 
+    def test_rank_deficient_c_trailing_zeros(self):
+        rng = np.random.default_rng(9)
+        A = rng.standard_normal((15, 4))
+        C = rng.standard_normal((15, 4))
+        C[:, 3] = C[:, 0]  # rank 3
+        U, sigma = thin_svd_product(A, C)
+        dense = np.linalg.svd(A @ C.T, compute_uv=False)
+        np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
+        # the Gram cut drops C's null direction, so only three vectors exist
+        assert U.shape == (15, 3) and sigma[3] == 0.0
+        np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(U @ (U.T @ (A @ C.T)), A @ C.T, atol=1e-10)
+
+    def test_ill_conditioned_factor(self):
+        # A's singular values fall log-spaced from 1 to 1e-6, so its Gram
+        # matrix has condition number 1e12, all of it above the Gram cut
+        rng = np.random.default_rng(8)
+        n, m = 2000, 32
+        Q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        A = (Q * np.logspace(0, -6, m)) @ V.T
+        C = rng.standard_normal((n, m))
+        U, sigma = thin_svd_product(A, C)
+        assert U.shape == (n, m)
+        np.testing.assert_allclose(U.T @ U, np.eye(m), atol=1e-12)
+        dense = np.linalg.svd(A @ C.T, compute_uv=False)[:m]
+        rel = np.abs(sigma - dense) / dense
+        eps = np.finfo(float).eps
+        # the stated accuracy, eps * (sigma_1 / sigma_i)^2 relative, with a
+        # factor 10 for the dense reference's own rounding at the top ...
+        assert np.all(rel <= 10 * eps * (dense[0] / dense) ** 2)
+        # ... which is 1e-10 or better down to sigma_1 / 670
+        top = dense >= dense[0] * np.sqrt(eps / 1e-10)
+        assert top.sum() >= 15
+        assert np.all(rel[top] <= 1e-10)
+
+    @pytest.mark.parametrize("keep", [1, 3, 5, 9])
+    def test_keep_forms_the_leading_columns(self, keep):
+        rng = np.random.default_rng(10)
+        A = rng.standard_normal((40, 6))
+        C = rng.standard_normal((40, 6))
+        U, sigma = thin_svd_product(A, C)
+        U_kept, sigma_kept = thin_svd_product(A, C, keep=keep)
+        k = min(keep, 6)
+        assert U_kept.shape == (40, k)
+        np.testing.assert_array_equal(sigma_kept, sigma)
+        signs = np.sign(np.sum(U_kept * U[:, :k], axis=0))
+        np.testing.assert_allclose(U_kept * signs, U[:, :k], atol=1e-12)
+
+    def test_non_finite_factor_is_a_solve_failure(self):
+        A = np.ones((5, 2))
+        A[0, 0] = np.inf
+        with pytest.raises(SolveFailure, match="not finite"):
+            thin_svd_product(A, np.ones((5, 2)))
+
+    def test_failed_second_pass_is_a_solve_failure(self, monkeypatch):
+        def fails(M):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fails)
+        rng = np.random.default_rng(11)
+        with pytest.raises(SolveFailure, match="numerically dependent"):
+            thin_svd_product(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+
     def test_empty_factors(self):
         U, sigma = thin_svd_product(np.zeros((7, 0)), np.zeros((7, 0)))
         assert U.shape == (7, 0) and sigma.shape == (0,)

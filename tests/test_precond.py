@@ -16,7 +16,7 @@ from hessprec.precond import (
     scalar_step,
 )
 from hessprec.problems import QuadraticProblem, batch_oracle
-from hessprec.solver import SolverConfig, estimate_parameters, run_inference
+from hessprec.solver import HessianOracle, SolverConfig, estimate_parameters, run_inference
 from tests.test_solver import MatrixOracle, ScriptedOracle
 
 
@@ -136,6 +136,54 @@ class TestReduceRank:
         sp2 = reduce_rank(swapped, 3)
         cosines = np.linalg.svd(sp1.U.T @ sp2.U, compute_uv=False)
         np.testing.assert_allclose(cosines, 1.0, atol=1e-8)
+
+
+class NoisyDiagonalOracle(HessianOracle):
+    """Diagonal quadratic with a log-spaced curvature head and Gaussian noise
+    on every gradient and product, shaped like the large-N benchmark oracle."""
+
+    def __init__(self, h, seed, noise=0.1, batch_size=32):
+        super().__init__(batch_size)
+        self.h = h
+        self.noise = noise
+        self.rng = np.random.default_rng(seed)
+
+    @property
+    def dim(self):
+        return self.h.size
+
+    def _draw(self):
+        return self.rng.standard_normal((2, self.h.size))
+
+    def gradient(self, w, batch):
+        return self.h * (w - 1.0) + self.noise * batch[0]
+
+    def hvp(self, w, s, batch):
+        return self.h * s + self.noise * np.linalg.norm(s) / np.sqrt(s.size) * batch[1]
+
+
+class TestReduceRankMatchesHouseholder:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_noisy_posterior(self, seed):
+        # the posterior's factors have condition numbers of 1.5e3 to 3e3 here,
+        # as on the large-N benchmark, so their Gram matrices reach about 1e7
+        n, m, k = 500, 32, 16
+        h = np.full(n, 1e-2)
+        h[:16] = np.geomspace(1e3, 1e1, 16)
+        oracle = NoisyDiagonalOracle(h, seed)
+        est = estimate_parameters(oracle, np.zeros(n), init_samples=3)
+        post = run_inference(oracle, np.zeros(n), est,
+                             SolverConfig(iterations=m, init_samples=3))
+        assert post.m == m
+        sp = reduce_rank(post, k)
+        # reference: Householder QR of both factors and the core's SVD
+        Qa, Ra = np.linalg.qr(post.A)
+        Rc = np.linalg.qr(post.C, mode="r")
+        u, sigma, _ = np.linalg.svd(Ra @ Rc.T)
+        U_ref = Qa @ u[:, :k]
+        np.testing.assert_allclose(sp.sigma, sigma[:k], rtol=1e-10, atol=0)
+        cosines = np.linalg.svd(sp.U.T @ U_ref, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-10
 
 
 class TestBuild:
