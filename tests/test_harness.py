@@ -235,6 +235,20 @@ class TestRunSgd:
         assert res.diverged
         assert math.isnan(res.records[-1].train_loss)
 
+    def test_lane_far_above_stability_diverges_to_nan(self):
+        # the w*-anchored loss overflows later than a residual pass, but a
+        # lane at 25x the stable rate still ends flagged with a NaN record
+        bundle = build_problem(small_quadratic())
+        lam_max = np.linalg.eigvalsh(bundle.problem.hessian()).max()
+        cfgs = [self.cfg(lr=0.5 / lam_max, steps=400, record_every=1),
+                self.cfg(lr=50.0 / lam_max, steps=400, record_every=1)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stable, wild = run_sgd_lanes(bundle, cfgs)
+        assert not stable.diverged and len(stable.records) == 401
+        assert wild.diverged and len(wild.records) < 401
+        assert math.isnan(wild.final.train_loss) and math.isnan(wild.final.test_loss)
+        assert all(math.isfinite(r.train_loss) for r in wild.records[:-1])
+
     def test_repeat_is_identical(self):
         bundle = build_problem(small_quadratic())
         r1 = run_experiment(bundle, self.cfg())

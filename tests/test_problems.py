@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import hessprec.problems as problems_mod
+from hessprec import data as datagen
+from hessprec.harness import ProblemConfig, build_problem
 from hessprec.linalg import SolveFailure
 from hessprec.problems import (
     FeatureMapSpec,
@@ -18,7 +20,6 @@ from hessprec.problems import (
     raw_monomials,
     scales_log_uniform,
     sigmoid,
-    squared_data_loss,
 )
 from hessprec.solver import HessianOracle
 
@@ -110,11 +111,65 @@ class TestQuadraticProblem:
         w_other = w_star + 0.1
         assert p.loss(w_other) > p.loss(w_star)
 
-    def test_squared_data_loss_excludes_regularizer(self):
+    def test_hessian_reuses_stored_gram(self):
         p = self.make()
-        w = np.ones(7)
-        assert squared_data_loss(p.Phi, p.y, w) == pytest.approx(
-            p.loss(w) - 0.5 * p.alpha_reg * 7.0)
+        np.testing.assert_array_equal(p.hessian(), p.G + p.alpha_reg * np.eye(7))
+        np.testing.assert_array_equal(exact_solution(p), p.w_star)
+
+    def test_needs_a_training_sample(self):
+        with pytest.raises(ValueError, match="at least one training sample"):
+            QuadraticProblem(Phi=np.zeros((3, 0)), y=np.zeros(0), alpha_reg=1e-2)
+
+    def test_held_out_loss_excludes_regularizer(self):
+        pc = ProblemConfig(kind="quadratic", n_samples=400, input_dim=4, n_features=12,
+                           alpha_reg=1e-2, noise=0.05, test_fraction=0.2)
+        bundle = build_problem(pc)
+        Phi_te, y_te = held_out_split(pc)
+        w = np.ones(12)
+        assert bundle.test_loss(w) == pytest.approx(
+            TestAnchoredLoss.residual_loss(Phi_te, y_te, w), rel=1e-12, abs=0)
+
+
+def held_out_split(pc):
+    """The held-out (Phi, y) of ``pc``'s bundle, built here from the public pieces."""
+    X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
+                                  pc.n_features, pc.noise)
+    Phi = polynomial_features(X, FeatureMapSpec(pc.input_dim, pc.scale_vector())).T
+    _, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
+    return Phi[:, te], y[te]
+
+
+class TestAnchoredLoss:
+    """The w*-anchored Taylor form against a residual pass written here.
+
+    With ``noise=0`` and a weak regularizer the data term at w* is about
+    7e-8 of ``y.T y / |D|``, so an expanded ``w.T G w - 2 b.T w + c`` form
+    misses the 1e-12 tolerance there by orders of magnitude.
+    """
+
+    @staticmethod
+    def residual_loss(Phi, y, w):
+        resid = Phi.T @ w - y
+        return 0.5 * float(np.mean(resid * resid))
+
+    @pytest.mark.parametrize("noise", [0.05, 0.0])
+    @pytest.mark.parametrize("point", ["zero", "w_star", "near_w_star", "random"])
+    def test_train_and_test_losses_match_residual_pass(self, noise, point):
+        pc = ProblemConfig(kind="quadratic", n_samples=600, input_dim=4, n_features=15,
+                           alpha_reg=1e-8, noise=noise, test_fraction=0.25)
+        bundle = build_problem(pc)
+        p = bundle.problem
+        w = {"zero": np.zeros(15), "w_star": p.w_star, "near_w_star": p.w_star * (1 + 1e-3),
+             "random": np.random.default_rng(7).standard_normal(15)}[point]
+        Phi_te, y_te = held_out_split(pc)
+        data_train, data_test = p.data_loss(w), bundle.test_loss(w)
+        assert data_train >= 0 and data_test >= 0
+        # abs=0: pytest.approx's default absolute 1e-12 would hide an error in L(w*)
+        ref_train = self.residual_loss(p.Phi, p.y, w)
+        assert data_train == pytest.approx(ref_train, rel=1e-12, abs=0)
+        assert data_test == pytest.approx(self.residual_loss(Phi_te, y_te, w), rel=1e-12, abs=0)
+        assert bundle.train_loss(w) == pytest.approx(
+            0.5 * p.alpha_reg * float(w @ w) + ref_train, rel=1e-12, abs=0)
 
 
 class TestQuadraticOracle:
