@@ -24,14 +24,11 @@ from .harness import (
     build_problem,
     compare,
     construct_preconditioner,
-    load_config,
-    merge_config,
-    read_config_object,
     run_experiment,
     write_comparison_csv,
     write_run_csv,
 )
-from .inference import save_posterior
+from .inference import posterior_to_dict
 from .linalg import SolveFailure
 from .precond import precond_to_dict
 from .solver import EstimationError, estimate_parameters, run_inference
@@ -58,32 +55,67 @@ def _parse_set_args(items):
     return out
 
 
-def _config_from_args(args, extra=None):
-    overrides = _parse_set_args(getattr(args, "set", None))
+def read_config_object(path):
+    """The JSON object in the file at ``path``; anything else is a ``ConfigError``."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return payload
+
+
+def merge_config(base, over):
+    out = dict(base)
+    for key, value in over.items():
+        if isinstance(value, dict) and isinstance(out.get(key), dict):
+            out[key] = merge_config(out[key], value)
+        else:
+            out[key] = value
+    return out
+
+
+def _overrides(args):
+    """The ``--set`` entries, then every config flag the command has and was given."""
+    overrides = _parse_set_args(args.set)
     for name in ("optimizer", "lr", "steps", "epochs", "seed", "batch_size"):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     if getattr(args, "timing", False):
         overrides["timing"] = True
-    if extra:
-        overrides = merge_config(extra, overrides)
+    return overrides
+
+
+def _config_from_args(args):
+    overrides = _overrides(args)
     if args.config is not None:
-        return load_config(args.config, overrides)
+        overrides = merge_config(read_config_object(args.config), overrides)
     return ExperimentConfig.from_dict(overrides)
 
 
-def _add_config_flags(p, with_run_flags=False):
+def _setup(args):
+    """The config of ``args``, a fresh oracle on its problem and the start point."""
+    cfg = _config_from_args(args)
+    bundle = build_problem(cfg.problem)
+    return cfg, bundle.make_oracle(cfg.batch_size, cfg.seed), bundle.init_w(cfg.seed)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def _add_config_flags(p, timing=False):
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry, e.g. --set problem.n_samples=4096")
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    if with_run_flags:
-        p.add_argument("--optimizer")
-        p.add_argument("--lr", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--epochs", type=float)
+    if timing:
         p.add_argument("--timing", action="store_true",
                        help="record wall-clock times (breaks byte-level reproducibility)")
 
@@ -106,10 +138,7 @@ def _cmd_gen_data(args):
 
 
 def _cmd_estimate(args):
-    cfg = _config_from_args(args)
-    bundle = build_problem(cfg.problem)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    w = bundle.init_w(cfg.seed)
+    cfg, oracle, w = _setup(args)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode=cfg.solver.mode)
     print(json.dumps({
         "mode": cfg.solver.mode,
@@ -122,10 +151,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_solve(args):
-    cfg = _config_from_args(args)
-    bundle = build_problem(cfg.problem)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    w = bundle.init_w(cfg.seed)
+    cfg, oracle, w = _setup(args)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
     records = []
     try:
@@ -136,21 +162,16 @@ def _cmd_solve(args):
             datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read", "wall_ms"),
                               ([str(r.iteration), repr(r.probe_norm), str(r.data_read),
                                 repr(r.wall_ms if cfg.timing else 0.0)] for r in records))
-    save_posterior(args.out, post)
+    _write_json(args.out, posterior_to_dict(post))
     print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
     return 0
 
 
 def _cmd_precond(args):
-    cfg = _config_from_args(args)
-    bundle = build_problem(cfg.problem)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    w = bundle.init_w(cfg.seed)
+    cfg, oracle, w = _setup(args)
     precond, _, post, _ = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
-    with open(args.out, "w") as fh:
-        json.dump(precond_to_dict(precond), fh)
-        fh.write("\n")
+    _write_json(args.out, precond_to_dict(precond))
     print(f"wrote preconditioner (n={precond.spectral.n}, k={precond.spectral.k}, "
           f"alpha={precond.alpha:g}) to {args.out}")
     print(f"posterior rank m={post.m}, data_read={oracle.data_read}")
@@ -177,9 +198,7 @@ def _cmd_compare(args):
     if not (isinstance(base, dict) and isinstance(runs, list)
             and all(isinstance(entry, dict) for entry in runs)):
         raise ConfigError('compare config must be {"base": {...}, "runs": [{...}, ...]}')
-    overrides = _parse_set_args(args.set)
-    if args.seed is not None:
-        overrides["seed"] = args.seed
+    overrides = _overrides(args)
     configs = []
     for entry in runs:
         merged = merge_config(merge_config(base, entry), overrides)
@@ -221,18 +240,22 @@ def build_parser():
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("solve", help="run active probing, save the posterior")
-    _add_config_flags(p, with_run_flags=True)
+    _add_config_flags(p, timing=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="write per-iteration CSV log here")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("precond", help="build a pre-conditioner, save it")
-    _add_config_flags(p, with_run_flags=True)
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_precond)
 
     p = sub.add_parser("run", help="run one optimizer, write the curve CSV")
-    _add_config_flags(p, with_run_flags=True)
+    _add_config_flags(p, timing=True)
+    p.add_argument("--optimizer")
+    p.add_argument("--lr", type=float)
+    p.add_argument("--steps", type=int)
+    p.add_argument("--epochs", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 

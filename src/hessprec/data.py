@@ -98,6 +98,11 @@ def read_dataset(path):
     body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if body.shape[1] < 2:
         raise ValueError(f"dataset {path} needs at least one feature and a target column")
+    bad = np.argwhere(~np.isfinite(body))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"dataset {path} has a non-finite value in data row {row + 1}, "
+                         f"column {col + 1}")
     return body[:, :-1], body[:, -1]
 
 

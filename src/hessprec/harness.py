@@ -14,11 +14,10 @@ reproducible.  Every record, baselines' included, is built by one
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,6 +77,8 @@ class ProblemConfig:
                 raise ConfigError(f"problem {name} must be at least {low}, got {value}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"problem noise must be non-negative and finite, got {self.noise}")
+        if not np.isfinite(self.separation):
+            raise ConfigError(f"problem separation must be finite, got {self.separation}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.scales is not None:
             object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
@@ -128,6 +129,14 @@ class ExperimentConfig:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
         if self.rebuild_every < 1:
             raise ConfigError(f"rebuild_every must be positive, got {self.rebuild_every}")
+        if self.target_loss is not None and self.target_suboptimality is not None:
+            raise ConfigError("set at most one of target_loss and target_suboptimality")
+        if self.target_loss is not None and not np.isfinite(self.target_loss):
+            raise ConfigError(f"target_loss must be finite, got {self.target_loss}")
+        if self.target_suboptimality is not None and not (
+                np.isfinite(self.target_suboptimality) and self.target_suboptimality >= 0):
+            raise ConfigError("target_suboptimality must be non-negative and finite, "
+                              f"got {self.target_suboptimality}")
 
     from_dict = classmethod(config_from_dict)
 
@@ -137,35 +146,6 @@ class ExperimentConfig:
         if self.epochs is not None:
             return max(1, math.ceil(self.epochs * n_train / self.batch_size))
         raise ConfigError("either steps or epochs must be set")
-
-
-def read_config_object(path):
-    """The JSON object in the file at ``path``; anything else is a ``ConfigError``."""
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return payload
-
-
-def load_config(path, overrides=None):
-    payload = read_config_object(path)
-    if overrides:
-        payload = merge_config(payload, overrides)
-    return ExperimentConfig.from_dict(payload)
-
-
-def merge_config(base, over):
-    out = dict(base)
-    for key, value in over.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = merge_config(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -358,11 +338,11 @@ class _Recorder:
                 or step % self.cfg.record_every == 0
                 or step % self.epoch_len == 0)
 
-    def emit(self, step, w, step_length, data_read=None):
-        """Append a record; returns False when the loss went non-finite."""
+    def emit(self, step, w, step_length):
+        """Append a record at the oracle's reads; returns False when the loss went non-finite."""
         train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
         wall = (time.perf_counter() - self.t0) * 1e3 if self.cfg.timing else 0.0
-        read = self.oracle.data_read if data_read is None else data_read
+        read = self.oracle.data_read
         if not np.isfinite(train):
             self.records.append(RunRecord(step, read, float("nan"), float("nan"),
                                           float("nan"), step_length, wall))
@@ -510,31 +490,18 @@ def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
     if bundle.kind != "quadratic":
         raise ConfigError(f"{cfg.optimizer} baseline only applies to quadratic problems")
     n = cfg.n_steps(bundle.n_train)
-    if cfg.optimizer == "avg_inv":
-        return _run_avg_inv(bundle, cfg, n)
-    return _run_cg(bundle, cfg, n)
-
-
-def _run_avg_inv(bundle, cfg, n_batches):
-    rec = _Recorder(bundle, cfg, None, n_batches)
-
-    def cb(t, w_mean):
-        if (t + 1) % cfg.record_every == 0 or t == 0 or t + 1 == n_batches:
-            rec.emit(t + 1, w_mean, 0.0, data_read=(t + 1) * cfg.batch_size)
-
-    w = avg_inv_baseline(bundle.problem, cfg.batch_size, n_batches, cfg.seed, callback=cb)
-    return RunResult(rec.records, False, w)
-
-
-def _run_cg(bundle, cfg, iters):
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    rec = _Recorder(bundle, cfg, oracle, iters)
+    rec = _Recorder(bundle, cfg, oracle, n)
+    if cfg.optimizer == "avg_inv":
+        def cb(t, w_mean):
+            if (t + 1) % cfg.record_every == 0 or t == 0 or t + 1 == n:
+                rec.emit(t + 1, w_mean, 0.0)
 
-    def cb(t, x, res_norm):
-        rec.emit(t + 1, x, 0.0, data_read=bundle.n_train + oracle.data_read)
-
-    # b = Phi y / n is one full pass over the data, charged in cb
-    w, diverged = cg_baseline(oracle, bundle.problem.b, iters, callback=cb)
+        w = avg_inv_baseline(oracle, n, callback=cb)
+        return RunResult(rec.records, False, w)
+    oracle.data_read += bundle.n_train  # b = Phi y / n is one full pass over the data
+    w, diverged = cg_baseline(oracle, bundle.problem.b, n,
+                              callback=lambda t, x, res_norm: rec.emit(t + 1, x, 0.0))
     return RunResult(rec.records, diverged, w, {"diverged": diverged})
 
 
@@ -589,35 +556,28 @@ def _run_label(cfg, counts):
 def compare(configs) -> ComparisonResult:
     """Run several optimizers on one shared problem and merge the results.
 
-    All configs must agree on the problem block and the seed; the merged
-    records are keyed by (optimizer label, data_read).  Fixed-step SGD
-    runs that share a batch size are stepped together by
+    All configs must agree on the problem block, the seed and the target;
+    the merged records are keyed by (optimizer label, data_read).
+    Fixed-step SGD runs that share a batch size are stepped together by
     ``run_sgd_lanes``; records and summaries stay in config order.
     Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
         raise ConfigError("compare needs at least one run config")
-    pkey = asdict(configs[0].problem)
-    seed = configs[0].seed
-    for cfg in configs[1:]:
-        if asdict(cfg.problem) != pkey:
-            raise ConfigError("compare requires all runs to share the same problem block")
-        if cfg.seed != seed:
-            raise ConfigError("compare requires all runs to share the same seed")
-    bundle = build_problem(configs[0].problem)
+    first = configs[0]
+    for name in ("problem", "seed", "target_loss", "target_suboptimality"):
+        if any(getattr(cfg, name) != getattr(first, name) for cfg in configs[1:]):
+            raise ConfigError(f"compare requires all runs to share the same {name}")
+    bundle = build_problem(first.problem)
 
-    target = None
-    tl = [c.target_loss for c in configs if c.target_loss is not None]
-    ts = [c.target_suboptimality for c in configs if c.target_suboptimality is not None]
-    if tl:
-        target = tl[0]
-    elif ts:
+    target = first.target_loss
+    if first.target_suboptimality is not None:
         opt = bundle.optimum()
         if opt is None:
             raise ConfigError("target_suboptimality needs a problem with a computable optimum")
         loss_star = opt[1]
-        loss_init = bundle.train_loss(bundle.init_w(seed))
-        target = loss_star + ts[0] * (loss_init - loss_star)
+        loss_init = bundle.train_loss(bundle.init_w(first.seed))
+        target = loss_star + first.target_suboptimality * (loss_init - loss_star)
 
     counts = {}
     for cfg in configs:

@@ -11,7 +11,6 @@ matrix.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,10 +318,3 @@ def posterior_to_dict(post: PosteriorMean) -> dict:
         "A": post.A.ravel().tolist(),
         "C": post.C.ravel().tolist(),
     }
-
-
-def save_posterior(path, post: PosteriorMean):
-    """Write the posterior to ``path`` as a JSON document (row-major factors)."""
-    with open(path, "w") as fh:
-        json.dump(posterior_to_dict(post), fh)
-        fh.write("\n")

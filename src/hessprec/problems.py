@@ -52,8 +52,8 @@ class FeatureMapSpec:
         scales = np.asarray(self.scales, dtype=float)
         if scales.ndim != 1 or scales.size < 1:
             raise ValueError("scales must be a non-empty vector")
-        if np.any(scales <= 0):
-            raise ValueError("scales must be strictly positive")
+        if not np.all((scales > 0) & np.isfinite(scales)):
+            raise ValueError("scales must be positive and finite")
         d = self.input_dim
         limit = d + d * (d + 1) // 2 + 1
         if scales.size > limit:
@@ -323,22 +323,21 @@ def logistic_oracle(problem: LogisticProblem, batch_size: int, seed: int) -> Log
 # ---------------------------------------------------------------------------
 # baselines
 
-def avg_inv_baseline(problem: QuadraticProblem, batch_size: int, n_batches: int,
-                     seed: int, callback=None):
-    """Average of per-batch ridge solutions.
+def avg_inv_baseline(oracle: QuadraticOracle, n_batches: int, callback=None):
+    """Average of per-batch ridge solutions on ``oracle``'s batch stream.
 
     Each batch solves its own normal equations exactly (through the
     inversion lemma, so only a batch-sized system is factorized) and the
     w estimates are averaged.  The per-batch inverse is biased for the
     inverse of the averaged curvature, which is the point of comparing
-    against it.  Numerically failing batches are skipped with a warning.
+    against it.  Numerically failing batches are skipped with a warning,
+    but their reads stay charged.
 
     ``callback(i, w_running_mean)`` fires after each batch.
     """
     if n_batches < 1:
         raise ValueError(f"n_batches must be at least 1, got {n_batches}")
-    # the batches of a QuadraticOracle with this seed, skipped ones included
-    oracle = QuadraticOracle(problem, batch_size, seed)
+    problem, batch_size = oracle.problem, oracle.batch_size
     total = np.zeros(problem.n_features)
     used = 0
     for t in range(n_batches):

@@ -19,7 +19,6 @@ from hessprec.harness import (
     ExperimentConfig,
     ProblemConfig,
     SolverSettings,
-    build_problem,
     construct_preconditioner,
 )
 from hessprec.linalg import SolveFailure
@@ -37,10 +36,8 @@ SMALL = [
 
 
 def small_setup(argv):
-    """Bundle, oracle and start point of a CLI config, as the subcommands build them."""
-    cfg = cli_mod._config_from_args(cli_mod.build_parser().parse_args(argv))
-    bundle = build_problem(cfg.problem)
-    return cfg, bundle.make_oracle(cfg.batch_size, cfg.seed), bundle.init_w(cfg.seed)
+    """Config, oracle and start point of a CLI command, from the CLI's own set-up."""
+    return cli_mod._setup(cli_mod.build_parser().parse_args(argv))
 
 
 class TestSetParsing:
@@ -394,12 +391,29 @@ BAD_INPUTS = {
     "compare-runs-of-ints": ("compare", [], {"base": {}, "runs": [1]}),
     "compare-runs-an-object": ("compare", [], {"base": {}, "runs": {"optimizer": "sgd"}}),
     "compare-base-a-list": ("compare", [], {"base": [1], "runs": [{"optimizer": "sgd"}]}),
+    # one scale per feature, so the length check passes and the NaN is what fails
+    "scales-entry-nan": ("run", ["--set", "problem.scales=[1.0,NaN" + ",0.5" * 10 + "]"], None),
+    "separation-nan": ("run", ["--set", "problem.kind=mlp", "--set", "problem.separation=NaN"],
+                       None),
+    "target-loss-nan": ("run", ["--set", "target_loss=NaN"], None),
+    "target-loss-inf": ("run", ["--set", "target_loss=Infinity"], None),
+    "target-suboptimality-negative": ("run", ["--set", "target_suboptimality=-0.5"], None),
+    "target-suboptimality-nan": ("run", ["--set", "target_suboptimality=NaN"], None),
+    "both-targets": ("run", ["--set", "target_loss=0.5", "--set", "target_suboptimality=0.1"],
+                     None),
+    "compare-targets-differ": ("compare", [], {"base": {}, "runs": [{"target_loss": 1e-12},
+                                                                 {"target_loss": 1e9}]}),
 }
 
 
 # The cases whose message must also name the field at fault.
 NAMED_FIELD = {"n-classes-one": "n_classes", "n-classes-zero": "n_classes",
-               "input-dim-negative": "input_dim", "noise-negative": "noise"}
+               "input-dim-negative": "input_dim", "noise-negative": "noise",
+               "scales-entry-nan": "scales", "separation-nan": "separation",
+               "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
+               "target-suboptimality-negative": "target_suboptimality",
+               "target-suboptimality-nan": "target_suboptimality",
+               "compare-targets-differ": "target_loss"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -418,6 +432,36 @@ def test_bad_input_exits_1_with_a_message(tmp_path, capsys, case):
     assert "config error" in err and "Traceback" not in err
     assert NAMED_FIELD.get(case, "") in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_non_finite_dataset_cell_exits_1(tmp_path, capsys, cell):
+    X = np.random.default_rng(0).standard_normal((100, 4))
+    X[2, 1] = cell
+    write_dataset(tmp_path / "reg.csv", X, np.ones(100))
+    out = tmp_path / "out.csv"
+    rc = main(["run", "--set", f'problem.data="{tmp_path / "reg.csv"}"',
+               "--set", "problem.input_dim=4", "--set", "problem.n_features=12",
+               "--optimizer", "sgd", "--steps", "3", "--batch-size", "16", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error" in err and "data row 3, column 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# solve and precond take no optimizer-run flags, and precond no --timing
+@pytest.mark.parametrize("command, flag", [
+    *((command, flag) for command in ("solve", "precond")
+      for flag in ("--optimizer=sgd", "--lr=0.1", "--steps=3", "--epochs=1")),
+    ("precond", "--timing"),
+])
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *SMALL, "--out", str(tmp_path / "out.json"), flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
 
 
 TINY = {

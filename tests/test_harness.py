@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hessprec.harness as harness_mod
+from hessprec.cli import _config_from_args, build_parser, merge_config
 from hessprec.harness import (
     ComparisonResult,
     ConfigError,
@@ -16,8 +17,6 @@ from hessprec.harness import (
     SolverSettings,
     build_problem,
     compare,
-    load_config,
-    merge_config,
     run_baseline,
     run_experiment,
     run_precond_sgd,
@@ -120,8 +119,9 @@ class TestConfigs:
             "problem": {"kind": "quadratic", "n_samples": 100, "input_dim": 3,
                         "n_features": 6},
         }))
-        cfg = load_config(path, overrides={"lr": 0.25,
-                                           "problem": {"n_samples": 50}})
+        cfg = _config_from_args(build_parser().parse_args(
+            ["run", "--config", str(path), "--out", "x.csv", "--lr", "0.25",
+             "--set", "problem.n_samples=50"]))
         assert cfg.lr == 0.25
         assert cfg.problem.n_samples == 50
         assert cfg.problem.input_dim == 3
@@ -130,7 +130,8 @@ class TestConfigs:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="cannot read config"):
-            load_config(path)
+            _config_from_args(build_parser().parse_args(
+                ["run", "--config", str(path), "--out", "x.csv"]))
 
 
 class TestScaleVector:

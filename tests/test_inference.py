@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hessprec.cli as cli
 from hessprec.inference import (
     IncrementalPosterior,
     MatrixPrior,
@@ -13,7 +14,6 @@ from hessprec.inference import (
     infer_noise_free,
     infer_noisy,
     posterior_to_dict,
-    save_posterior,
 )
 from hessprec.linalg import SolveFailure
 
@@ -334,6 +334,6 @@ class TestSerialization:
         post = infer_noise_free(MatrixPrior(1.1, 0.8, 6),
                                 ObservationSet.from_probes(S, Y, 0.0))
         path = tmp_path / "post.json"
-        save_posterior(path, post)
+        cli._write_json(path, posterior_to_dict(post))
         with open(path) as fh:
             assert json.load(fh) == json.loads(json.dumps(posterior_to_dict(post)))

@@ -326,18 +326,18 @@ class TestAvgInvBaseline:
 
     def test_matches_dense_reference_small_batches(self):
         p = self.make(n_feat=10)
-        got = avg_inv_baseline(p, batch_size=8, n_batches=6, seed=0)
+        got = avg_inv_baseline(batch_oracle(p, 8, 0), n_batches=6)
         np.testing.assert_allclose(got, self.reference(p, 8, 6, 0), atol=1e-8)
 
     def test_matches_dense_reference_large_batches(self):
         p = self.make(n_feat=10)
-        got = avg_inv_baseline(p, batch_size=50, n_batches=4, seed=1)
+        got = avg_inv_baseline(batch_oracle(p, 50, 1), n_batches=4)
         np.testing.assert_allclose(got, self.reference(p, 50, 4, 1), atol=1e-8)
 
     def test_callback_sees_running_mean(self):
         p = self.make(n_feat=6)
         seen = []
-        avg_inv_baseline(p, batch_size=12, n_batches=5, seed=2,
+        avg_inv_baseline(batch_oracle(p, 12, 2), n_batches=5,
                          callback=lambda t, w: seen.append((t, w.copy())))
         assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
         np.testing.assert_allclose(seen[-1][1],
@@ -356,8 +356,10 @@ class TestAvgInvBaseline:
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", flaky)
         with caplog.at_level(logging.WARNING, logger="hessprec.problems"):
-            got = avg_inv_baseline(p, batch_size=8, n_batches=4, seed=3)
+            oracle = batch_oracle(p, 8, 3)
+            got = avg_inv_baseline(oracle, n_batches=4)
         assert any("skipping batch 0" in rec.message for rec in caplog.records)
+        assert oracle.data_read == 4 * 8  # the skipped batch stays charged
         ref = self.reference(p, 8, 4, 3)  # includes the skipped batch
         assert not np.allclose(got, ref)
 
@@ -369,7 +371,7 @@ class TestAvgInvBaseline:
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", broken)
         with pytest.raises(SolveFailure, match="every batch failed"):
-            avg_inv_baseline(p, batch_size=8, n_batches=3, seed=4)
+            avg_inv_baseline(batch_oracle(p, 8, 4), n_batches=3)
 
 
 class ExactOracle(HessianOracle):
