@@ -6,8 +6,8 @@ active probing loop and save the posterior), ``precond`` (build and save
 a pre-conditioner), ``run`` (one optimizer run -> CSV), ``compare``
 (several optimizers on a shared problem -> merged CSV + summary).
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure or a
-diverged run (outputs are still written when possible).
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical
+failure or a diverged run (outputs are still written when possible).
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ from . import data as datagen
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    ProblemConfig,
     build_problem,
     compare,
     construct_preconditioner,
@@ -121,17 +122,19 @@ def _add_config_flags(p, timing=False):
 
 
 def _cmd_gen_data(args):
+    # the values pass ProblemConfig's checks, the same as a run's problem block
     if args.kind == "regression":
-        d = args.input_dim or 21
-        n_features = args.n_features or min(253, d + d * (d + 1) // 2 + 1)
-        X, y = datagen.gen_regression(args.seed or 0, args.n_samples,
-                                      input_dim=d, n_features=n_features,
-                                      noise=args.noise)
+        d = 21 if args.input_dim is None else args.input_dim
+        q = min(253, d + d * (d + 1) // 2 + 1) if args.n_features is None else args.n_features
+        p = ProblemConfig(n_samples=args.n_samples, input_dim=d, n_features=q, noise=args.noise)
+        X, y = datagen.gen_regression(args.seed or 0, p.n_samples, input_dim=p.input_dim,
+                                      n_features=p.n_features, noise=p.noise)
     else:
-        X, y = datagen.gen_blobs(args.seed or 0, args.n_samples,
-                                 input_dim=args.input_dim or 20,
-                                 n_classes=args.n_classes,
-                                 separation=args.separation)
+        d = 20 if args.input_dim is None else args.input_dim
+        p = ProblemConfig(kind="mlp", n_samples=args.n_samples, input_dim=d,
+                          n_classes=args.n_classes, separation=args.separation)
+        X, y = datagen.gen_blobs(args.seed or 0, p.n_samples, input_dim=p.input_dim,
+                                 n_classes=p.n_classes, separation=p.separation)
     datagen.write_dataset(args.out, X, y)
     print(f"wrote {X.shape[0]} samples x {X.shape[1]} features to {args.out}")
     return 0
@@ -162,8 +165,8 @@ def _cmd_solve(args):
             datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read", "wall_ms"),
                               ([str(r.iteration), repr(r.probe_norm), str(r.data_read),
                                 repr(r.wall_ms if cfg.timing else 0.0)] for r in records))
-    _write_json(args.out, posterior_to_dict(post))
-    print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.b0:g}) to {args.out}")
+    _write_json(args.out, posterior_to_dict(post.mean()))
+    print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.prior.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
     return 0
 
@@ -214,8 +217,16 @@ def _cmd_compare(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors exit 1, since 2 means a numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hessprec",
         description="Low-rank Hessian inference and pre-conditioned SGD experiments.",
     )

@@ -402,6 +402,10 @@ def run_sgd_lanes(bundle, cfgs) -> list:
 def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     """Estimation, active probing, rank reduction, assembly; one place.
 
+    Rank reduction reads the probe buffers S and Delta of the returned
+    ``inference.IncrementalPosterior``, so construction peaks at those
+    buffers plus a few N x rank arrays, with no N x m factor copy.
+
     Returns ``(preconditioner, lr, posterior, estimates)``.  Raises
     ``EstimationError`` / ``SolveFailure`` / ``ValueError`` on failure;
     callers decide whether to fall back.  ``settings.mode`` is not read:

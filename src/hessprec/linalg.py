@@ -144,9 +144,9 @@ def generalized_sym_eig(G, R, tol=1e-10):
 GRAM_RTOL = 1e-13
 
 
-def _gram_root(X, name):
-    """Eigenpairs ``(d, V)`` of ``X.T X`` above the ``GRAM_RTOL`` cut, so ``X.T X ~ V diag(d) V.T``."""
-    G = X.T @ X
+def _gram_root(G, name):
+    """Eigenpairs ``(d, V)`` of the Gram matrix ``G = X.T X`` above the ``GRAM_RTOL`` cut,
+    so ``G ~ V diag(d) V.T``."""
     if not np.all(np.isfinite(G)):
         raise SolveFailure(f"the Gram matrix of {name} is not finite")
     try:
@@ -157,26 +157,31 @@ def _gram_root(X, name):
     return d[keep], V[:, keep]
 
 
-def thin_svd_product(A, C, keep=None):
-    """Thin SVD of ``A @ C.T`` without forming the N x N product.
+def thin_svd_product(gram_a, gram_c, mul_a, keep=None):
+    """Thin SVD of ``A @ C.T`` from the factors' Gram matrices and one product with A.
 
-    ``A`` and ``C`` are N x m with m <= N.  The method is CholeskyQR2
-    (Fukaya et al. 2014) applied as in randomized low-rank reduction
-    (Halko, Martinsson & Tropp 2011):
+    ``A`` and ``C`` are N x m with m <= N, and the caller passes what the
+    method reads of them: the m x m Gram matrices ``gram_a = A.T A`` and
+    ``gram_c = C.T C`` and a function ``mul_a`` with ``mul_a(X) = A @ X``
+    for an m x r matrix X.  A caller that holds the product in another
+    form, such as the probe buffers of ``inference.IncrementalPosterior``,
+    supplies these without forming A or C as N x m arrays.  The method is
+    CholeskyQR2 (Fukaya et al. 2014) applied as in randomized low-rank
+    reduction (Halko, Martinsson & Tropp 2011):
 
-    1. form the Gram matrices ``A.T A = Va diag(da) Va.T`` and
+    1. diagonalize ``A.T A = Va diag(da) Va.T`` and
        ``C.T C = Vc diag(dc) Vc.T``, dropping eigenvalues at or below
        ``GRAM_RTOL`` times the largest, so ``Ra = diag(sqrt(da)) Va.T``
        and ``Rc`` are square-root factors with ``A = Qa Ra``,
        ``C = Qc Rc`` and orthonormal ``Qa``, ``Qc`` that are never formed;
     2. run a dense SVD of the small core ``Ra Rc.T = u diag(sigma) v.T``;
-    3. form only the kept columns, ``U = A Va diag(da)^-1/2 u[:, :keep]``;
+    3. form only the kept columns, ``U = mul_a(Va diag(da)^-1/2 u[:, :keep])``;
     4. re-orthonormalize them with one Cholesky-QR pass,
        ``U.T U = R.T R`` and ``U <- U R^-1``, by a GEMM.
 
-    Cost: the two Gram matrices, one N x m by m x keep product and the
-    second pass's N x keep^2 Gram and product, all GEMMs: O(N m^2), and
-    no QR of an N x m matrix.
+    Cost: O(m^3) on the Gram matrices, one ``mul_a`` call with keep
+    columns (an N x m by m x keep GEMM for a held A) and the second
+    pass's N x keep^2 Gram and product; no QR of an N x m matrix.
 
     Accuracy: the Gram matrices square the factors' condition numbers.
     Directions of A or C below sqrt(GRAM_RTOL) ~ 3e-7 of their largest
@@ -211,15 +216,15 @@ def thin_svd_product(A, C, keep=None):
         If a Gram matrix is not finite or has no eigendecomposition, or
         the second-pass Cholesky factorization fails.
     """
-    n, m = A.shape
+    m = gram_a.shape[0]
     if m == 0:
-        return np.zeros((n, 0)), np.zeros(0)
-    da, Va = _gram_root(A, "A")
-    dc, Vc = _gram_root(C, "C")
+        return mul_a(np.zeros((0, 0))), np.zeros(0)
+    da, Va = _gram_root(gram_a, "A")
+    dc, Vc = _gram_root(gram_c, "C")
     ra, rc = np.sqrt(da), np.sqrt(dc)
     u, sigma, _ = np.linalg.svd(ra[:, None] * (Va.T @ Vc) * rc)
     k = sigma.size if keep is None else min(keep, sigma.size)
-    U = A @ (Va @ (u[:, :k] / ra[:, None]))
+    U = mul_a(Va @ (u[:, :k] / ra[:, None]))
     try:
         R = np.linalg.cholesky(U.T @ U).T
     except np.linalg.LinAlgError as exc:

@@ -72,10 +72,14 @@ class Preconditioner:
 def reduce_rank(post, k: int) -> SpectralApprox:
     """Compress the posterior's low-rank part to its top-k left directions.
 
-    Runs the thin SVD of ``A @ C.T`` from the factors' m x m Gram
-    matrices (``linalg.thin_svd_product``: O(N m^2) in GEMMs, no QR, the
-    N x N product never formed), forms only the k leading left singular
-    vectors and keeps them with their values.  The leading values carry
+    ``post`` is a ``PosteriorMean`` or the probing loop's
+    ``IncrementalPosterior``; its ``grams`` supplies the factors' m x m
+    Gram matrices and the product with A.  The thin SVD of ``A @ C.T``
+    (``linalg.thin_svd_product``: no QR, the N x N product never
+    formed) forms only the k leading left singular vectors, and they are
+    kept with their values.  From the probe buffers that costs one
+    blocked O(N m^2) pass over Delta for ``A.T A`` and one N x m by
+    m x k GEMM, and no N x m factor is copied.  The leading values carry
     the Gram method's smallest error, about eps * (sigma_1 / sigma_k)^2
     relative.  If the requested rank runs into numerically zero singular
     values (below ``1e-12 * sigma_1``) the rank is reduced to the
@@ -94,7 +98,7 @@ def reduce_rank(post, k: int) -> SpectralApprox:
     """
     if not 1 <= k <= post.m:
         raise ValueError(f"rank k must be in [1, {post.m}], got {k}")
-    U, sigma = thin_svd_product(post.A, post.C, keep=k)
+    U, sigma = thin_svd_product(*post.grams(), keep=k)
     if sigma[0] == 0:
         effective = 0
     else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import IncrementalPosterior, MatrixPrior, NoiseModel, PosteriorMean
+from .inference import IncrementalPosterior, MatrixPrior, NoiseModel
 from .linalg import SolveFailure
 
 log = logging.getLogger(__name__)
@@ -274,8 +274,8 @@ def next_direction(post, r):
 
 
 def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
-                  settings: SolverSettings, callback=None) -> PosteriorMean:
-    """Run the active probing loop and return the final posterior mean.
+                  settings: SolverSettings, callback=None) -> IncrementalPosterior:
+    """Run the active probing loop and return the final posterior.
 
     Per iteration (``settings.iterations`` of them): pick a direction
     with ``next_direction`` against the latest gradient, scale it to unit
@@ -285,7 +285,9 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     nothing.  If a probe is rejected (for instance a dependent probe in
     the exact-product case once the reachable subspace is exhausted) the
     posterior of the previous iteration is returned with a warning.  The
-    returned ``PosteriorMean`` is formed once, at the end.
+    returned ``IncrementalPosterior`` is the probe buffers themselves:
+    rank reduction reads them directly, and its ``A``, ``C`` and
+    ``dense`` form the factored ``PosteriorMean`` only when read.
 
     Raises ``ConfigError`` before the first batch is drawn when
     ``settings.iterations`` exceeds ``oracle.dim``.
@@ -323,4 +325,4 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
             wall_ms = (time.perf_counter() - t0) * 1e3
             callback(IterationRecord(iteration=i, probe_norm=probe_norm,
                                      data_read=oracle.data_read, wall_ms=wall_ms))
-    return post.mean()
+    return post

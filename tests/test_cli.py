@@ -192,7 +192,7 @@ class TestPrecond:
         capsys.readouterr()
 
     def test_failed_rank_reduction_exits_2(self, tmp_path, monkeypatch, capsys):
-        def fails(A, C, keep=None):
+        def fails(gram_a, gram_c, mul_a, keep=None):
             raise SolveFailure("synthetic rank-reduction failure")
 
         monkeypatch.setattr("hessprec.precond.thin_svd_product", fails)
@@ -403,6 +403,14 @@ BAD_INPUTS = {
                      None),
     "compare-targets-differ": ("compare", [], {"base": {}, "runs": [{"target_loss": 1e-12},
                                                                  {"target_loss": 1e9}]}),
+    "gen-data-separation-nan": ("gen-data", ["--kind", "blobs", "--n-samples", "20",
+                                             "--separation", "nan"], None),
+    "gen-data-noise-nan": ("gen-data", ["--kind", "regression", "--n-samples", "20",
+                                        "--noise", "nan"], None),
+    "gen-data-noise-negative": ("gen-data", ["--kind", "regression", "--n-samples", "20",
+                                             "--noise", "-0.5"], None),
+    "gen-data-input-dim-zero": ("gen-data", ["--kind", "blobs", "--n-samples", "20",
+                                             "--input-dim", "0"], None),
 }
 
 
@@ -413,7 +421,9 @@ NAMED_FIELD = {"n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
                "target-suboptimality-negative": "target_suboptimality",
                "target-suboptimality-nan": "target_suboptimality",
-               "compare-targets-differ": "target_loss"}
+               "compare-targets-differ": "target_loss",
+               "gen-data-separation-nan": "separation", "gen-data-noise-nan": "noise",
+               "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -459,7 +469,7 @@ def test_non_finite_dataset_cell_exits_1(tmp_path, capsys, cell):
 def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *SMALL, "--out", str(tmp_path / "out.json"), flag])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
 

@@ -303,7 +303,7 @@ class TestRunPrecondSgd:
         assert_same_records(res_p.records, res_s.records)
 
     def test_failed_rank_reduction_falls_back_to_plain_sgd(self, monkeypatch, caplog):
-        def fails(A, C, keep=None):
+        def fails(gram_a, gram_c, mul_a, keep=None):
             raise SolveFailure("synthetic rank-reduction failure")
 
         monkeypatch.setattr("hessprec.precond.thin_svd_product", fails)

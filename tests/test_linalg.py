@@ -133,12 +133,17 @@ class TestGeneralizedEig:
         assert np.linalg.norm(resid) <= 1e-8 * scale
 
 
+def svd_of(A, C, keep=None):
+    """``thin_svd_product`` of ``A @ C.T``, given what ``PosteriorMean.grams`` reads of the pair."""
+    return thin_svd_product(*TestFactorPair.make(A, C).grams(), keep=keep)
+
+
 class TestThinSvdProduct:
     def test_reconstructs_product(self):
         rng = np.random.default_rng(4)
         A = rng.standard_normal((30, 5))
         C = rng.standard_normal((30, 5))
-        U, sigma = thin_svd_product(A, C)
+        U, sigma = svd_of(A, C)
         # U spans the column space of A C.T, so projecting onto it changes nothing
         np.testing.assert_allclose(U @ (U.T @ (A @ C.T)), A @ C.T, atol=1e-10)
         np.testing.assert_allclose(U.T @ U, np.eye(5), atol=1e-12)
@@ -148,7 +153,7 @@ class TestThinSvdProduct:
         rng = np.random.default_rng(5)
         A = rng.standard_normal((20, 4))
         C = rng.standard_normal((20, 4))
-        U, sigma = thin_svd_product(A, C)
+        U, sigma = svd_of(A, C)
         dense_u, dense_s, _ = np.linalg.svd(A @ C.T)
         np.testing.assert_allclose(sigma, dense_s[:4], atol=1e-10)
         # each left vector equals the dense one up to sign
@@ -162,7 +167,7 @@ class TestThinSvdProduct:
         A = rng.standard_normal((15, 4))
         A[:, 3] = A[:, 0]  # rank 3
         C = rng.standard_normal((15, 4))
-        _, sigma = thin_svd_product(A, C)
+        _, sigma = svd_of(A, C)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
 
@@ -171,7 +176,7 @@ class TestThinSvdProduct:
         A = rng.standard_normal((15, 4))
         C = rng.standard_normal((15, 4))
         C[:, 3] = C[:, 0]  # rank 3
-        U, sigma = thin_svd_product(A, C)
+        U, sigma = svd_of(A, C)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)
         np.testing.assert_allclose(sigma, dense[:4], atol=1e-8)
         # the Gram cut drops C's null direction, so only three vectors exist
@@ -188,7 +193,7 @@ class TestThinSvdProduct:
         V, _ = np.linalg.qr(rng.standard_normal((m, m)))
         A = (Q * np.logspace(0, -6, m)) @ V.T
         C = rng.standard_normal((n, m))
-        U, sigma = thin_svd_product(A, C)
+        U, sigma = svd_of(A, C)
         assert U.shape == (n, m)
         np.testing.assert_allclose(U.T @ U, np.eye(m), atol=1e-12)
         dense = np.linalg.svd(A @ C.T, compute_uv=False)[:m]
@@ -207,8 +212,8 @@ class TestThinSvdProduct:
         rng = np.random.default_rng(10)
         A = rng.standard_normal((40, 6))
         C = rng.standard_normal((40, 6))
-        U, sigma = thin_svd_product(A, C)
-        U_kept, sigma_kept = thin_svd_product(A, C, keep=keep)
+        U, sigma = svd_of(A, C)
+        U_kept, sigma_kept = svd_of(A, C, keep=keep)
         k = min(keep, 6)
         assert U_kept.shape == (40, k)
         np.testing.assert_array_equal(sigma_kept, sigma)
@@ -219,7 +224,7 @@ class TestThinSvdProduct:
         A = np.ones((5, 2))
         A[0, 0] = np.inf
         with pytest.raises(SolveFailure, match="not finite"):
-            thin_svd_product(A, np.ones((5, 2)))
+            svd_of(A, np.ones((5, 2)))
 
     def test_failed_second_pass_is_a_solve_failure(self, monkeypatch):
         def fails(M):
@@ -228,10 +233,10 @@ class TestThinSvdProduct:
         monkeypatch.setattr(np.linalg, "cholesky", fails)
         rng = np.random.default_rng(11)
         with pytest.raises(SolveFailure, match="numerically dependent"):
-            thin_svd_product(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
+            svd_of(rng.standard_normal((8, 3)), rng.standard_normal((8, 3)))
 
     def test_empty_factors(self):
-        U, sigma = thin_svd_product(np.zeros((7, 0)), np.zeros((7, 0)))
+        U, sigma = svd_of(np.zeros((7, 0)), np.zeros((7, 0)))
         assert U.shape == (7, 0) and sigma.shape == (0,)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31))
@@ -241,7 +246,7 @@ class TestThinSvdProduct:
         n = m + rng.integers(0, 20)
         A = rng.standard_normal((n, m))
         C = rng.standard_normal((n, m))
-        U, sigma = thin_svd_product(A, C)
+        U, sigma = svd_of(A, C)
         B = A @ C.T
         scale = max(np.linalg.norm(B), 1.0)
         assert np.linalg.norm(U @ (U.T @ B) - B) <= 1e-9 * scale

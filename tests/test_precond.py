@@ -1,10 +1,12 @@
 import json
 import logging
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
+from hessprec.harness import construct_preconditioner
 from hessprec.inference import MatrixPrior, PosteriorMean
 from hessprec.precond import (
     Preconditioner,
@@ -16,7 +18,8 @@ from hessprec.precond import (
     scalar_step,
 )
 from hessprec.problems import QuadraticProblem, batch_oracle
-from hessprec.solver import HessianOracle, SolverConfig, estimate_parameters, run_inference
+from hessprec.solver import (HessianOracle, SolverConfig, SolverSettings, estimate_parameters,
+                             run_inference)
 from tests.test_solver import MatrixOracle, ScriptedOracle
 
 
@@ -184,6 +187,59 @@ class TestReduceRankMatchesHouseholder:
         np.testing.assert_allclose(sp.sigma, sigma[:k], rtol=1e-10, atol=0)
         cosines = np.linalg.svd(sp.U.T @ U_ref, compute_uv=False)
         assert cosines.min() >= 1 - 1e-10
+
+
+class RejectingOracle(NoisyDiagonalOracle):
+    """A non-finite product on the given probe, which ends the probing loop there."""
+
+    def __init__(self, h, seed, init_samples, reject):
+        super().__init__(h, seed)
+        self.products_left = init_samples + reject
+
+    def hvp(self, w, s, batch):
+        self.products_left -= 1
+        y = super().hvp(w, s, batch)
+        return y * np.nan if self.products_left == 0 else y
+
+
+class TestReduceRankFromProbeBuffers:
+    """``reduce_rank`` of the probing loop's posterior reads its buffers, and
+    agrees with ``reduce_rank`` of the factored ``PosteriorMean`` it stands for."""
+
+    @pytest.mark.parametrize("seed, reject", [(0, None), (1, None), (2, 11)])
+    def test_matches_factored_form(self, seed, reject):
+        n, m = 800, 32
+        h = np.full(n, 1e-2)
+        h[:16] = np.geomspace(1e3, 1e1, 16)
+        oracle = (NoisyDiagonalOracle(h, seed) if reject is None
+                  else RejectingOracle(h, seed, init_samples=3, reject=reject))
+        est = estimate_parameters(oracle, np.zeros(n), init_samples=3)
+        post = run_inference(oracle, np.zeros(n), est,
+                             SolverConfig(iterations=m, init_samples=3))
+        assert post.m == (m if reject is None else reject - 1)
+        k = min(16, post.m)
+        sp = reduce_rank(post, k)
+        ref = reduce_rank(post.mean(), k)
+        np.testing.assert_allclose(sp.sigma, ref.sigma, rtol=1e-10, atol=0)
+        cosines = np.linalg.svd(sp.U.T @ ref.U, compute_uv=False)
+        assert cosines.min() >= 1 - 1e-8
+
+    def test_construction_copies_no_factor(self):
+        # the probe buffers S and Delta hold 2 m N doubles; the N x m factors
+        # A and C of the factored form would add as many again
+        n, m, rank = 20_000, 32, 4
+        h = np.full(n, 1e-2)
+        h[:16] = np.geomspace(1e3, 1e1, 16)
+        oracle = NoisyDiagonalOracle(h, 0)
+        settings = SolverSettings(iterations=m, init_samples=3, rank=rank)
+        tracemalloc.start()
+        try:
+            precond, _, post, _ = construct_preconditioner(oracle, np.zeros(n), settings, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert post.m == m and precond.spectral.k == rank
+        assert peak < 8 * (2 * m * n + 6 * rank * n)
 
 
 class TestBuild:
