@@ -32,6 +32,7 @@ from .harness import (
 from .inference import posterior_to_dict
 from .linalg import SolveFailure
 from .precond import precond_to_dict
+from .problems import n_monomials
 from .solver import EstimationError, estimate_parameters, run_inference
 
 
@@ -125,15 +126,17 @@ def _cmd_gen_data(args):
     # the values pass ProblemConfig's checks, the same as a run's problem block
     if args.kind == "regression":
         d = 21 if args.input_dim is None else args.input_dim
-        q = min(253, d + d * (d + 1) // 2 + 1) if args.n_features is None else args.n_features
-        p = ProblemConfig(n_samples=args.n_samples, input_dim=d, n_features=q, noise=args.noise)
-        X, y = datagen.gen_regression(args.seed or 0, p.n_samples, input_dim=p.input_dim,
+        q = min(253, n_monomials(d)) if args.n_features is None else args.n_features
+        p = ProblemConfig(n_samples=args.n_samples, input_dim=d, n_features=q, noise=args.noise,
+                          data_seed=args.seed)
+        X, y = datagen.gen_regression(p.data_seed, p.n_samples, input_dim=p.input_dim,
                                       n_features=p.n_features, noise=p.noise)
     else:
         d = 20 if args.input_dim is None else args.input_dim
         p = ProblemConfig(kind="mlp", n_samples=args.n_samples, input_dim=d,
-                          n_classes=args.n_classes, separation=args.separation)
-        X, y = datagen.gen_blobs(args.seed or 0, p.n_samples, input_dim=p.input_dim,
+                          n_classes=args.n_classes, separation=args.separation,
+                          data_seed=args.seed)
+        X, y = datagen.gen_blobs(p.data_seed, p.n_samples, input_dim=p.input_dim,
                                  n_classes=p.n_classes, separation=p.separation)
     datagen.write_dataset(args.out, X, y)
     print(f"wrote {X.shape[0]} samples x {X.shape[1]} features to {args.out}")

@@ -9,6 +9,8 @@ iteration log.
 """
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .problems import raw_monomials
@@ -95,7 +97,11 @@ def write_dataset(path, X, y):
 
 def read_dataset(path):
     """Read a dataset CSV back into ``(X, target)`` arrays."""
-    body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        body = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    if body.size == 0:
+        raise ValueError(f"dataset {path} has no data rows")
     if body.shape[1] < 2:
         raise ValueError(f"dataset {path} needs at least one feature and a target column")
     bad = np.argwhere(~np.isfinite(body))

@@ -24,7 +24,7 @@ import numpy as np
 from . import data as datagen
 from .linalg import SolveFailure
 from .mlp import MLPOracle, ToyNet
-from .precond import apply_p_squared, build, reduce_rank, scalar_step
+from .precond import apply_p_squared, build, reduce_rank
 from .problems import (
     FeatureMapSpec,
     QuadraticProblem,
@@ -44,6 +44,8 @@ RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
                    "test_accuracy", "step_length", "wall_ms")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
+
+SCALAR_ATTEMPTS = 3  # scalar-mode estimates tried before the previous step length is kept
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ class ProblemConfig:
         if self.kind not in ("quadratic", "mlp"):
             raise ConfigError(f"unknown problem kind {self.kind!r}; choose from quadratic, mlp")
         for name, low in (("n_samples", 1), ("input_dim", 1), ("n_features", 1),
-                          ("n_classes", 2)):
+                          ("n_classes", 2), ("data_seed", 0)):
             if (value := getattr(self, name)) < low:
                 raise ConfigError(f"problem {name} must be at least {low}, got {value}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
@@ -424,10 +426,10 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
 def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     """SGD behind the curvature-adapted pre-conditioner.
 
-    Full mode builds P once up front and applies P^2 to every gradient;
-    scalar mode skips the projection and instead refreshes the scalar
-    step length at rebuild boundaries (every ``rebuild_every`` epochs,
-    with an optional fixed-rate warmup epoch first).  Numerical
+    Full mode builds P once up front and steps along P^2 g; scalar mode
+    steps along g and refreshes the step length at rebuild boundaries
+    (every ``rebuild_every`` epochs, with an optional fixed-rate warmup
+    epoch first), before that step's batch is drawn.  Numerical
     construction failures fall back to plain SGD with a warning; a
     ``ConfigError`` (such as more probes than dimensions) propagates.
     """
@@ -435,11 +437,12 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
     w = bundle.init_w(cfg.seed)
     rec = _Recorder(bundle, cfg, oracle, steps)
-    info = {}
-
-    if cfg.solver.mode == "full":
+    scalar = cfg.solver.mode == "scalar"
+    precond, lr, step_length = None, cfg.lr, cfg.lr
+    info = {"rebuilds": 0, "eta": cfg.lr} if scalar else {}
+    if not scalar:
         try:
-            precond, lr, post, est = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
+            precond, lr, _, est = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
             info.update(alpha2=precond.alpha ** 2, rank=precond.spectral.k,
                         construction_data_read=oracle.data_read,
                         b0=est.b0, w0=est.w0, lam0=est.lam0)
@@ -448,44 +451,42 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
             raise
         except (EstimationError, SolveFailure, ValueError) as exc:
             log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
-            precond, lr, step_length = None, cfg.lr, cfg.lr
             info.update(fallback=str(exc))
-        rec.emit(0, w, step_length)
-        for t in range(1, steps + 1):
-            g = oracle.noisy_gradient(w)
-            w = w - lr * (apply_p_squared(precond, g) if precond is not None else g)
-            if rec.due(t) and not rec.emit(t, w, step_length):
-                log.warning("precond_sgd diverged at step %d", t)
-                return RunResult(rec.records, True, w, info)
-        return RunResult(rec.records, False, w, info)
 
-    # scalar mode
-    eta = cfg.lr
-    rebuilds = 0
-    rec.emit(0, w, eta)
+    rec.emit(0, w, step_length)
     for t in range(1, steps + 1):
         epoch, offset = divmod(t - 1, rec.epoch_len)
-        if offset == 0 and epoch % cfg.rebuild_every == 0 and not (cfg.warmup and epoch == 0):
-            eta = _scalar_rebuild(oracle, w, cfg.solver, eta)
-            rebuilds += 1
+        if (scalar and offset == 0 and epoch % cfg.rebuild_every == 0
+                and not (cfg.warmup and epoch == 0)):
+            lr = step_length = info["eta"] = _scalar_rebuild(oracle, w, cfg.solver, lr)
+            info["rebuilds"] += 1
         g = oracle.noisy_gradient(w)
-        w = w - eta * g
-        if rec.due(t) and not rec.emit(t, w, eta):
-            log.warning("precond_sgd (scalar) diverged at step %d", t)
-            return RunResult(rec.records, True, w, {"rebuilds": rebuilds})
-    return RunResult(rec.records, False, w, {"rebuilds": rebuilds, "eta": eta})
+        w = w - lr * (apply_p_squared(precond, g) if precond is not None else g)
+        if rec.due(t) and not rec.emit(t, w, step_length):
+            log.warning("precond_sgd diverged at step %d", t)
+            return RunResult(rec.records, True, w, info)
+    return RunResult(rec.records, False, w, info)
 
 
-def _scalar_rebuild(oracle, w, settings: SolverSettings, previous_eta, attempts=3):
-    for _ in range(attempts):
+def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
+    """The scalar step rule: ``eta = 1 / b0``, b0 estimated on fresh batches.
+
+    An ``EstimationError`` is retried, ``SCALAR_ATTEMPTS`` times in all.  An
+    eta that is not positive and finite, or no estimate, keeps ``previous``.
+    """
+    for _ in range(SCALAR_ATTEMPTS):
         try:
             est = estimate_parameters(oracle, w, settings.init_samples, mode="scalar")
         except EstimationError as exc:
             log.warning("scalar estimation attempt failed (%s)", exc)
             continue
-        return scalar_step(est, previous=previous_eta)
-    log.warning("scalar estimation failed %d times; keeping step %g", attempts, previous_eta)
-    return previous_eta
+        eta = 1.0 / est.b0
+        if not (np.isfinite(eta) and eta > 0):
+            log.warning("scalar step estimate unusable (%r); keeping previous %g", eta, previous)
+            return previous
+        return float(eta)
+    log.warning("scalar estimation failed %d times; keeping step %g", SCALAR_ATTEMPTS, previous)
+    return previous
 
 
 def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:

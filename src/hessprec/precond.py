@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import thin_svd_product
-from .solver import PriorEstimates
 
 log = logging.getLogger(__name__)
 
@@ -158,17 +157,3 @@ def precond_to_dict(precond: Preconditioner) -> dict:
         "U": sp.U.ravel().tolist(),
     }
 
-
-def scalar_step(estimates: PriorEstimates, previous: float | None = None) -> float:
-    """Learning rate from the scalar curvature estimate: ``eta = 1 / b0``.
-
-    A non-positive or non-finite estimate keeps the previous step with a
-    warning (and is an error when there is nothing to keep).
-    """
-    eta = 1.0 / estimates.b0
-    if not (np.isfinite(eta) and eta > 0):
-        if previous is None:
-            raise ValueError(f"scalar step estimate is unusable ({eta!r}) and no fallback given")
-        log.warning("scalar step estimate unusable (%r); keeping previous %g", eta, previous)
-        return previous
-    return float(eta)

@@ -54,11 +54,10 @@ class FeatureMapSpec:
             raise ValueError("scales must be a non-empty vector")
         if not np.all((scales > 0) & np.isfinite(scales)):
             raise ValueError("scales must be positive and finite")
-        d = self.input_dim
-        limit = d + d * (d + 1) // 2 + 1
+        limit = n_monomials(self.input_dim)
         if scales.size > limit:
             raise ValueError(
-                f"at most {limit} distinct monomial features exist for input_dim={d}, "
+                f"at most {limit} distinct monomial features exist for input_dim={self.input_dim}, "
                 f"got {scales.size} scales"
             )
         object.__setattr__(self, "scales", scales)
@@ -75,29 +74,34 @@ def scales_log_uniform(n_features: int, lo: float = 1e-3, hi: float = 1.0):
     return np.logspace(np.log10(hi), np.log10(lo), n_features)
 
 
+def n_monomials(d):
+    """How many distinct monomials ``raw_monomials`` has for d inputs: d + d(d+1)/2 + 1."""
+    return d + d * (d + 1) // 2 + 1
+
+
 def raw_monomials(X, input_dim, count):
-    """First ``count`` distinct monomials [x, upper-tri(x x.T), ||x||^2], unscaled."""
+    """First ``count`` distinct monomials [x, upper-tri(x x.T), ||x||^2], unscaled.
+
+    Only those ``count`` columns are formed, not all ``n_monomials(d)``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = input_dim
     if X.shape[1] != d:
         raise ValueError(f"expected inputs of dimension {d}, got {X.shape[1]}")
+    if count > n_monomials(d):
+        raise ValueError(f"only {n_monomials(d)} distinct monomials exist, need {count}")
     iu, ju = np.triu_indices(d)
-    cols = [X, X[:, iu] * X[:, ju], np.sum(X * X, axis=1, keepdims=True)]
-    full = np.concatenate(cols, axis=1)
-    if count > full.shape[1]:
-        raise ValueError(f"only {full.shape[1]} distinct monomials exist, need {count}")
-    return full[:, :count]
+    pairs = max(count - d, 0)
+    cols = [X[:, :count], X[:, iu[:pairs]] * X[:, ju[:pairs]]]
+    if count == n_monomials(d):
+        cols.append(np.sum(X * X, axis=1, keepdims=True))
+    return np.concatenate(cols, axis=1)
 
 
 def polynomial_features(X, spec: FeatureMapSpec):
     """Apply the feature map to one sample (1-d input) or a batch (2-d input)."""
     X = np.asarray(X, dtype=float)
-    single = X.ndim == 1
-    Xb = np.atleast_2d(X)
-    if Xb.shape[1] != spec.input_dim:
-        raise ValueError(f"expected inputs of dimension {spec.input_dim}, got {Xb.shape[1]}")
-    feats = raw_monomials(Xb, spec.input_dim, spec.scales.size) * spec.scales
-    return feats[0] if single else feats
+    feats = raw_monomials(X, spec.input_dim, spec.scales.size) * spec.scales
+    return feats[0] if X.ndim == 1 else feats
 
 
 # ---------------------------------------------------------------------------

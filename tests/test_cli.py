@@ -6,6 +6,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -411,10 +412,16 @@ BAD_INPUTS = {
                                              "--noise", "-0.5"], None),
     "gen-data-input-dim-zero": ("gen-data", ["--kind", "blobs", "--n-samples", "20",
                                              "--input-dim", "0"], None),
+    "gen-data-seed-negative": ("gen-data", ["--kind", "blobs", "--n-samples", "10",
+                                            "--seed", "-1"], None),
+    "data-seed-negative": ("run", ["--set", "problem.data_seed=-1"], None),
+    # the test writes header-only.csv, a header with no rows, in the working directory
+    "dataset-header-only": ("run", ["--set", "problem.data=header-only.csv",
+                                    "--set", "problem.input_dim=4"], None),
 }
 
 
-# The cases whose message must also name the field at fault.
+# The cases whose message must also name the field at fault, or the fault.
 NAMED_FIELD = {"n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "input-dim-negative": "input_dim", "noise-negative": "noise",
                "scales-entry-nan": "scales", "separation-nan": "separation",
@@ -423,12 +430,16 @@ NAMED_FIELD = {"n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "target-suboptimality-nan": "target_suboptimality",
                "compare-targets-differ": "target_loss",
                "gen-data-separation-nan": "separation", "gen-data-noise-nan": "noise",
-               "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim"}
+               "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim",
+               "gen-data-seed-negative": "data_seed", "data-seed-negative": "data_seed",
+               "dataset-header-only": "no data rows"}
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
-def test_bad_input_exits_1_with_a_message(tmp_path, capsys, case):
+def test_bad_input_exits_1_with_a_message(tmp_path, capsys, monkeypatch, case):
     command, extra, payload = BAD_INPUTS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "header-only.csv").write_text("x0,x1,x2,x3,target\n")
     args = [command, "--out", str(tmp_path / "out.csv")]
     if payload is not None:
         (tmp_path / "cfg.json").write_text(json.dumps(payload))
@@ -436,7 +447,9 @@ def test_bad_input_exits_1_with_a_message(tmp_path, capsys, case):
     if command == "run":
         args += [*SMALL[:-2], "--set", "batch_size=64", "--set", "steps=3",
                  "--optimizer", "sgd"]
-    rc = main(args + extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would leak to stderr
+        rc = main(args + extra)
     err = capsys.readouterr().err
     assert rc == 1
     assert "config error" in err and "Traceback" not in err

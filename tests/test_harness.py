@@ -1,6 +1,8 @@
 import dataclasses
 import json
+import logging
 import math
+import types
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from hessprec.harness import (
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import ToyNet
 from hessprec.solver import EstimationError
+from tests.test_solver import MatrixOracle, ScriptedOracle
 
 
 def assert_same_records(a, b):
@@ -291,7 +294,6 @@ class TestRunPrecondSgd:
         monkeypatch.setattr(harness_mod, "estimate_parameters", broken)
         cfg_p = self.cfg()
         bundle = build_problem(cfg_p.problem)
-        import logging
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             res_p = run_precond_sgd(bundle, cfg_p)
         assert res_p.info["fallback"] == "synthetic failure"
@@ -309,7 +311,6 @@ class TestRunPrecondSgd:
         monkeypatch.setattr("hessprec.precond.thin_svd_product", fails)
         cfg_p = self.cfg()
         bundle = build_problem(cfg_p.problem)
-        import logging
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             res_p = run_precond_sgd(bundle, cfg_p)
         assert res_p.info["fallback"] == "synthetic rank-reduction failure"
@@ -339,6 +340,77 @@ class TestRunPrecondSgd:
                        rebuild_every=2)
         res = run_precond_sgd(build_problem(cfg.problem), cfg)
         assert res.info["rebuilds"] == 2  # epochs 0 and 2
+
+    def test_scalar_mode_divergence_stops_at_first_nan_record(self, monkeypatch, caplog):
+        # a step of 1e6 on this quadratic overflows after a few epochs
+        monkeypatch.setattr(harness_mod, "_scalar_rebuild", lambda *args: 1e6)
+        cfg = self.cfg(solver=SolverSettings(init_samples=3, mode="scalar"), steps=60,
+                       record_every=1)
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res = run_precond_sgd(build_problem(cfg.problem), cfg)
+        assert res.diverged
+        assert [math.isnan(r.train_loss) for r in res.records].index(True) == len(res.records) - 1
+        assert res.records[-1].step < 60
+        # epoch_len = 5 and warmup skips epoch 0: one rebuild per later epoch begun
+        assert res.info["rebuilds"] == (res.records[-1].step - 1) // 5 > 0
+        assert res.info["eta"] == 1e6
+        assert any("precond_sgd diverged at step" in r.message for r in caplog.records)
+
+
+class TestScalarRebuild:
+    """``_scalar_rebuild``: the whole scalar step rule, eta = 1 / b0."""
+
+    settings = SolverSettings(init_samples=2, mode="scalar")
+
+    def rebuild(self, monkeypatch, outcomes, previous=0.05):
+        """The rule's step when successive estimates give ``outcomes`` (a b0 or an exception)."""
+        outcomes = iter(outcomes)
+
+        def scripted(oracle, w, init_samples, mode="full"):
+            assert mode == "scalar"
+            outcome = next(outcomes)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return types.SimpleNamespace(b0=outcome)
+
+        monkeypatch.setattr(harness_mod, "estimate_parameters", scripted)
+        return harness_mod._scalar_rebuild(None, None, self.settings, previous)
+
+    def test_isotropic_curvature(self):
+        oracle = MatrixOracle(5.0 * np.eye(4), np.ones(4))
+        eta = harness_mod._scalar_rebuild(oracle, np.zeros(4), self.settings, 1.0)
+        assert eta == pytest.approx(0.2)
+
+    def test_rayleigh_quotient_of_squares(self):
+        # B = diag(1, 100) probed along (1,1)/sqrt(2): eta = 101/10001
+        B = np.diag([1.0, 100.0])
+        s = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        oracle = ScriptedOracle([s, s], B)
+        eta = harness_mod._scalar_rebuild(oracle, np.zeros(2), self.settings, 1.0)
+        assert eta == pytest.approx(101.0 / 10001.0, rel=1e-12)
+
+    def test_scalar_step_validation(self, monkeypatch):
+        # a usable estimate gives the plain float 1 / b0
+        step = self.rebuild(monkeypatch, [4.0])
+        assert type(step) is float and step == 0.25
+
+    def test_unusable_estimate_keeps_previous(self, monkeypatch, caplog):
+        # eta = inf, nan, negative and 0 each keep the previous step
+        for b0 in (5e-324, np.nan, -2.0, np.inf):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+                assert self.rebuild(monkeypatch, [b0]) == 0.05
+            assert any("keeping previous" in r.message for r in caplog.records)
+
+    def test_failed_estimates_retried_three_times_then_keep_step(self, monkeypatch, caplog):
+        failure = EstimationError("synthetic failure")
+        assert self.rebuild(monkeypatch, [failure, failure, 4.0]) == 0.25
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            assert self.rebuild(monkeypatch, [failure] * 3 + [4.0]) == 0.05
+        messages = [r.message for r in caplog.records]
+        assert sum("scalar estimation attempt failed" in m for m in messages) == 3
+        assert any("keeping step" in m for m in messages)
 
 
 class TestBaselines:

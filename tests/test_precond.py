@@ -1,7 +1,6 @@
 import json
 import logging
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -15,12 +14,11 @@ from hessprec.precond import (
     build,
     precond_to_dict,
     reduce_rank,
-    scalar_step,
 )
 from hessprec.problems import QuadraticProblem, batch_oracle
 from hessprec.solver import (HessianOracle, SolverConfig, SolverSettings, estimate_parameters,
                              run_inference)
-from tests.test_solver import MatrixOracle, ScriptedOracle
+from tests.test_solver import MatrixOracle
 
 
 def spd_with_spectrum(rng, vals):
@@ -359,43 +357,6 @@ class TestSpectrumFlattening:
         got = np.sort(np.linalg.eigvalsh(P.T @ B @ P / precond.alpha ** 2))
         expected = np.sort(np.concatenate([np.ones(k), vals[k:]]))
         np.testing.assert_allclose(got, expected, atol=1e-8)
-
-
-class TestScalarStep:
-    def test_isotropic_curvature(self):
-        oracle = MatrixOracle(5.0 * np.eye(4), np.ones(4))
-        est = estimate_parameters(oracle, np.zeros(4), init_samples=2, mode="scalar")
-        assert scalar_step(est) == pytest.approx(0.2)
-
-    def test_rayleigh_quotient_of_squares(self):
-        # B = diag(1, 100) probed along (1,1)/sqrt(2): eta = 101/10001
-        B = np.diag([1.0, 100.0])
-        s = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        oracle = ScriptedOracle([s, s], B)
-        est = estimate_parameters(oracle, np.zeros(2), init_samples=2, mode="scalar")
-        assert scalar_step(est) == pytest.approx(101.0 / 10001.0, rel=1e-12)
-
-    def test_unusable_estimate_keeps_previous(self, caplog):
-        fake = types.SimpleNamespace(b0=np.inf)
-        with caplog.at_level(logging.WARNING, logger="hessprec.precond"):
-            step = scalar_step(fake, previous=0.05)
-        assert step == 0.05
-        assert any("keeping previous" in rec.message for rec in caplog.records)
-
-    def test_unusable_estimate_without_fallback_raises(self):
-        fake = types.SimpleNamespace(b0=np.inf)
-        with pytest.raises(ValueError, match="no fallback"):
-            scalar_step(fake)
-
-    def test_scalar_step_validation(self):
-        # the step is a plain positive float; a negative or nan curvature never passes
-        est = types.SimpleNamespace(b0=4.0)
-        assert type(scalar_step(est)) is float and scalar_step(est) == 0.25
-        for b0 in (-2.0, np.nan):
-            fake = types.SimpleNamespace(b0=b0)
-            with pytest.raises(ValueError, match="unusable"):
-                scalar_step(fake)
-            assert scalar_step(fake, previous=0.05) == 0.05
 
 
 class TestSerializationAndCosts:

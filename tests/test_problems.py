@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hessprec.problems import (
     cg_baseline,
     exact_solution,
     logistic_oracle,
+    n_monomials,
     polynomial_features,
     raw_monomials,
     scales_log_uniform,
@@ -49,6 +51,27 @@ class TestFeatureMap:
         feats = raw_monomials(x[None, :], 2, 6)[0]
         # linear terms, then x0^2, x0 x1, x1^2, then ||x||^2
         np.testing.assert_allclose(feats, [2.0, 3.0, 4.0, 6.0, 9.0, 13.0])
+
+    def test_each_count_is_a_prefix_of_all_monomials(self):
+        X = np.random.default_rng(0).normal(size=(5, 4))
+        full = raw_monomials(X, 4, n_monomials(4))
+        assert full.shape == (5, 15)
+        for count in range(1, 16):
+            np.testing.assert_array_equal(raw_monomials(X, 4, count), full[:, :count])
+        with pytest.raises(ValueError, match="only 15 distinct monomials"):
+            raw_monomials(X, 4, 16)
+
+    def test_forms_only_the_returned_columns(self):
+        # 120 inputs have 7,381 monomials (118 MB at 2,000 samples); 253 are kept
+        X = np.random.default_rng(0).normal(size=(2000, 120))
+        tracemalloc.start()
+        try:
+            feats = raw_monomials(X, 120, 253)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert feats.shape == (2000, 253)
+        assert peak < 3 * feats.nbytes
 
     def test_scales_select_and_multiply(self):
         x = np.array([2.0, 3.0])
