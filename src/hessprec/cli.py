@@ -168,7 +168,7 @@ def _cmd_solve(args):
             datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read", "wall_ms"),
                               ([str(r.iteration), repr(r.probe_norm), str(r.data_read),
                                 repr(r.wall_ms if cfg.timing else 0.0)] for r in records))
-    _write_json(args.out, posterior_to_dict(post.mean()))
+    _write_json(args.out, posterior_to_dict(post))
     print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.prior.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
     return 0

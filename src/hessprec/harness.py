@@ -341,18 +341,23 @@ class _Recorder:
                 or step % self.epoch_len == 0)
 
     def emit(self, step, w, step_length):
-        """Append a record at the oracle's reads; returns False when the loss went non-finite."""
-        train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
-        wall = (time.perf_counter() - self.t0) * 1e3 if self.cfg.timing else 0.0
-        read = self.oracle.data_read
-        if not np.isfinite(train):
-            self.records.append(RunRecord(step, read, float("nan"), float("nan"),
-                                          float("nan"), step_length, wall))
-            return False
-        self.records.append(RunRecord(step, read, train,
-                                      self.bundle.test_loss(w),
-                                      self.bundle.test_accuracy(w),
-                                      step_length, wall))
+        """Append a record at the oracle's reads; returns False when the loss went non-finite.
+
+        A diverging iterate overflows the loss, which the record reports as NaN, so
+        numpy's overflow warnings are silenced here.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
+            wall = (time.perf_counter() - self.t0) * 1e3 if self.cfg.timing else 0.0
+            read = self.oracle.data_read
+            if not np.isfinite(train):
+                self.records.append(RunRecord(step, read, float("nan"), float("nan"),
+                                              float("nan"), step_length, wall))
+                return False
+            self.records.append(RunRecord(step, read, train,
+                                          self.bundle.test_loss(w),
+                                          self.bundle.test_accuracy(w),
+                                          step_length, wall))
         return True
 
 
@@ -561,8 +566,9 @@ def _run_label(cfg, counts):
 def compare(configs) -> ComparisonResult:
     """Run several optimizers on one shared problem and merge the results.
 
-    All configs must agree on the problem block, the seed and the target;
-    the merged records are keyed by (optimizer label, data_read).
+    All configs must agree on the problem block, the seed and the target,
+    and no two may share a label; the merged records are keyed by
+    (optimizer label, data_read).
     Fixed-step SGD runs that share a batch size are stepped together by
     ``run_sgd_lanes``; records and summaries stay in config order.
     Divergence of an individual run is recorded in its summary, not fatal.
@@ -573,6 +579,14 @@ def compare(configs) -> ComparisonResult:
     for name in ("problem", "seed", "target_loss", "target_suboptimality"):
         if any(getattr(cfg, name) != getattr(first, name) for cfg in configs[1:]):
             raise ConfigError(f"compare requires all runs to share the same {name}")
+    counts = {}
+    for cfg in configs:
+        counts[cfg.optimizer] = counts.get(cfg.optimizer, 0) + 1
+    labels = [_run_label(cfg, counts) for cfg in configs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigError(f"compare runs share the label {label!r}; their rows could not "
+                              "be told apart")
     bundle = build_problem(first.problem)
 
     target = first.target_loss
@@ -583,10 +597,6 @@ def compare(configs) -> ComparisonResult:
         loss_star = opt[1]
         loss_init = bundle.train_loss(bundle.init_w(first.seed))
         target = loss_star + first.target_suboptimality * (loss_init - loss_star)
-
-    counts = {}
-    for cfg in configs:
-        counts[cfg.optimizer] = counts.get(cfg.optimizer, 0) + 1
 
     results = [None] * len(configs)
     for i, cfg in enumerate(configs):
@@ -602,8 +612,7 @@ def compare(configs) -> ComparisonResult:
 
     labeled = []
     summaries = []
-    for cfg, result in zip(configs, results):
-        label = _run_label(cfg, counts)
+    for label, result in zip(labels, results):
         for r in result.records:
             labeled.append((label, r))
         reach = None

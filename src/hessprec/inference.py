@@ -7,7 +7,9 @@ identities (weights ``w0`` and ``lam0``), and the per-column noise
 magnitude additionally carries the squared probe norm.  Under these
 assumptions the posterior mean is ``b0 * I`` plus a rank-m correction
 ``A @ C.T`` that this module computes without ever forming an N x N
-matrix.
+matrix.  ``IncrementalPosterior`` is the one posterior type: its probe
+buffers take one probe at a time, in the probing loop and in
+``infer_noisy`` and ``infer_noise_free`` alike.
 """
 from __future__ import annotations
 
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SolveFailure, cho_solve, cholesky, cholesky_row, solve_capacitance,
-                     woodbury_solve)
+from .linalg import SolveFailure, cho_solve, cholesky_row, solve_capacitance
 
 
 @dataclass(frozen=True)
@@ -91,170 +92,22 @@ class ObservationSet:
         return self.S.shape[1]
 
 
-@dataclass(frozen=True)
-class PosteriorMean:
-    """Posterior mean estimate ``b0 * I + A @ C.T``, with N x m factors, m <= N."""
-
-    prior: MatrixPrior
-    A: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        if A.ndim != 2 or C.ndim != 2:
-            raise ValueError("factors must be two-dimensional arrays")
-        if A.shape != C.shape:
-            raise ValueError(f"factor shapes differ: {A.shape} vs {C.shape}")
-        if A.shape[1] > A.shape[0]:
-            raise ValueError(
-                f"factors have more columns ({A.shape[1]}) than rows ({A.shape[0]})"
-            )
-        if A.shape[0] != self.prior.n:
-            raise ValueError(
-                f"factor row count {A.shape[0]} does not match prior dimension {self.prior.n}"
-            )
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self) -> int:
-        return self.prior.n
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def b0(self) -> float:
-        return self.prior.b0
-
-    def apply(self, v):
-        """Matrix-vector product ``(b0 I + A C.T) v`` in O(N m)."""
-        v = np.asarray(v, dtype=float)
-        if self.m == 0:
-            return self.b0 * v
-        return self.b0 * v + self.A @ (self.C.T @ v)
-
-    def solve(self, v):
-        """Solve ``(b0 I + A C.T) x = v`` in O(N m^2) via the inversion lemma.
-
-        Raises ``SolveFailure`` when the capacitance system is singular;
-        callers that have a cheaper fallback should catch it.
-        """
-        if not (np.isfinite(self.b0) and self.b0 > 0):
-            raise SolveFailure(f"cannot invert posterior with b0 = {self.b0!r}")
-        return woodbury_solve(self.b0, self.A, self.C, v)
-
-    def dense(self):
-        """Materialize the N x N estimate.  Test and toy-problem use only."""
-        return self.b0 * np.eye(self.n) + self.A @ self.C.T
-
-    def grams(self):
-        """``(A.T A, C.T C, X -> A X)``, what ``linalg.thin_svd_product`` reads of the factors."""
-        A = self.A
-        return A.T @ A, self.C.T @ self.C, lambda X: A @ X
-
-
-def _empty_posterior(prior):
-    z = np.zeros((prior.n, 0))
-    return PosteriorMean(prior=prior, A=z, C=z.copy())
-
-
-def _mean(prior, L, S_rows, D_rows):
-    """The posterior update: ``A = w0 Delta M^-1`` and ``C = w0 S``.
-
-    ``S_rows`` and ``D_rows`` hold the probes and ``Delta = Y - b0 S`` as
-    rows, and ``L L.T = M = w0^2 S.T S + lam0 diag(noise_diag)``.
-    """
-    m = S_rows.shape[0]
-    if m == 0:
-        return _empty_posterior(prior)
-    # one GEMM with the m x m inverse; a triangular solve against N
-    # right-hand sides is about ten times slower at N = 1e5
-    w0 = prior.w0
-    return PosteriorMean(prior=prior, A=(w0 * cho_solve(L, np.eye(m)) @ D_rows).T,
-                         C=(w0 * S_rows).T)
-
-
-def _from_scratch(prior, lam0, obs):
-    S = obs.S
-    M = prior.w0 ** 2 * (S.T @ S) + lam0 * np.diag(obs.noise_diag)
-    return _mean(prior, cholesky(M), S.T, (obs.Y - prior.b0 * S).T)
-
-
-def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> PosteriorMean:
-    """Posterior mean for exact (noiseless) products.
-
-    With zero observation noise the update interpolates: the returned
-    estimate satisfies ``B_m @ S = Y`` exactly, and reduces to
-
-        B_m = b0 I + (Y - b0 S) (S.T W S)^-1 S.T W,   W = w0 I,
-
-    which is the ``lam0 = 0`` case of the one update in ``infer_noisy``.
-    The probe columns must be linearly independent; the first dependent
-    column is reported by index.
-    """
-    if obs.m == 0:
-        return _empty_posterior(prior)
-    if np.any(obs.noise_diag != 0):
-        raise ValueError("noise-free update called with nonzero noise_diag")
-    if obs.n != prior.n:
-        raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
-    return _from_scratch(prior, 0.0, obs)
-
-
-def infer_noisy(prior: MatrixPrior, noise: NoiseModel, obs: ObservationSet) -> PosteriorMean:
-    """Posterior mean for noisy products, computed from scratch.
-
-    The correction solves the structured system
-
-        (W x S.T W S + Lam x noise_diag) vec X = vec(Y - b0 S)
-
-    where "x" couples row and column factors (row-major vectorization)
-    and (W, Lam) = (w0 I, lam0 I).  The row side is a pair of scaled
-    identities, so it collapses out and the system is one m x m SPD
-    solve:
-
-        X = Delta M^-1,   M = w0^2 S.T S + lam0 diag(noise_diag),
-
-    with ``Delta = Y - b0 S``; ``lam0 = 0`` is ``infer_noise_free``.  M is
-    factored by ``linalg.cholesky``, and a sub-threshold pivot
-    (``linalg.PIVOT_RTOL``) names the first dependent probe column.
-
-    The returned factors are ``A = w0 X`` and ``C = w0 S``, so that
-    ``b0 I + A C.T`` equals the posterior mean ``b0 I + W X S.T W``.
-    This is the reference form of the update, for a whole observation
-    set at once; the probing loop grows the same formula one probe at a
-    time in ``IncrementalPosterior``.
-    """
-    if noise.lam0 == 0:
-        return infer_noise_free(prior, obs)
-    if obs.m == 0:
-        return _empty_posterior(prior)
-    if obs.n != prior.n:
-        raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
-    if np.any(obs.noise_diag <= 0):
-        raise ValueError("noisy update requires strictly positive noise_diag entries")
-    return _from_scratch(prior, noise.lam0, obs)
-
-
 class IncrementalPosterior:
-    """The ``infer_noisy`` posterior, grown one probe at a time.
+    """The posterior mean ``b0 I + A C.T``, grown one probe at a time.
 
     Probe-major buffers of shape ``capacity x N`` hold the probes S and
     ``Delta = Y - b0 S`` one row per probe, so ``S[:m].T`` is the N x m
     probe matrix in Fortran order.  Beside them sit the m x m matrices
-    ``S.T S`` and ``S.T Delta``, the noise diagonal ``lam0 ||s_i||^2`` and
-    the Cholesky factor L of ``M = w0^2 S.T S + lam0 diag(noise)``.
+    ``S.T S`` and ``S.T Delta``, the noise diagonal and the Cholesky
+    factor L of ``M = w0^2 S.T S + lam0 diag(noise)``.
 
     The buffers are the posterior: the factors ``A = w0 Delta M^-1`` and
-    ``C = w0 S`` of ``b0 I + A C.T`` are not held.  ``add`` extends every
-    matrix with GEMVs against the new row (two passes over S, one over
-    Delta) and one row of L, in O(N m + m^3); ``solve`` works from the
-    m x m Woodbury capacitance in O(N m + m^3); ``grams`` serves rank
-    reduction with no N x m copy.  ``A``, ``C``, ``apply`` and ``dense``
-    form the factored ``PosteriorMean`` (``mean``) on each call.
+    ``C = w0 S`` are not held.  ``add`` extends every matrix with GEMVs
+    against the new row (two passes over S, one over Delta) and one row
+    of L, in O(N m + m^3); ``solve`` works from the m x m Woodbury
+    capacitance in O(N m + m^3); ``grams`` serves rank reduction with no
+    N x m copy.  ``A``, ``C``, ``apply`` and ``dense`` form the factors
+    on each read.
     """
 
     def __init__(self, prior: MatrixPrior, noise: NoiseModel, capacity: int):
@@ -272,8 +125,9 @@ class IncrementalPosterior:
     def n(self) -> int:
         return self.prior.n
 
-    def add(self, s, y):
-        """Absorb the probe ``s`` and its product ``y``.
+    def add(self, s, y, noise=None):
+        """Absorb the probe ``s`` and its product ``y``, with noise magnitude
+        ``noise`` (by default the law ``lam0 ||s||^2``).
 
         Raises ``ValueError``, and leaves every buffer as it was, when the
         pair is not finite or the probe's Cholesky pivot is sub-threshold.
@@ -287,7 +141,8 @@ class IncrementalPosterior:
             raise ValueError(f"probe column {k} or its product is not finite")
         delta = y - self.prior.b0 * s
         sts = np.append(self.S[:k] @ s, s @ s)
-        noise = self.lam0 * sts[k]
+        if noise is None:
+            noise = self.lam0 * sts[k]
         row = self.prior.w0 ** 2 * sts
         self.L[k, :k + 1] = cholesky_row(self.L[:k, :k], row[:k], row[k] + self.lam0 * noise)
         self.S[k], self.D[k], self.noise[k] = s, delta, noise
@@ -299,7 +154,8 @@ class IncrementalPosterior:
     def solve(self, v):
         """Solve ``(b0 I + A C.T) x = v`` through the capacitance ``b0 I + w0^2 S.T Delta M^-1``.
 
-        Raises ``SolveFailure`` when the capacitance is numerically singular.
+        Raises ``SolveFailure`` when b0 is not positive or the capacitance
+        is numerically singular.
         """
         b0, w0, k = self.prior.b0, self.prior.w0, self.m
         if not (np.isfinite(b0) and b0 > 0):
@@ -312,20 +168,25 @@ class IncrementalPosterior:
         t = solve_capacitance(cap, w0 * (self.S[:k] @ v))
         return (v - self.D[:k].T @ (w0 * cho_solve(L, t))) / b0
 
+    def _weights(self):
+        """``w0 M^-1``, whose transpose W makes ``A = Delta W``."""
+        k = self.m
+        return self.prior.w0 * cho_solve(self.L[:k, :k], np.eye(k))
+
     def grams(self):
         """``(A.T A, C.T C, X -> A X)`` for ``linalg.thin_svd_product``, without forming A or C.
 
-        With ``A = Delta W`` and ``W = w0 M^-T`` as ``mean`` forms it:
-        ``C.T C = w0^2 S.T S`` is held, ``A X = Delta (W X)`` is one GEMM,
-        and ``A.T A`` is summed over row blocks of A the size of one
-        N-vector.  ``W.T (Delta.T Delta) W`` would square Delta, whose
-        condition number reaches 1e5 on a noisy posterior, before W mixes
-        its columns: the leading singular values then moved by up to 3e-8
+        With ``A = Delta W`` and ``W = w0 M^-T``: ``C.T C = w0^2 S.T S`` is
+        held, ``A X = Delta (W X)`` is one GEMM, and ``A.T A`` is summed
+        over row blocks of A the size of one N-vector.
+        ``W.T (Delta.T Delta) W`` would square Delta, whose condition
+        number reaches 1e5 on a noisy posterior, before W mixes its
+        columns: the leading singular values then moved by up to 3e-8
         relative, against 2e-11 from A's own Gram matrix.
         """
         k, n = self.m, self.n
         D = self.D[:k]
-        W = self.prior.w0 * cho_solve(self.L[:k, :k], np.eye(k)).T
+        W = self._weights().T
         gram_a = np.zeros((k, k))
         rows = max(1, n // max(k, 1))
         for lo in range(0, n, rows):
@@ -333,29 +194,86 @@ class IncrementalPosterior:
             gram_a += block.T @ block
         return gram_a, self.prior.w0 ** 2 * self.StS[:k, :k], lambda X: D.T @ (W @ X)
 
-    def mean(self) -> PosteriorMean:
-        k = self.m
-        return _mean(self.prior, self.L[:k, :k], self.S[:k], self.D[:k])
-
     @property
     def A(self):
-        return self.mean().A
+        # one GEMM with the m x m inverse; a triangular solve against N
+        # right-hand sides is about ten times slower at N = 1e5
+        return (self._weights() @ self.D[:self.m]).T
 
     @property
     def C(self):
-        return self.mean().C
+        return (self.prior.w0 * self.S[:self.m]).T
 
     def apply(self, v):
-        return self.mean().apply(v)
+        """Matrix-vector product ``(b0 I + A C.T) v`` in O(N m)."""
+        v = np.asarray(v, dtype=float)
+        return self.prior.b0 * v + self.A @ (self.C.T @ v)
 
     def dense(self):
-        return self.mean().dense()
+        """Materialize the N x N estimate.  Test and toy-problem use only."""
+        return self.prior.b0 * np.eye(self.n) + self.A @ self.C.T
+
+
+def _fill(prior, lam0, obs):
+    post = IncrementalPosterior(prior, NoiseModel(lam0), obs.m)
+    for s, y, noise in zip(obs.S.T, obs.Y.T, obs.noise_diag):
+        post.add(s, y, noise)
+    return post
+
+
+def infer_noise_free(prior: MatrixPrior, obs: ObservationSet) -> IncrementalPosterior:
+    """Posterior mean for exact (noiseless) products.
+
+    With zero observation noise the update interpolates: the returned
+    estimate satisfies ``B_m @ S = Y`` exactly, and reduces to
+
+        B_m = b0 I + (Y - b0 S) (S.T W S)^-1 S.T W,   W = w0 I,
+
+    which is the ``lam0 = 0`` case of the one update in ``infer_noisy``.
+    The probe columns must be linearly independent; the first dependent
+    column is reported by index.
+    """
+    if np.any(obs.noise_diag != 0):
+        raise ValueError("noise-free update called with nonzero noise_diag")
+    if obs.n != prior.n:
+        raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
+    return _fill(prior, 0.0, obs)
+
+
+def infer_noisy(prior: MatrixPrior, noise: NoiseModel, obs: ObservationSet) -> IncrementalPosterior:
+    """Posterior mean for noisy products, over a whole observation set.
+
+    The correction solves the structured system
+
+        (W x S.T W S + Lam x noise_diag) vec X = vec(Y - b0 S)
+
+    where "x" couples row and column factors (row-major vectorization)
+    and (W, Lam) = (w0 I, lam0 I).  The row side is a pair of scaled
+    identities, so it collapses out and the system is one m x m SPD
+    solve:
+
+        X = Delta M^-1,   M = w0^2 S.T S + lam0 diag(noise_diag),
+
+    with ``Delta = Y - b0 S``; ``lam0 = 0`` is ``infer_noise_free``.  The
+    posterior mean is ``b0 I + A C.T`` with ``A = w0 X`` and ``C = w0 S``.
+    The columns go one at a time, with their ``noise_diag`` entries,
+    through ``IncrementalPosterior.add``, the update the probing loop
+    runs; a sub-threshold Cholesky pivot (``linalg.PIVOT_RTOL``) names the
+    first dependent probe column, and a non-finite column is rejected.
+    """
+    if noise.lam0 == 0:
+        return infer_noise_free(prior, obs)
+    if obs.n != prior.n:
+        raise ValueError(f"observation dimension {obs.n} does not match prior {prior.n}")
+    if np.any(obs.noise_diag <= 0):
+        raise ValueError("noisy update requires strictly positive noise_diag entries")
+    return _fill(prior, noise.lam0, obs)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def posterior_to_dict(post: PosteriorMean) -> dict:
+def posterior_to_dict(post: IncrementalPosterior) -> dict:
     return {
         "kind": "posterior_mean",
         "n": post.n,

@@ -163,9 +163,9 @@ def thin_svd_product(gram_a, gram_c, mul_a, keep=None):
     ``A`` and ``C`` are N x m with m <= N, and the caller passes what the
     method reads of them: the m x m Gram matrices ``gram_a = A.T A`` and
     ``gram_c = C.T C`` and a function ``mul_a`` with ``mul_a(X) = A @ X``
-    for an m x r matrix X.  A caller that holds the product in another
-    form, such as the probe buffers of ``inference.IncrementalPosterior``,
-    supplies these without forming A or C as N x m arrays.  The method is
+    for an m x r matrix X.  ``inference.IncrementalPosterior.grams``
+    supplies these from its probe buffers without forming A or C as
+    N x m arrays.  The method is
     CholeskyQR2 (Fukaya et al. 2014) applied as in randomized low-rank
     reduction (Halko, Martinsson & Tropp 2011):
 

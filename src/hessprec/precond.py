@@ -71,9 +71,8 @@ class Preconditioner:
 def reduce_rank(post, k: int) -> SpectralApprox:
     """Compress the posterior's low-rank part to its top-k left directions.
 
-    ``post`` is a ``PosteriorMean`` or the probing loop's
-    ``IncrementalPosterior``; its ``grams`` supplies the factors' m x m
-    Gram matrices and the product with A.  The thin SVD of ``A @ C.T``
+    ``post`` is an ``IncrementalPosterior``; its ``grams`` supplies the
+    factors' m x m Gram matrices and the product with A.  The thin SVD of ``A @ C.T``
     (``linalg.thin_svd_product``: no QR, the N x N product never
     formed) forms only the k leading left singular vectors, and they are
     kept with their values.  From the probe buffers that costs one

@@ -258,10 +258,9 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
 def next_direction(post, r):
     """Probe direction ``-B^-1 r`` for the current estimate B.
 
-    ``post`` is a ``PosteriorMean`` or the probing loop's
-    ``IncrementalPosterior``.  Falls back to the prior-scaled gradient
-    ``-r / b0`` (with a logged warning) when the low-rank solve fails
-    numerically.
+    ``post`` is an ``IncrementalPosterior``.  Falls back to the
+    prior-scaled gradient ``-r / b0`` (with a logged warning) when the
+    low-rank solve fails numerically.
     """
     r = np.asarray(r, dtype=float)
     if np.linalg.norm(r) == 0:
@@ -287,7 +286,7 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     posterior of the previous iteration is returned with a warning.  The
     returned ``IncrementalPosterior`` is the probe buffers themselves:
     rank reduction reads them directly, and its ``A``, ``C`` and
-    ``dense`` form the factored ``PosteriorMean`` only when read.
+    ``dense`` are formed only when read.
 
     Raises ``ConfigError`` before the first batch is drawn when
     ``settings.iterations`` exceeds ``oracle.dim``.

@@ -244,6 +244,22 @@ class TestRun:
         assert out.exists() and len(out.read_text().splitlines()) > 1
         assert "diverged=True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("problem, lr", [
+        (["--set", "problem.n_samples=400", "--set", "problem.input_dim=4",
+          "--set", "problem.n_features=12"], "1e6"),
+        (["--set", "problem.kind=mlp", "--set", "problem.n_samples=200",
+          "--set", "problem.input_dim=8", "--set", "problem.hidden=[8]"], "1e8"),
+    ], ids=["quadratic", "mlp"])
+    def test_diverging_run_raises_no_numpy_warning(self, tmp_path, capsys, problem, lr):
+        out = tmp_path / "div.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["run", *problem, "--optimizer", "sgd", "--lr", lr, "--steps", "50",
+                       "--batch-size", "32", "--out", str(out)])
+        assert rc == 2
+        assert out.read_text().splitlines()[-1].split(",")[2] == "nan"
+        assert "diverged=True" in capsys.readouterr().out
+
     def test_linalg_error_exits_2(self, tmp_path, monkeypatch, capsys):
         def singular(bundle, cfg):
             raise np.linalg.LinAlgError("Singular matrix")
@@ -331,6 +347,21 @@ class TestCompare:
         text = summary.read_text()
         assert "target train loss" in text and "avg_inv:" in text
         assert text in capsys.readouterr().out
+
+    def test_colliding_labels_exit_1_and_write_nothing(self, tmp_path, capsys):
+        # both runs would be labelled sgd[lr=0.1]: the label omits the batch size
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({
+            "base": {"optimizer": "sgd", "lr": 0.1, "steps": 4, "seed": 0,
+                     "problem": {"kind": "quadratic", "n_samples": 400,
+                                 "input_dim": 4, "n_features": 12}},
+            "runs": [{"batch_size": 16}, {"batch_size": 64}],
+        }))
+        out = tmp_path / "cmp.csv"
+        rc = main(["compare", "--config", str(cfg), "--out", str(out)])
+        assert rc == 1
+        assert "share the label 'sgd[lr=0.1]'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_exits_1(self, tmp_path, capsys):
         rc = main(["compare", "--out", str(tmp_path / "x.csv")])

@@ -10,7 +10,6 @@ from hessprec.inference import (
     MatrixPrior,
     NoiseModel,
     ObservationSet,
-    PosteriorMean,
     infer_noise_free,
     infer_noisy,
     posterior_to_dict,
@@ -27,17 +26,20 @@ def make_case(seed, n, m, noise_std=0.0):
     return B, S, Y
 
 
-def dense_posterior_mean(b0, w0, lam0, S, Y):
+def dense_posterior_mean(b0, w0, lam0, S, Y, noise_diag=None):
     """Reference by brute force: the full linear-Gaussian update on the
     n^2-dimensional flattened matrix, using explicit Kronecker blocks.
 
     Row-major flattening, observation operator I (x) S^T, prior
-    covariance w0^2 I, and per-column noise variance lam0^2 ||s_i||^2.
+    covariance w0^2 I, and per-column noise variance lam0 * noise_diag_i,
+    by default lam0^2 ||s_i||^2 (the law of ``ObservationSet.from_probes``).
     """
     n, m = S.shape
+    if noise_diag is None:
+        noise_diag = lam0 * np.sum(S * S, axis=0)
     H = np.kron(np.eye(n), S.T)
     P = w0 ** 2 * np.eye(n * n)
-    Ne = np.kron(np.eye(n), np.diag(lam0 ** 2 * np.sum(S * S, axis=0)))
+    Ne = np.kron(np.eye(n), np.diag(lam0 * noise_diag))
     m0 = b0 * np.eye(n).ravel()
     innov = Y.ravel() - H @ m0
     vec = m0 + P @ H.T @ np.linalg.solve(H @ P @ H.T + Ne, innov)
@@ -213,6 +215,27 @@ class TestNoisy:
             infer_noisy(MatrixPrior(1.0, 1.0, 3), NoiseModel(0.5),
                         ObservationSet(S=S, Y=S, noise_diag=np.zeros(1)))
 
+    def test_matches_kronecker_update_with_its_own_noise_diag(self):
+        # a noise diagonal off the lam0 ||s||^2 law reaches the update as given
+        b0, w0, lam0 = 0.7, 1.3, 0.25
+        B, S, Y = make_case(19, 8, 4, noise_std=0.1)
+        noise_diag = np.array([0.05, 3.0, 0.4, 12.0])
+        assert not np.allclose(noise_diag, lam0 * np.sum(S * S, axis=0))
+        post = infer_noisy(MatrixPrior(b0, w0, 8), NoiseModel(lam0),
+                           ObservationSet(S=S, Y=Y, noise_diag=noise_diag))
+        assert isinstance(post, IncrementalPosterior)
+        np.testing.assert_allclose(post.noise, noise_diag)
+        ref = dense_posterior_mean(b0, w0, lam0, S, Y, noise_diag)
+        assert rel_err(post.dense(), ref) <= 1e-10
+        assert rel_err(post.dense(), dense_posterior_mean(b0, w0, lam0, S, Y)) > 1e-3
+
+    def test_rejects_non_finite_product(self):
+        B, S, Y = make_case(24, 5, 2)
+        Y[3, 1] = np.nan
+        with pytest.raises(ValueError, match="column 1 or its product is not finite"):
+            infer_noisy(MatrixPrior(1.0, 1.0, 5), NoiseModel(0.5),
+                        ObservationSet.from_probes(S, Y, 0.5))
+
     def test_dimension_mismatch(self):
         S = np.ones((3, 1))
         with pytest.raises(ValueError, match="does not match prior"):
@@ -248,9 +271,7 @@ class TestIncrementalPosterior:
         for j in range(1, m + 1):
             state.add(S[:, j - 1], Y[:, j - 1])
             Sj, Yj = S[:, :j], Y[:, :j]
-            got = state.mean().dense()
-            scratch = infer_noisy(prior, noise, ObservationSet.from_probes(Sj, Yj, lam0))
-            assert rel_err(got, scratch.dense()) <= 1e-10
+            got = state.dense()
             assert rel_err(got, dense_posterior_mean(b0, w0, lam0, Sj, Yj)) <= 1e-10
             np.testing.assert_allclose(state.StS[:j, :j], Sj.T @ Sj, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(state.StD[:j, :j], Sj.T @ (Yj - b0 * Sj),
@@ -266,15 +287,14 @@ class TestIncrementalPosterior:
             state.add(S[:, j], Y[:, j])
         names = ("S", "D", "StS", "StD", "noise", "L")
         before = {name: getattr(state, name).tobytes() for name in names}
-        post = state.mean()
+        A, C = state.A, state.C
         with pytest.raises(ValueError, match="column 3 is linearly dependent"):
             state.add(S[:, 1], Y[:, 1])
         assert state.m == 3
         for name in names:
             assert getattr(state, name).tobytes() == before[name], name
-        again = state.mean()
-        assert again.A.tobytes() == post.A.tobytes()
-        assert again.C.tobytes() == post.C.tobytes()
+        assert state.A.tobytes() == A.tobytes()
+        assert state.C.tobytes() == C.tobytes()
 
     def test_rejects_non_finite_product(self):
         state = IncrementalPosterior(MatrixPrior(1.0, 1.0, 3), NoiseModel(0.1), capacity=2)
@@ -284,11 +304,13 @@ class TestIncrementalPosterior:
 
     def test_empty_state_is_prior(self):
         state = IncrementalPosterior(MatrixPrior(2.0, 1.0, 4), NoiseModel(0.5), capacity=3)
-        np.testing.assert_allclose(state.mean().dense(), 2.0 * np.eye(4))
+        np.testing.assert_allclose(state.dense(), 2.0 * np.eye(4))
         np.testing.assert_allclose(state.solve(np.arange(4.0)), 0.5 * np.arange(4.0))
 
 
 class TestPosteriorMean:
+    """``apply`` and ``solve`` of the posterior mean ``b0 I + A C.T``."""
+
     def test_apply_matches_dense(self):
         B, S, Y = make_case(20, 10, 4, noise_std=0.1)
         post = infer_noisy(MatrixPrior(0.6, 1.0, 10), NoiseModel(0.3),
@@ -304,14 +326,17 @@ class TestPosteriorMean:
         np.testing.assert_allclose(post.solve(post.apply(v)), v, atol=1e-9)
 
     def test_solve_refuses_non_positive_b0(self):
-        post = PosteriorMean(prior=MatrixPrior(b0=-1.0, w0=1.0, n=3),
-                             A=np.zeros((3, 0)), C=np.zeros((3, 0)))
+        S = np.eye(3)[:, :1]
+        post = infer_noisy(MatrixPrior(b0=-1.0, w0=1.0, n=3), NoiseModel(0.3),
+                           ObservationSet.from_probes(S, S, 0.3))
         with pytest.raises(SolveFailure, match="b0"):
             post.solve(np.ones(3))
 
     def test_empty_posterior_is_prior(self):
-        post = PosteriorMean(prior=MatrixPrior(b0=2.0, w0=1.0, n=4),
-                             A=np.zeros((4, 0)), C=np.zeros((4, 0)))
+        post = infer_noise_free(MatrixPrior(b0=2.0, w0=1.0, n=4), ObservationSet(
+            S=np.zeros((4, 0)), Y=np.zeros((4, 0)), noise_diag=np.zeros(0)))
+        assert isinstance(post, IncrementalPosterior)
+        assert post.A.shape == post.C.shape == (4, 0)
         v = np.arange(4.0)
         np.testing.assert_allclose(post.apply(v), 2.0 * v)
         np.testing.assert_allclose(post.solve(v), 0.5 * v)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hessprec.inference import MatrixPrior, PosteriorMean
 from hessprec.linalg import (
     GeneralizedEigenResult,
     SolveFailure,
@@ -23,28 +22,19 @@ def random_spd(rng, n, floor=0.1):
     return M @ M.T + floor * np.eye(n)
 
 
-class TestFactorPair:
-    """The factored pair ``A @ C.T`` is held and checked by ``PosteriorMean``."""
+class FactorPair:
+    """``A @ C.T`` held as explicit N x m factors, with the ``m`` and ``grams``
+    that ``reduce_rank`` reads of a posterior: the Gram matrices are formed
+    from A and C directly, as a reference for the probe buffers' own."""
 
-    @staticmethod
-    def make(A, C):
-        return PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=len(A)), A=A, C=C)
+    def __init__(self, A, C):
+        self.A, self.C = np.asarray(A, dtype=float), np.asarray(C, dtype=float)
+        assert self.A.ndim == 2 and self.A.shape == self.C.shape
+        self.m = self.A.shape[1]
 
-    def test_shapes_and_properties(self):
-        post = self.make(np.ones((5, 2)), np.zeros((5, 2)))
-        assert post.n == 5 and post.m == 2
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError, match="shapes differ"):
-            self.make(np.ones((5, 2)), np.ones((5, 3)))
-
-    def test_rejects_wide_factors(self):
-        with pytest.raises(ValueError, match="more columns"):
-            self.make(np.ones((2, 5)), np.ones((2, 5)))
-
-    def test_rejects_one_dimensional(self):
-        with pytest.raises(ValueError, match="two-dimensional"):
-            self.make(np.ones(5), np.ones(5))
+    def grams(self):
+        A = self.A
+        return A.T @ A, self.C.T @ self.C, lambda X: A @ X
 
 
 class TestSymEig:
@@ -134,8 +124,8 @@ class TestGeneralizedEig:
 
 
 def svd_of(A, C, keep=None):
-    """``thin_svd_product`` of ``A @ C.T``, given what ``PosteriorMean.grams`` reads of the pair."""
-    return thin_svd_product(*TestFactorPair.make(A, C).grams(), keep=keep)
+    """``thin_svd_product`` of ``A @ C.T``, given the pair's explicit Gram matrices."""
+    return thin_svd_product(*FactorPair(A, C).grams(), keep=keep)
 
 
 class TestThinSvdProduct:

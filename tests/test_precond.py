@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hessprec.harness import construct_preconditioner
-from hessprec.inference import MatrixPrior, PosteriorMean
+from hessprec.inference import MatrixPrior, ObservationSet, infer_noise_free
 from hessprec.precond import (
     Preconditioner,
     SpectralApprox,
@@ -18,6 +18,7 @@ from hessprec.precond import (
 from hessprec.problems import QuadraticProblem, batch_oracle
 from hessprec.solver import (HessianOracle, SolverConfig, SolverSettings, estimate_parameters,
                              run_inference)
+from tests.test_linalg import FactorPair
 from tests.test_solver import MatrixOracle
 
 
@@ -65,8 +66,7 @@ class TestReduceRank:
     def test_rank_one_unit_vector(self):
         q = np.zeros(6)
         q[2] = 1.0
-        post = PosteriorMean(prior=MatrixPrior(b0=0.7, w0=1.0, n=6),
-                             A=q[:, None], C=q[:, None])
+        post = FactorPair(q[:, None], q[:, None])
         sp = reduce_rank(post, 1)
         assert sp.k == 1
         np.testing.assert_allclose(sp.sigma, [1.0], atol=1e-12)
@@ -76,7 +76,7 @@ class TestReduceRank:
         rng = np.random.default_rng(0)
         A = rng.standard_normal((12, 4))
         C = rng.standard_normal((12, 4))
-        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=12), A=A, C=C)
+        post = FactorPair(A, C)
         sp = reduce_rank(post, 4)
         u_ref, s_ref, _ = np.linalg.svd(A @ C.T)
         np.testing.assert_allclose(sp.sigma, s_ref[:4], atol=1e-10)
@@ -100,7 +100,7 @@ class TestReduceRank:
         a = rng.standard_normal((8, 1))
         A = np.concatenate([a, a], axis=1)  # rank 1
         C = rng.standard_normal((8, 2))
-        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=8), A=A, C=C)
+        post = FactorPair(A, C)
         with caplog.at_level(logging.WARNING, logger="hessprec.precond"):
             sp = reduce_rank(post, 2)
         assert sp.k == 1
@@ -108,14 +108,12 @@ class TestReduceRank:
 
     def test_kept_directions_are_c_contiguous(self):
         rng = np.random.default_rng(4)
-        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=30),
-                             A=rng.standard_normal((30, 8)), C=rng.standard_normal((30, 8)))
+        post = FactorPair(rng.standard_normal((30, 8)), rng.standard_normal((30, 8)))
         for k in (3, 8):
             assert reduce_rank(post, k).U.flags.c_contiguous
 
     def test_rank_bounds(self):
-        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=4),
-                             A=np.eye(4)[:, :2], C=np.eye(4)[:, :2])
+        post = FactorPair(np.eye(4)[:, :2], np.eye(4)[:, :2])
         with pytest.raises(ValueError, match="rank k"):
             reduce_rank(post, 0)
         with pytest.raises(ValueError, match="rank k"):
@@ -129,10 +127,9 @@ class TestReduceRank:
         B, Q = spd_with_spectrum(rng, vals)
         S = Q[:, :3] @ rng.standard_normal((3, 3))  # spans top-3 eigenspace
         Y = B @ S
-        from hessprec.inference import ObservationSet, infer_noise_free
         post = infer_noise_free(MatrixPrior(b0=0.5, w0=1.0, n=9),
                                 ObservationSet.from_probes(S, Y, 0.0))
-        swapped = PosteriorMean(prior=post.prior, A=post.C, C=post.A)
+        swapped = FactorPair(post.C, post.A)
         sp1 = reduce_rank(post, 3)
         sp2 = reduce_rank(swapped, 3)
         cosines = np.linalg.svd(sp1.U.T @ sp2.U, compute_uv=False)
@@ -202,7 +199,7 @@ class RejectingOracle(NoisyDiagonalOracle):
 
 class TestReduceRankFromProbeBuffers:
     """``reduce_rank`` of the probing loop's posterior reads its buffers, and
-    agrees with ``reduce_rank`` of the factored ``PosteriorMean`` it stands for."""
+    agrees with ``reduce_rank`` of the explicit factors it stands for."""
 
     @pytest.mark.parametrize("seed, reject", [(0, None), (1, None), (2, 11)])
     def test_matches_factored_form(self, seed, reject):
@@ -217,7 +214,7 @@ class TestReduceRankFromProbeBuffers:
         assert post.m == (m if reject is None else reject - 1)
         k = min(16, post.m)
         sp = reduce_rank(post, k)
-        ref = reduce_rank(post.mean(), k)
+        ref = reduce_rank(FactorPair(post.A, post.C), k)
         np.testing.assert_allclose(sp.sigma, ref.sigma, rtol=1e-10, atol=0)
         cosines = np.linalg.svd(sp.U.T @ ref.U, compute_uv=False)
         assert cosines.min() >= 1 - 1e-8

@@ -3,13 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from hessprec.inference import (
-    MatrixPrior,
-    NoiseModel,
-    ObservationSet,
-    PosteriorMean,
-    infer_noisy,
-)
+from hessprec.inference import IncrementalPosterior, MatrixPrior, ObservationSet, infer_noise_free
 from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
     LogisticOracle,
@@ -28,6 +22,7 @@ from hessprec.solver import (
     next_direction,
     run_inference,
 )
+from tests.test_inference import dense_posterior_mean
 
 
 def dataset_oracle(kind, n_data, batch_size, seed):
@@ -190,26 +185,26 @@ class TestNextDirection:
     def test_descent_direction_from_posterior(self):
         rng = np.random.default_rng(0)
         B = spd_matrix(rng, 8)
-        # posterior that is exactly B: b0 I + (B - b0 I) as a full-rank pair
-        b0 = 1.0
-        post = PosteriorMean(prior=MatrixPrior(b0=b0, w0=1.0, n=8),
-                             A=B - b0 * np.eye(8), C=np.eye(8))
+        # exact products along all of I interpolate to B itself
+        post = infer_noise_free(MatrixPrior(b0=1.0, w0=1.0, n=8),
+                                ObservationSet.from_probes(np.eye(8), B, 0.0))
         r = rng.standard_normal(8)
         s = next_direction(post, r)
         np.testing.assert_allclose(s, -np.linalg.solve(B, r), atol=1e-9)
 
     def test_zero_residual_rejected(self):
-        post = PosteriorMean(prior=MatrixPrior(b0=1.0, w0=1.0, n=3),
-                             A=np.zeros((3, 0)), C=np.zeros((3, 0)))
+        post = infer_noise_free(MatrixPrior(b0=1.0, w0=1.0, n=3), ObservationSet(
+            S=np.zeros((3, 0)), Y=np.zeros((3, 0)), noise_diag=np.zeros(0)))
         with pytest.raises(ValueError, match="residual is zero"):
             next_direction(post, np.zeros(3))
 
     def test_solve_failure_falls_back_to_scaled_gradient(self, caplog):
-        # factors chosen so the capacitance system is exactly singular
-        u = np.array([[1.0], [2.0], [2.0]])
+        # a zero product along s gives b0 (I - s s.T / ||s||^2), singular along
+        # s, and the capacitance b0 + s.T (0 - b0 s) / ||s||^2 is exactly zero
+        s = np.array([[1.0], [2.0], [2.0]])
         b0 = 1.5
-        post = PosteriorMean(prior=MatrixPrior(b0=b0, w0=1.0, n=3),
-                             A=u, C=-(b0 / 9.0) * u)
+        post = infer_noise_free(MatrixPrior(b0=b0, w0=1.0, n=3),
+                                ObservationSet.from_probes(s, np.zeros_like(s), 0.0))
         r = np.array([1.0, -1.0, 0.5])
         with caplog.at_level(logging.WARNING, logger="hessprec.solver"):
             s = next_direction(post, r)
@@ -349,12 +344,10 @@ class TestRunInference:
             oracle.hvp = recording_hvp
             post = run_inference(oracle, np.zeros(10), est,
                                  SolverConfig(iterations=iters, init_samples=3))
-            assert post.m == iters
-            prior = MatrixPrior(est.b0, est.w0, 10)
-            ref = infer_noisy(prior, NoiseModel(est.lam0), ObservationSet.from_probes(
-                np.column_stack(probes), np.column_stack(products), est.lam0))
-            err = np.linalg.norm(post.dense() - ref.dense()) / np.linalg.norm(ref.dense())
-            assert err <= 1e-10
+            assert isinstance(post, IncrementalPosterior) and post.m == iters
+            ref = dense_posterior_mean(est.b0, est.w0, est.lam0,
+                                       np.column_stack(probes), np.column_stack(products))
+            assert np.linalg.norm(post.dense() - ref) / np.linalg.norm(ref) <= 1e-10
 
     def test_rejects_more_iterations_than_dimensions_before_drawing(self):
         rng = np.random.default_rng(7)
