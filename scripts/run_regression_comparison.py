@@ -26,13 +26,19 @@ from hessprec.harness import (
     compare,
     write_comparison_csv,
 )
+from hessprec.problems import n_monomials
 
 
 def head_tail_scales(head_hi=3e5, head_lo=1e4, lam_tail=0.1, d=21):
     """Feature scales: 16 leading directions between the two head values,
-    the rest moment-corrected to a flat bulk eigenvalue ``lam_tail``."""
-    n_feat = d + d * (d + 1) // 2 + 1
-    second = np.ones(n_feat)
+    the rest moment-corrected to a flat bulk eigenvalue ``lam_tail``.
+
+    The bulk scales correct for each monomial's second moment (squares 3,
+    cross terms 1, squared norm 2d + d^2) so the bulk eigenvalues land
+    together; the first 16 monomials are linear coordinates with unit
+    second moment, so their scales are the target eigenvalue roots.
+    """
+    second = np.ones(n_monomials(d))
     iu, ju = np.triu_indices(d)
     second[d:d + iu.size] = np.where(iu == ju, 3.0, 1.0)
     second[-1] = 2 * d + d * d

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-Subcommands: ``gen-data`` (write synthetic datasets), ``estimate``
+Subcommands: ``gen-data`` (write the problem block's dataset), ``estimate``
 (scale/noise parameter estimates from minibatches), ``solve`` (run the
 active probing loop and save the posterior), ``precond`` (build and save
 a pre-conditioner), ``run`` (one optimizer run -> CSV), ``compare``
@@ -21,10 +21,10 @@ from . import data as datagen
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ProblemConfig,
     build_problem,
     compare,
     construct_preconditioner,
+    dataset,
     run_experiment,
     write_comparison_csv,
     write_run_csv,
@@ -32,7 +32,6 @@ from .harness import (
 from .inference import posterior_to_dict
 from .linalg import SolveFailure
 from .precond import precond_to_dict
-from .problems import n_monomials
 from .solver import EstimationError, estimate_parameters, run_inference
 
 
@@ -111,10 +110,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _add_config_flags(p, timing=False):
+def _add_config_file_flags(p):
     p.add_argument("--config", help="JSON experiment config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a config entry, e.g. --set problem.n_samples=4096")
+
+
+def _add_config_flags(p, timing=False):
+    _add_config_file_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     if timing:
@@ -123,21 +126,7 @@ def _add_config_flags(p, timing=False):
 
 
 def _cmd_gen_data(args):
-    # the values pass ProblemConfig's checks, the same as a run's problem block
-    if args.kind == "regression":
-        d = 21 if args.input_dim is None else args.input_dim
-        q = min(253, n_monomials(d)) if args.n_features is None else args.n_features
-        p = ProblemConfig(n_samples=args.n_samples, input_dim=d, n_features=q, noise=args.noise,
-                          data_seed=args.seed)
-        X, y = datagen.gen_regression(p.data_seed, p.n_samples, input_dim=p.input_dim,
-                                      n_features=p.n_features, noise=p.noise)
-    else:
-        d = 20 if args.input_dim is None else args.input_dim
-        p = ProblemConfig(kind="mlp", n_samples=args.n_samples, input_dim=d,
-                          n_classes=args.n_classes, separation=args.separation,
-                          data_seed=args.seed)
-        X, y = datagen.gen_blobs(p.data_seed, p.n_samples, input_dim=p.input_dim,
-                                 n_classes=p.n_classes, separation=p.separation)
+    X, y = dataset(_config_from_args(args).problem)
     datagen.write_dataset(args.out, X, y)
     print(f"wrote {X.shape[0]} samples x {X.shape[1]} features to {args.out}")
     return 0
@@ -235,18 +224,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen-data", help="generate a synthetic dataset CSV")
-    p.add_argument("--kind", required=True,
-                   choices=("regression", "blobs"))
+    p = sub.add_parser("gen-data", help="write the problem block's dataset as a CSV")
+    _add_config_file_flags(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-samples", dest="n_samples", type=int, required=True)
-    p.add_argument("--input-dim", dest="input_dim", type=int)
-    p.add_argument("--n-features", dest="n_features", type=int,
-                   help="regression only: number of distinct monomials the truth uses")
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--n-classes", dest="n_classes", type=int, default=10)
-    p.add_argument("--separation", type=float, default=3.0)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("estimate", help="estimate scale/noise parameters")
@@ -274,8 +254,7 @@ def build_parser():
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="run several optimizers on one problem")
-    p.add_argument("--config", required=False)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE")
+    _add_config_file_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--summary", help="write the text summary here as well")

@@ -196,25 +196,34 @@ def write_comparison_csv(path, labeled_records):
 # ---------------------------------------------------------------------------
 # problem bundles
 
-def _load_dataset(pc: ProblemConfig, generate):
-    """``(X, labels)`` read from ``pc.data``, or else ``generate()``'s synthetic set."""
+def dataset(pc: ProblemConfig):
+    """The problem block's ``(X, targets)``: ``pc.data`` read and checked, or else
+    the synthetic set that ``pc.data_seed`` and the block's sizes generate."""
     if pc.data is None:
-        return generate()
+        if pc.kind == "quadratic":
+            return datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
+                                          pc.n_features, pc.noise, pc.signal_dim, pc.equal_coef)
+        return datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes,
+                                 pc.separation)
     X, y = datagen.read_dataset(pc.data)
     if X.shape[1] != pc.input_dim:
         raise ConfigError(
-            f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}"
-        )
-    return X, y
+            f"dataset {pc.data} has {X.shape[1]} features, config says {pc.input_dim}")
+    if pc.kind == "quadratic":
+        return X, y
+    # a negative label would wrap in the one-hot index, a large one escape it
+    bad = (y != np.round(y)) | (y < 0) | (y >= pc.n_classes)
+    if np.any(bad):
+        raise ConfigError(f"dataset {pc.data} has label {y[bad][0]:g}; "
+                          f"labels must be integers in [0, {pc.n_classes})")
+    return X, y.astype(int)
 
 
 class QuadraticBundle:
     kind = "quadratic"
 
     def __init__(self, pc: ProblemConfig):
-        X, y = _load_dataset(pc, lambda: datagen.gen_regression(
-            pc.data_seed, pc.n_samples, pc.input_dim, pc.n_features, pc.noise,
-            pc.signal_dim, pc.equal_coef))
+        X, y = dataset(pc)
         spec = FeatureMapSpec(pc.input_dim, pc.scale_vector())
         Phi = polynomial_features(X, spec).T  # features x samples
         tr, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
@@ -258,17 +267,7 @@ class MLPBundle:
     kind = "mlp"
 
     def __init__(self, pc: ProblemConfig):
-        X, targets = _load_dataset(pc, lambda: datagen.gen_blobs(
-            pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes, pc.separation))
-        if pc.data is not None:
-            # a negative label would wrap in the one-hot index, a large one escape it
-            bad = (targets != np.round(targets)) | (targets < 0) | (targets >= pc.n_classes)
-            if np.any(bad):
-                raise ConfigError(
-                    f"dataset {pc.data} has label {targets[bad][0]:g}; "
-                    f"labels must be integers in [0, {pc.n_classes})"
-                )
-            targets = targets.astype(int)
+        X, targets = dataset(pc)
         tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
         self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=pc.reg)
         self._train = (X[tr], targets[tr])
@@ -366,6 +365,7 @@ def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     return run_sgd_lanes(bundle, [cfg])[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
 def run_sgd_lanes(bundle, cfgs) -> list:
     """Plain fixed-step SGD runs stepped together on one batch stream.
 
@@ -428,6 +428,7 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     return precond, lr, post, est
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
 def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     """SGD behind the curvature-adapted pre-conditioner.
 

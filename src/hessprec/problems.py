@@ -330,8 +330,9 @@ def logistic_oracle(problem: LogisticProblem, batch_size: int, seed: int) -> Log
 def avg_inv_baseline(oracle: QuadraticOracle, n_batches: int, callback=None):
     """Average of per-batch ridge solutions on ``oracle``'s batch stream.
 
-    Each batch solves its own normal equations exactly (through the
-    inversion lemma, so only a batch-sized system is factorized) and the
+    Each batch solves its own normal equations exactly, through the
+    inversion lemma when the batch is no larger than the feature count,
+    else (as in the paper's batch 256 on 253 features) densely, and the
     w estimates are averaged.  The per-batch inverse is biased for the
     inverse of the averaged curvature, which is the point of comparing
     against it.  Numerically failing batches are skipped with a warning,

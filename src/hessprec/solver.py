@@ -218,8 +218,8 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
     Raises
     ------
     EstimationError
-        If the mean gradient is zero, or the curvature along it is not
-        positive (retry with fresh batches in that case).
+        If the mean gradient is zero, the curvature along it is not
+        positive, or a scale overflows (retry with fresh batches then).
     """
     if init_samples < 2:
         raise ValueError(f"need at least 2 samples to estimate scales, got {init_samples}")
@@ -232,26 +232,30 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
     s = gbar
     ys = np.stack([oracle.hvp(w, s, b) for b in batches])
     ybar = ys.mean(axis=0)
-    sty = float(s @ ybar)
-    if not np.isfinite(sty) or sty <= 0:
-        raise EstimationError(
-            f"curvature along the mean gradient is not positive (s.y = {sty:.3e}); "
-            "retry with fresh batches"
-        )
-    sts = float(s @ s)
-    yty = float(ybar @ ybar)
-    w0 = sty / sts
-    n = s.size
-    if mode == "full":
-        b0 = np.sqrt(yty / sty)
-        per_coord_var = grads.var(axis=0)  # population (plug-in) variance
-        lam0 = float(np.median(per_coord_var)) / np.sqrt(sts)
-    elif mode == "scalar":
-        b0 = yty / sty
-        mean_sq = float(np.mean(np.sum(grads * grads, axis=1)))
-        lam0 = np.sqrt(max(0.0, mean_sq - float(gbar @ gbar)) / n)
-    else:
-        raise ValueError(f"mode must be 'full' or 'scalar', got {mode!r}")
+    # an overflowing product gives an inf scale, which is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sty = float(s @ ybar)
+        if not np.isfinite(sty) or sty <= 0:
+            raise EstimationError(
+                f"curvature along the mean gradient is not positive (s.y = {sty:.3e}); "
+                "retry with fresh batches"
+            )
+        sts = float(s @ s)
+        yty = float(ybar @ ybar)
+        w0 = sty / sts
+        if mode == "full":
+            b0 = np.sqrt(yty / sty)
+            per_coord_var = grads.var(axis=0)  # population (plug-in) variance
+            lam0 = float(np.median(per_coord_var)) / np.sqrt(sts)
+        elif mode == "scalar":
+            b0 = yty / sty
+            mean_sq = float(np.mean(np.sum(grads * grads, axis=1)))
+            lam0 = np.sqrt(max(0.0, mean_sq - float(gbar @ gbar)) / s.size)
+        else:
+            raise ValueError(f"mode must be 'full' or 'scalar', got {mode!r}")
+    if not (np.all(np.isfinite([b0, w0, lam0])) and b0 > 0 and w0 > 0):
+        raise EstimationError(f"scale estimates are not usable (b0={b0:.3e}, w0={w0:.3e}, "
+                              f"lam0={lam0:.3e}); retry with fresh batches")
     return PriorEstimates(b0=float(b0), w0=float(w0), lam0=float(lam0), mean_grad=gbar)
 
 

@@ -6,6 +6,8 @@ suite doubles as a human-readable scorecard.  The experiment criteria
 (07, 09) run the full seeded repetitions and are the slowest part; the
 whole file stays well inside the stated runtime budgets on a laptop.
 """
+import importlib.util
+import pathlib
 import time
 
 import numpy as np
@@ -13,8 +15,6 @@ import numpy as np
 from hessprec.cli import main as cli_main
 from hessprec.data import gen_blobs, gen_classification
 from hessprec.harness import (
-    ExperimentConfig,
-    ProblemConfig,
     QuadraticBundle,
     SolverSettings,
     compare,
@@ -215,31 +215,18 @@ def test_criterion_06_hvp_matches_central_differences():
 
 # --- the ill-conditioned regression comparison (criterion 7) ---------------
 
-def _head_tail_scales(head_hi, head_lo, lam_tail, d=21):
-    """Per-feature scales giving 16 leading curvature directions spread
-    between ``head_hi`` and ``head_lo`` and a flat bulk at ``lam_tail``.
-
-    The bulk scales correct for each monomial's second moment (squares 3,
-    cross terms 1, squared norm 2d + d^2) so the bulk eigenvalues land
-    together; the first 16 monomials are linear coordinates with unit
-    second moment, so their scales are the target eigenvalue roots.
-    """
-    n_feat = d + d * (d + 1) // 2 + 1
-    second = np.ones(n_feat)
-    iu, ju = np.triu_indices(d)
-    second[d:d + iu.size] = np.where(iu == ju, 3.0, 1.0)
-    second[-1] = 2 * d + d * d
-    s = np.sqrt(lam_tail / second)
-    s[:16] = np.sqrt(np.logspace(np.log10(head_hi), np.log10(head_lo), 16))
-    return tuple(map(float, s))
+def _load_script(name):
+    """The experiment script ``scripts/<name>.py`` as a module."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"acceptance_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _regression_comparison_problem(seed):
-    return ProblemConfig(kind="quadratic", n_samples=20000, input_dim=21,
-                         n_features=253, alpha_reg=5e-5, noise=1.0,
-                         signal_dim=16, equal_coef=True,
-                         scales=_head_tail_scales(3e5, 1e4, 0.1),
-                         test_fraction=0.2, data_seed=seed)
+# criteria 07-09 run the paper's two experiments exactly as the scripts define them
+REGRESSION = _load_script("run_regression_comparison")
+MLP_SWEEP = _load_script("run_mlp_lr_sweep")
 
 
 def _run_regression_comparison(seed):
@@ -248,24 +235,12 @@ def _run_regression_comparison(seed):
     Returns a dict with the per-optimizer read counts and final losses
     needed by the acceptance clauses.
     """
-    pc = _regression_comparison_problem(seed)
+    pc = REGRESSION.problem_config(seed)
     bundle = QuadraticBundle(pc)
     _, star = bundle.optimum()
     init = bundle.train_loss(np.zeros(bundle.dim))
     target = star + 0.01 * (init - star)
-    solver = SolverSettings(iterations=16, init_samples=5, rank=16)
-    runs = [ExperimentConfig(problem=pc, optimizer="sgd", lr=4e-8 * 10 ** i,
-                             batch_size=256, steps=12000, record_every=500,
-                             seed=seed, target_loss=target) for i in range(5)]
-    runs.append(ExperimentConfig(problem=pc, optimizer="precond_sgd", lr=2e-4,
-                                 batch_size=256, steps=2200, record_every=25,
-                                 solver=solver, seed=seed, target_loss=target))
-    runs.append(ExperimentConfig(problem=pc, optimizer="avg_inv", batch_size=256,
-                                 steps=900, record_every=20, seed=seed,
-                                 target_loss=target))
-    runs.append(ExperimentConfig(problem=pc, optimizer="cg", batch_size=256,
-                                 steps=20, record_every=1, seed=seed,
-                                 target_loss=target))
+    runs = REGRESSION.build_runs(pc, seed, target)
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compare(runs)
     by_label = {}
@@ -301,7 +276,7 @@ def test_criterion_07_regression_comparison_orderings():
     kappa_ok = True
     for seed in range(5):
         lam = np.linalg.eigvalsh(QuadraticBundle(
-            _regression_comparison_problem(seed)).problem.hessian())
+            REGRESSION.problem_config(seed)).problem.hessian())
         kappa_ok = kappa_ok and lam[-1] / lam[0] >= 1e4
         r = _run_regression_comparison(seed)
         reached = r["pre_to_target"] is not None and not r["pre_diverged"]
@@ -317,7 +292,7 @@ def test_criterion_07_regression_comparison_orderings():
 
 
 def test_criterion_08_construction_cost_accounting():
-    pc = _regression_comparison_problem(0)
+    pc = REGRESSION.problem_config(0)
     bundle = QuadraticBundle(pc)
     ok, detail = True, []
     for init_samples in (5, 8):
@@ -335,18 +310,7 @@ def test_criterion_08_construction_cost_accounting():
 # --- scalar-mode step-length robustness on the little network (criterion 9) -
 
 def _run_mlp_lr_sweep(seed):
-    pc = ProblemConfig(kind="mlp", n_samples=4096, input_dim=20, n_classes=10,
-                       separation=3.0, hidden=(32, 16), test_fraction=0.2,
-                       data_seed=seed)
-    grid = np.logspace(-3.5, -1.5, 5)
-    runs = [ExperimentConfig(problem=pc, optimizer="sgd", lr=float(lr),
-                             batch_size=128, epochs=20.0, record_every=50,
-                             seed=seed) for lr in grid]
-    scalar = SolverSettings(mode="scalar", init_samples=6)
-    runs += [ExperimentConfig(problem=pc, optimizer="precond_sgd", lr=float(lr),
-                              batch_size=128, epochs=20.0, rebuild_every=1,
-                              warmup=True, record_every=50, seed=seed,
-                              solver=scalar) for lr in grid]
+    runs = MLP_SWEEP.build_runs(seed, np.logspace(-3.5, -1.5, 5), 20.0)
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compare(runs)
     sgd = [s.final_train_loss for s in comp.summaries if s.label.startswith("sgd")]

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -62,29 +63,60 @@ class TestSetParsing:
 
 
 class TestGenData:
-    def test_regression_default_feature_clamp(self, tmp_path, capsys):
+    def test_regression_features_past_the_monomials_exit_1(self, tmp_path, capsys):
         out = tmp_path / "reg.csv"
-        rc = main(["gen-data", "--kind", "regression", "--out", str(out),
-                   "--n-samples", "50", "--input-dim", "3"])
-        assert rc == 0
+        args = ["gen-data", "--out", str(out), "--set", "problem.n_samples=50",
+                "--set", "problem.input_dim=3"]
+        # the default n_features (253) exceeds the 10 monomials of 3 inputs, as in a run
+        assert main(args) == 1
+        assert "only 10 distinct monomials exist, need 253" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(args + ["--set", "problem.n_features=10"]) == 0
         X, y = read_dataset(out)
         assert X.shape == (50, 3) and y.shape == (50,)
         assert "50 samples x 3 features" in capsys.readouterr().out
 
     def test_blobs(self, tmp_path):
         out = tmp_path / "blobs.csv"
-        rc = main(["gen-data", "--kind", "blobs", "--out", str(out),
-                   "--n-samples", "60", "--input-dim", "5",
-                   "--n-classes", "4", "--seed", "2"])
+        rc = main(["gen-data", "--out", str(out), "--set", "problem.kind=mlp",
+                   "--set", "problem.n_samples=60", "--set", "problem.input_dim=5",
+                   "--set", "problem.n_classes=4", "--set", "problem.data_seed=2"])
         assert rc == 0
         X, labels = read_dataset(out)
         assert X.shape == (60, 5)
         assert set(labels.astype(int)) <= set(range(4))
 
     def test_unknown_kind_is_usage_error(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["gen-data", "--kind", "spirals", "--out",
-                  str(tmp_path / "x.csv"), "--n-samples", "10"])
+        out = tmp_path / "x.csv"
+        rc = main(["gen-data", "--out", str(out), "--set", "problem.kind=spirals",
+                   "--set", "problem.n_samples=10"])
+        assert rc == 1
+        assert "unknown problem kind" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem", [
+        ["--set", "problem.n_samples=400", "--set", "problem.input_dim=4",
+         "--set", "problem.n_features=12", "--set", "problem.signal_dim=4",
+         "--set", "problem.equal_coef=true", "--set", "problem.data_seed=3"],
+        ["--set", "problem.kind=mlp", "--set", "problem.n_samples=200",
+         "--set", "problem.input_dim=6", "--set", "problem.n_classes=3",
+         "--set", "problem.hidden=[5]", "--set", "problem.data_seed=3"],
+    ], ids=["quadratic", "mlp"])
+    def test_run_on_the_written_dataset_matches_the_synthetic_run(self, tmp_path, capsys,
+                                                                   problem):
+        data = tmp_path / "data.csv"
+        assert main(["gen-data", *problem, "--out", str(data)]) == 0
+        run = ["run", *problem, "--optimizer", "sgd", "--lr", "0.01", "--steps", "8",
+               "--batch-size", "32", "--set", "record_every=2"]
+        assert main(run + ["--out", str(tmp_path / "synthetic.csv")]) == 0
+        assert main(run + ["--set", f'problem.data="{data}"',
+                           "--out", str(tmp_path / "read.csv")]) == 0
+        assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "synthetic.csv").read_bytes()
+        # a dataset named in the block is checked and written back unchanged
+        copy = tmp_path / "copy.csv"
+        assert main(["gen-data", *problem, "--set", f'problem.data="{data}"',
+                     "--out", str(copy)]) == 0
+        assert copy.read_bytes() == data.read_bytes()
         capsys.readouterr()
 
 
@@ -116,6 +148,17 @@ class TestEstimate:
                    "--batch-size", "50"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_overflowing_scale_is_numerical_failure(self, capsys):
+        # y.y overflows to inf while s.y stays finite
+        scales = "[" + ",".join(["1e60"] * 12) + "]"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["estimate", *SMALL[:6], "--set", f"problem.scales={scales}",
+                       "--batch-size", "32"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: scale estimates are not usable (b0=inf" in err
 
 
 class TestSolve:
@@ -381,9 +424,9 @@ class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "reg.csv"
         proc = subprocess.run(
-            [sys.executable, "-m", "hessprec", "gen-data", "--kind",
-             "regression", "--out", str(out), "--n-samples", "30",
-             "--input-dim", "3"],
+            [sys.executable, "-m", "hessprec", "gen-data", "--out", str(out),
+             "--set", "problem.n_samples=30", "--set", "problem.input_dim=3",
+             "--set", "problem.n_features=10"],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -435,16 +478,14 @@ BAD_INPUTS = {
                      None),
     "compare-targets-differ": ("compare", [], {"base": {}, "runs": [{"target_loss": 1e-12},
                                                                  {"target_loss": 1e9}]}),
-    "gen-data-separation-nan": ("gen-data", ["--kind", "blobs", "--n-samples", "20",
-                                             "--separation", "nan"], None),
-    "gen-data-noise-nan": ("gen-data", ["--kind", "regression", "--n-samples", "20",
-                                        "--noise", "nan"], None),
-    "gen-data-noise-negative": ("gen-data", ["--kind", "regression", "--n-samples", "20",
-                                             "--noise", "-0.5"], None),
-    "gen-data-input-dim-zero": ("gen-data", ["--kind", "blobs", "--n-samples", "20",
-                                             "--input-dim", "0"], None),
-    "gen-data-seed-negative": ("gen-data", ["--kind", "blobs", "--n-samples", "10",
-                                            "--seed", "-1"], None),
+    "gen-data-separation-nan": ("gen-data", ["--set", "problem.kind=mlp",
+                                             "--set", "problem.separation=NaN"], None),
+    "gen-data-noise-nan": ("gen-data", ["--set", "problem.noise=NaN"], None),
+    "gen-data-noise-negative": ("gen-data", ["--set", "problem.noise=-0.5"], None),
+    "gen-data-input-dim-zero": ("gen-data", ["--set", "problem.kind=mlp",
+                                             "--set", "problem.input_dim=0"], None),
+    "gen-data-seed-negative": ("gen-data", ["--set", "problem.kind=mlp",
+                                            "--set", "problem.data_seed=-1"], None),
     "data-seed-negative": ("run", ["--set", "problem.data_seed=-1"], None),
     # the test writes header-only.csv, a header with no rows, in the working directory
     "dataset-header-only": ("run", ["--set", "problem.data=header-only.csv",
@@ -550,5 +591,10 @@ def test_any_value_in_one_field_exits_cleanly(field, value):
         with open(f"{tmp}/cfg.json", "w") as fh:
             json.dump(payload, fh)
         rc = main(["run", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/out.csv"])
+        # gen-data reads the same problem block, and may fail only as a config error
+        if block == ["problem"]:
+            gen_rc = main(["gen-data", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/d.csv"])
+            assert gen_rc in (0, 1)
+            assert os.path.exists(f"{tmp}/d.csv") == (gen_rc == 0)
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

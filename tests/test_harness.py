@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,18 @@ class TestScalarRebuild:
         assert sum("scalar estimation attempt failed" in m for m in messages) == 3
         assert any("keeping step" in m for m in messages)
 
+
+    def test_overflowing_products_retried_then_keep_step(self, caplog):
+        # s.y is finite and y.y overflows, so every scalar estimate fails
+        oracle = MatrixOracle(1e200 * np.eye(4), np.ones(4), batch_size=8)
+        with warnings.catch_warnings(), \
+                caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            warnings.simplefilter("error", RuntimeWarning)
+            assert harness_mod._scalar_rebuild(oracle, np.zeros(4), self.settings, 0.05) == 0.05
+        messages = [r.message for r in caplog.records]
+        assert sum("b0=inf" in m for m in messages) == 3
+        assert any("keeping step 0.05" in m for m in messages)
+        assert oracle.data_read == 3 * 2 * 8
 
 class TestBaselines:
     def test_avg_inv_cadence(self):

@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,15 @@ class TestEstimateParameters:
         oracle = ScriptedOracle(self.grads, -np.eye(self.n))
         with pytest.raises(EstimationError, match="retry with fresh batches"):
             estimate_parameters(oracle, np.zeros(self.n), init_samples=5)
+
+    @pytest.mark.parametrize("mode", ["full", "scalar"])
+    def test_overflowing_scale_raises_without_numpy_warning(self, mode):
+        # s.y = 4e200 is finite, y.y = 4e400 is not
+        oracle = MatrixOracle(1e200 * np.eye(4), np.ones(4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(EstimationError, match="b0=inf"):
+                estimate_parameters(oracle, np.zeros(4), init_samples=2, mode=mode)
 
     def test_rejects_single_sample(self):
         oracle = MatrixOracle(self.B, np.ones(self.n))
