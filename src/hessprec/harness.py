@@ -259,6 +259,9 @@ class QuadraticBundle:
     def test_accuracy(self, w):
         return float("nan")
 
+    def test_metrics(self, w):
+        return self.test_loss(w), float("nan")
+
     def optimum(self):
         return self._optimum
 
@@ -291,18 +294,19 @@ class MLPBundle:
         return self.net.loss_value(w, self._train[0], self._train[1])
 
     def test_loss(self, w):
-        X, t = self._test
-        if t.size == 0:
-            return float("nan")
-        reg = self.net.reg
-        # report the data term only on held-out samples
-        return self.net.loss_value(w, X, t) - 0.5 * reg * float(w @ w)
+        return self.test_metrics(w)[0]
 
     def test_accuracy(self, w):
+        return self.test_metrics(w)[1]
+
+    def test_metrics(self, w):
+        """Held-out ``(test_loss, test_accuracy)`` from one forward pass."""
         X, t = self._test
         if t.size == 0:
-            return float("nan")
-        return self.net.accuracy(w, X, t)
+            return float("nan"), float("nan")
+        loss, acc = self.net.loss_and_accuracy(w, X, t)
+        # report the data term only on held-out samples
+        return loss - 0.5 * self.net.reg * float(w @ w), acc
 
     def optimum(self):
         return None
@@ -353,9 +357,7 @@ class _Recorder:
                 self.records.append(RunRecord(step, read, float("nan"), float("nan"),
                                               float("nan"), step_length, wall))
                 return False
-            self.records.append(RunRecord(step, read, train,
-                                          self.bundle.test_loss(w),
-                                          self.bundle.test_accuracy(w),
+            self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
                                           step_length, wall))
         return True
 

@@ -8,6 +8,12 @@ backward pass carrying directional derivatives of every delta.  No
 autodiff framework involved; everything is plain numpy, which keeps the
 arithmetic bit-reproducible across runs.
 
+The passes run in place: a layer's matrix product is its only
+allocation, and bias, tanh and softmax overwrite it.  The gradient pass
+takes a stack of parameter vectors and writes every gradient into one
+preallocated array, so SGD lanes on one batch share one pass; a single
+gradient is a stack of one.
+
 Parameters are flattened layer by layer as (W_1, b_1, W_2, b_2, ...),
 with W_l of shape (fan_out, fan_in).  ``MLPOracle`` serves mini-batch
 gradients and products on the seeded batches of
@@ -16,6 +22,7 @@ gradients and products on the seeded batches of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,25 +52,31 @@ class ToyNet:
     def n_params(self) -> int:
         return sum((i + 1) * o for i, o in zip(self.sizes[:-1], self.sizes[1:]))
 
-    def layer_slices(self):
-        """Flat-vector index ranges, one (W_slice, b_slice) pair per layer."""
+    @cached_property
+    def _slices(self):
+        """Per layer: the flat W and b index ranges and the (fan_out, fan_in) shape."""
         out = []
         pos = 0
         for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
             w_end = pos + fan_out * fan_in
-            out.append((slice(pos, w_end), slice(w_end, w_end + fan_out)))
+            out.append((slice(pos, w_end), slice(w_end, w_end + fan_out), (fan_out, fan_in)))
             pos = w_end + fan_out
-        return out
+        return tuple(out)
+
+    def layer_slices(self):
+        """Flat-vector index ranges, one (W_slice, b_slice) pair per layer."""
+        return [(ws, bs) for ws, bs, _ in self._slices]
+
+    def _layers(self, w):
+        """(W, b) views per layer of a flat vector, or of each row of a stack of them."""
+        lead = w.shape[:-1]
+        return [(w[..., ws].reshape(lead + shape), w[..., bs]) for ws, bs, shape in self._slices]
 
     def unpack(self, w):
         w = np.asarray(w, dtype=float)
         if w.shape != (self.n_params,):
             raise ValueError(f"expected {self.n_params} parameters, got shape {w.shape}")
-        layers = []
-        for (ws, bs), (fan_in, fan_out) in zip(self.layer_slices(),
-                                               zip(self.sizes[:-1], self.sizes[1:])):
-            layers.append((w[ws].reshape(fan_out, fan_in), w[bs]))
-        return layers
+        return self._layers(w)
 
     def pack(self, layers):
         return np.concatenate([np.concatenate([W.ravel(), b]) for W, b in layers])
@@ -77,52 +90,87 @@ class ToyNet:
         return self.pack(layers)
 
     def _forward(self, layers, X):
-        """Return (pre-activations, activations); activations[0] is X."""
+        """Activations, X first and the logits last; each layer allocates only its product.
+
+        ``layers`` may hold stacks of parameters (leading lane axis), which
+        broadcast against X: every lane gets the products it would alone.
+        """
         A = [X]
-        Z = []
         for idx, (W, b) in enumerate(layers):
-            z = A[-1] @ W.T + b
-            Z.append(z)
-            A.append(np.tanh(z) if idx < len(layers) - 1 else z)
-        return Z, A
+            z = A[-1] @ W.swapaxes(-1, -2)
+            z += b[..., None, :]
+            if idx < self.n_layers - 1:
+                np.tanh(z, out=z)
+            A.append(z)
+        return A
 
     def logits(self, w, X):
-        _, A = self._forward(self.unpack(w), np.atleast_2d(np.asarray(X, dtype=float)))
-        return A[-1]
+        return self._forward(self.unpack(w), np.atleast_2d(np.asarray(X, dtype=float)))[-1]
 
-    def _out_delta(self, zL, targets):
-        """Per-sample output delta (not averaged) and the softmax probabilities."""
-        z = zL - zL.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        P = e / e.sum(axis=1, keepdims=True)
-        onehot = np.zeros_like(P)
-        onehot[np.arange(len(targets)), targets] = 1.0
-        return P - onehot, P
+    @staticmethod
+    def _softmax(z):
+        """Row softmax of ``z``, in place."""
+        z -= z.max(axis=-1, keepdims=True)
+        np.exp(z, out=z)
+        z /= z.sum(axis=-1, keepdims=True)
+        return z
+
+    def _loss(self, w, zL, targets):
+        """Cross-entropy of logits ``zL`` (overwritten) plus the penalty."""
+        zL -= zL.max(axis=1, keepdims=True)
+        picked = zL[np.arange(len(targets)), targets]
+        np.exp(zL, out=zL)
+        lse = zL.sum(axis=1)
+        np.log(lse, out=lse)
+        lse -= picked
+        return float(np.mean(lse)) + 0.5 * self.reg * float(w @ w)
 
     def loss_value(self, w, X, targets):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        layers = self.unpack(w)
-        _, A = self._forward(layers, X)
-        zL = A[-1]
-        z = zL - zL.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1))
-        data = float(np.mean(lse - z[np.arange(len(targets)), targets]))
-        return data + 0.5 * self.reg * float(w @ w)
+        return self._loss(w, self.logits(w, X), targets)
+
+    def accuracy(self, w, X, targets):
+        return float(np.mean(self.logits(w, X).argmax(axis=1) == np.asarray(targets)))
+
+    def loss_and_accuracy(self, w, X, targets):
+        """``(loss_value, accuracy)`` from one forward pass."""
+        zL = self.logits(w, X)
+        acc = float(np.mean(zL.argmax(axis=1) == np.asarray(targets)))
+        return self._loss(w, zL, targets), acc
 
     def gradient(self, w, X, targets):
+        return self.gradients(np.asarray(w, dtype=float)[None], X, targets)[0]
+
+    def gradients(self, W, X, targets):
+        """Gradients at each row of the L x n_params stack ``W``, in one stacked pass.
+
+        Each lane's products and sums are the ones its own pass would
+        make, so a row does not depend on the others, non-finite ones
+        included.  The gradients are written into one L x n_params array.
+        """
+        W = np.asarray(W, dtype=float)
+        if W.ndim != 2 or W.shape[1] != self.n_params:
+            raise ValueError(f"expected a stack of {self.n_params}-parameter rows, "
+                             f"got shape {W.shape}")
         X = np.atleast_2d(np.asarray(X, dtype=float))
         n = X.shape[0]
-        layers = self.unpack(w)
-        Z, A = self._forward(layers, X)
-        delta, _ = self._out_delta(Z[-1], targets)
-        grads = [None] * self.n_layers
-        for l in range(self.n_layers - 1, -1, -1):
-            W, b = layers[l]
-            grads[l] = (delta.T @ A[l] / n + self.reg * W,
-                        delta.mean(axis=0) + self.reg * b)
+        layers = self._layers(W)
+        A = self._forward(layers, X)
+        delta = self._softmax(A[-1])
+        delta[..., np.arange(n), targets] -= 1.0
+        G = np.empty_like(W)
+        for l, (gW, gb) in reversed(list(enumerate(self._layers(G)))):
+            np.matmul(delta.swapaxes(-1, -2), A[l], out=gW)
+            gW /= n
+            np.sum(delta, axis=-2, out=gb)
+            gb /= n
             if l > 0:
-                delta = (delta @ W) * (1.0 - A[l] * A[l])
-        return self.pack(grads)
+                a = A[l]  # spent: overwritten with 1 - a^2
+                np.multiply(a, a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta = delta @ layers[l][0]
+                delta *= a
+        G += self.reg * W
+        return G
 
     def hvp(self, w, v, X, targets):
         """Exact Hessian product with direction ``v`` on the given batch."""
@@ -134,38 +182,50 @@ class ToyNet:
         n = X.shape[0]
         layers = self.unpack(w)
         dirs = self.unpack(v)
-        Z, A = self._forward(layers, X)
+        A = self._forward(layers, X)
 
-        # forward directional pass
+        # forward directional pass; act_d[l] = 1 - A[l]^2 for the hidden layers
         RA = [np.zeros_like(X)]
-        RZ = []
+        act_d = [None] * self.n_layers
         for idx, ((W, b), (V, c)) in enumerate(zip(layers, dirs)):
-            rz = RA[-1] @ W.T + A[idx] @ V.T + c
-            RZ.append(rz)
-            RA.append((1.0 - A[idx + 1] * A[idx + 1]) * rz if idx < self.n_layers - 1 else rz)
+            rz = RA[-1] @ W.T
+            rz += A[idx] @ V.T
+            rz += c
+            if idx < self.n_layers - 1:
+                d = A[idx + 1] * A[idx + 1]
+                act_d[idx + 1] = np.subtract(1.0, d, out=d)
+                np.multiply(d, rz, out=rz)
+            RA.append(rz)
 
-        delta, P = self._out_delta(Z[-1], targets)
-        prz = P * RZ[-1]
-        rdelta = prz - P * prz.sum(axis=1, keepdims=True)
+        P = self._softmax(A[-1])
+        delta = P.copy()
+        delta[np.arange(n), targets] -= 1.0
+        rdelta = np.multiply(P, RA[-1], out=RA[-1])
+        P *= rdelta.sum(axis=1, keepdims=True)
+        rdelta -= P
 
-        out = [None] * self.n_layers
-        for l in range(self.n_layers - 1, -1, -1):
-            W, b = layers[l]
-            V, c = dirs[l]
-            out[l] = ((rdelta.T @ A[l] + delta.T @ RA[l]) / n + self.reg * V,
-                      rdelta.mean(axis=0) + self.reg * c)
+        out = np.empty_like(w)
+        for l, (gV, gc) in reversed(list(enumerate(self._layers(out)))):
+            W, V = layers[l][0], dirs[l][0]
+            np.matmul(rdelta.T, A[l], out=gV)
+            gV += delta.T @ RA[l]
+            gV /= n
+            np.sum(rdelta, axis=0, out=gc)
+            gc /= n
             if l > 0:
                 back = delta @ W
-                rback = rdelta @ W + delta @ V
-                act_d = 1.0 - A[l] * A[l]
-                ract_d = -2.0 * A[l] * RA[l]
-                rdelta = rback * act_d + back * ract_d
-                delta = back * act_d
-        return self.pack(out)
-
-    def accuracy(self, w, X, targets):
-        pred = self.logits(w, X).argmax(axis=1)
-        return float(np.mean(pred == np.asarray(targets)))
+                rback = rdelta @ W
+                rback += delta @ V
+                ract_d = np.multiply(-2.0, A[l], out=A[l])
+                ract_d *= RA[l]
+                rback *= act_d[l]
+                np.multiply(back, ract_d, out=ract_d)
+                rback += ract_d
+                rdelta = rback
+                back *= act_d[l]
+                delta = back
+        out += self.reg * v
+        return out
 
 
 class MLPOracle(HessianOracle):
@@ -186,7 +246,11 @@ class MLPOracle(HessianOracle):
         return self.net.n_params
 
     def gradient(self, w, batch):
-        return self.net.gradient(w, self.X[batch], self.targets[batch])
+        return self.gradients([w], batch)[0]
+
+    def gradients(self, ws, batch):
+        # one gather and one stacked pass; the rows of the result are the gradients
+        return self.net.gradients(np.stack(ws), self.X[batch], self.targets[batch])
 
     def hvp(self, w, s, batch):
         return self.net.hvp(w, s, self.X[batch], self.targets[batch])

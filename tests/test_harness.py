@@ -198,6 +198,23 @@ class TestBundles:
         assert 0.0 <= b.test_accuracy(w) <= 1.0
         assert b.optimum() is None
 
+    @pytest.mark.parametrize("test_fraction", [0.25, 0.0])
+    @pytest.mark.parametrize("problem", [small_quadratic, small_mlp])
+    def test_test_metrics_equal_separate_calls(self, problem, test_fraction):
+        b = build_problem(problem(test_fraction=test_fraction))
+        rng = np.random.default_rng(3)
+        for w in (b.init_w(seed=1), rng.standard_normal(b.dim)):
+            metrics = b.test_metrics(w)
+            assert repr(metrics) == repr((b.test_loss(w), b.test_accuracy(w)))
+            if test_fraction == 0.0:
+                assert all(math.isnan(m) for m in metrics)
+            elif b.kind == "mlp":
+                # the loss with its penalty, less the penalty: the CSV cells of before
+                X, t = b._test
+                penalty = 0.5 * b.net.reg * float(w @ w)
+                assert repr(metrics) == repr((b.net.loss_value(w, X, t) - penalty,
+                                              b.net.accuracy(w, X, t)))
+
     def test_feature_overflow_is_config_error(self):
         with pytest.raises(ConfigError):
             build_problem(small_quadratic(n_features=30, scales=None))

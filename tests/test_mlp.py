@@ -27,6 +27,86 @@ def dense_hessian(net, w, X, targets):
     return H
 
 
+class ReferenceNet:
+    """The allocating formulas the in-place kernels replaced, kept as their reference."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def _forward(self, layers, X):
+        A = [X]
+        Z = []
+        for idx, (W, b) in enumerate(layers):
+            z = A[-1] @ W.T + b
+            Z.append(z)
+            A.append(np.tanh(z) if idx < len(layers) - 1 else z)
+        return Z, A
+
+    def _out_delta(self, zL, targets):
+        z = zL - zL.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        P = e / e.sum(axis=1, keepdims=True)
+        onehot = np.zeros_like(P)
+        onehot[np.arange(len(targets)), targets] = 1.0
+        return P - onehot, P
+
+    def logits(self, w, X):
+        return self._forward(self.net.unpack(w), X)[1][-1]
+
+    def loss_value(self, w, X, targets):
+        zL = self.logits(w, X)
+        z = zL - zL.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        data = float(np.mean(lse - z[np.arange(len(targets)), targets]))
+        return data + 0.5 * self.net.reg * float(w @ w)
+
+    def accuracy(self, w, X, targets):
+        return float(np.mean(self.logits(w, X).argmax(axis=1) == np.asarray(targets)))
+
+    def gradient(self, w, X, targets):
+        net, n = self.net, X.shape[0]
+        layers = net.unpack(w)
+        Z, A = self._forward(layers, X)
+        delta, _ = self._out_delta(Z[-1], targets)
+        grads = [None] * net.n_layers
+        for l in range(net.n_layers - 1, -1, -1):
+            W, b = layers[l]
+            grads[l] = (delta.T @ A[l] / n + net.reg * W,
+                        delta.mean(axis=0) + net.reg * b)
+            if l > 0:
+                delta = (delta @ W) * (1.0 - A[l] * A[l])
+        return net.pack(grads)
+
+    def hvp(self, w, v, X, targets):
+        net, n = self.net, X.shape[0]
+        layers = net.unpack(w)
+        dirs = net.unpack(v)
+        Z, A = self._forward(layers, X)
+        RA = [np.zeros_like(X)]
+        RZ = []
+        for idx, ((W, b), (V, c)) in enumerate(zip(layers, dirs)):
+            rz = RA[-1] @ W.T + A[idx] @ V.T + c
+            RZ.append(rz)
+            RA.append((1.0 - A[idx + 1] * A[idx + 1]) * rz if idx < net.n_layers - 1 else rz)
+        delta, P = self._out_delta(Z[-1], targets)
+        prz = P * RZ[-1]
+        rdelta = prz - P * prz.sum(axis=1, keepdims=True)
+        out = [None] * net.n_layers
+        for l in range(net.n_layers - 1, -1, -1):
+            W, b = layers[l]
+            V, c = dirs[l]
+            out[l] = ((rdelta.T @ A[l] + delta.T @ RA[l]) / n + net.reg * V,
+                      rdelta.mean(axis=0) + net.reg * c)
+            if l > 0:
+                back = delta @ W
+                rback = rdelta @ W + delta @ V
+                act_d = 1.0 - A[l] * A[l]
+                ract_d = -2.0 * A[l] * RA[l]
+                rdelta = rback * act_d + back * ract_d
+                delta = back * act_d
+        return net.pack(out)
+
+
 def tiny_net(reg=1e-3, sizes=(3, 4, 3)):
     return ToyNet(sizes=sizes, reg=reg)
 
@@ -215,3 +295,45 @@ class TestMLPOracle:
         net, X, targets = self.make()
         oracle = MLPOracle(net, X, targets, batch_size=10, seed=0)
         assert oracle.dim == net.n_params
+
+
+class TestAgainstReference:
+    """The in-place kernels give the reference formulas' results bit for bit."""
+
+    @pytest.fixture(params=[(3, 4, 3), (20, 32, 16, 10), (5, 8, 8, 8, 4)], ids=str)
+    def sizes(self, request):
+        return request.param
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-3])
+    @pytest.mark.parametrize("batch", [1, 37, 128])
+    def test_kernels_equal_reference(self, sizes, batch, reg):
+        net = ToyNet(sizes=sizes, reg=reg)
+        ref = ReferenceNet(net)
+        X, targets = tiny_data(net, n=batch, seed=30)
+        rng = np.random.default_rng(31)
+        w = net.init_params(seed=32) + 0.1 * rng.standard_normal(net.n_params)
+        v = rng.standard_normal(net.n_params)
+        inputs = (w, v, X, targets)
+        before = [a.copy() for a in inputs]
+
+        np.testing.assert_array_equal(net.logits(w, X), ref.logits(w, X))
+        np.testing.assert_array_equal(net.gradient(w, X, targets), ref.gradient(w, X, targets))
+        np.testing.assert_array_equal(net.hvp(w, v, X, targets), ref.hvp(w, v, X, targets))
+        loss, acc = ref.loss_value(w, X, targets), ref.accuracy(w, X, targets)
+        assert repr(net.loss_value(w, X, targets)) == repr(loss)
+        assert repr(net.accuracy(w, X, targets)) == repr(acc)
+        assert repr(net.loss_and_accuracy(w, X, targets)) == repr((loss, acc))
+        ws = np.stack([w, v, w - v])
+        for g, wi in zip(net.gradients(ws, X, targets), ws):
+            np.testing.assert_array_equal(g, ref.gradient(wi, X, targets))
+
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+        assert ws.tobytes() == np.stack([w, v, w - v]).tobytes()
+
+    def test_gradients_rejects_misshapen_stacks(self):
+        net = tiny_net()
+        X, targets = tiny_data(net)
+        for bad in (np.zeros(net.n_params), np.zeros((2, net.n_params + 1))):
+            with pytest.raises(ValueError, match="parameter rows"):
+                net.gradients(bad, X, targets)

@@ -8,6 +8,7 @@ import hessprec.problems as problems_mod
 from hessprec import data as datagen
 from hessprec.harness import ProblemConfig, build_problem
 from hessprec.linalg import SolveFailure
+from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
     FeatureMapSpec,
     LogisticProblem,
@@ -221,6 +222,37 @@ class TestQuadraticOracle:
         assert len(grads) == 3
         for g, w in zip(grads, ws):
             assert g.tobytes() == oracle.gradient(w, batch).tobytes()
+
+    def mlp_oracle(self):
+        net = ToyNet(sizes=(5, 8, 6, 3), reg=1e-3)
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((200, 5))
+        targets = rng.integers(0, 3, size=200)
+        return MLPOracle(net, X, targets, batch_size=32, seed=0)
+
+    def test_mlp_gradients_equal_per_vector_calls(self):
+        oracle = self.mlp_oracle()
+        rng = np.random.default_rng(12)
+        ws = [oracle.net.init_params(seed=i) + 0.3 * rng.standard_normal(oracle.dim)
+              for i in range(4)]
+        batch = oracle.draw_batch()
+        grads = oracle.gradients(ws, batch)
+        assert len(grads) == 4
+        for g, w in zip(grads, ws):
+            assert g.tobytes() == oracle.gradient(w, batch).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_mlp_non_finite_lane_leaves_others_alone(self, bad):
+        oracle = self.mlp_oracle()
+        ws = [oracle.net.init_params(seed=i) for i in range(3)]
+        wild = ws[1].copy()
+        wild[::7] = bad
+        batch = oracle.draw_batch()
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = oracle.gradients([ws[0], wild, ws[2]], batch)
+        assert not np.all(np.isfinite(grads[1]))
+        for i in (0, 2):
+            assert grads[i].tobytes() == oracle.gradient(ws[i], batch).tobytes()
 
     def test_full_batch_equals_problem(self):
         p = self.make()
