@@ -11,6 +11,13 @@ different methods are directly comparable.  Runs are deterministic given
 and written as 0.0 otherwise so that emitted CSVs are byte-for-byte
 reproducible.  Every record, baselines' included, is built by one
 ``_Recorder``.
+
+``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
+its plain-SGD fallback and scalar mode as lanes on one
+``solver.BatchStream``: the lanes at the lowest stream position step on
+one batch with one ``gradients`` call, and each lane keeps its own
+oracle, so its records equal those of the run made alone.  ``compare``
+runs every ``sgd`` and ``precond_sgd`` config of one batch size in it.
 """
 from __future__ import annotations
 
@@ -35,8 +42,8 @@ from .problems import (
     polynomial_features,
     scales_log_uniform,
 )
-from .solver import (ConfigError, EstimationError, SolverSettings, config_from_dict,
-                     estimate_parameters, run_inference)
+from .solver import (BatchStream, ConfigError, EstimationError, SolverSettings,
+                     config_from_dict, estimate_parameters, run_inference, scale_estimates)
 
 log = logging.getLogger(__name__)
 
@@ -44,6 +51,7 @@ RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
                    "test_accuracy", "step_length", "wall_ms")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
+LANE_OPTIMIZERS = ("sgd", "precond_sgd")  # the runs that run_sgd_lanes steps
 
 SCALAR_ATTEMPTS = 3  # scalar-mode estimates tried before the previous step length is kept
 
@@ -362,52 +370,6 @@ class _Recorder:
         return True
 
 
-def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
-    """Plain fixed-step SGD."""
-    return run_sgd_lanes(bundle, [cfg])[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
-def run_sgd_lanes(bundle, cfgs) -> list:
-    """Plain fixed-step SGD runs stepped together on one batch stream.
-
-    Every batch is seeded by (seed, counter), so runs that share the seed
-    and the batch size draw the same batch at each step; here it is drawn
-    once per step and charged to every lane that takes the step.  Each
-    lane keeps its own parameters, records, record schedule and step
-    count, and stops at its last step or at the first record whose loss
-    is non-finite, so its records equal those of the config run alone.
-    With ``timing`` the lanes' wall times share one clock.  Returns one
-    ``RunResult`` per config, in order.
-    """
-    cfgs = list(cfgs)
-    seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
-    if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
-        raise ConfigError("SGD lanes must share the seed and the batch size")
-    steps = [c.n_steps(bundle.n_train) for c in cfgs]
-    oracle = bundle.make_oracle(batch_size, seed)
-    ws = [bundle.init_w(seed) for _ in cfgs]
-    t0 = time.perf_counter()
-    recs = [_Recorder(bundle, c, oracle, n, t0) for c, n in zip(cfgs, steps)]
-    for rec, w, c in zip(recs, ws, cfgs):
-        rec.emit(0, w, c.lr)
-    results = [None] * len(cfgs)
-    live = list(range(len(cfgs)))
-    t = 0
-    while live:
-        t += 1
-        grads = oracle.gradients([ws[i] for i in live], oracle.draw_batch())
-        for i, g in zip(live, grads):
-            ws[i] = ws[i] - cfgs[i].lr * g
-            if recs[i].due(t) and not recs[i].emit(t, ws[i], cfgs[i].lr):
-                log.warning("sgd diverged at step %d (lr=%g)", t, cfgs[i].lr)
-                results[i] = RunResult(recs[i].records, True, ws[i])
-            elif t == steps[i]:
-                results[i] = RunResult(recs[i].records, False, ws[i])
-        live = [i for i in live if results[i] is None]
-    return results
-
-
 def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     """Estimation, active probing, rank reduction, assembly; one place.
 
@@ -430,9 +392,13 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     return precond, lr, post, est
 
 
-@np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
+def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
+    """Plain fixed-step SGD: a lane loop of one run."""
+    return run_sgd_lanes(bundle, [cfg])[0]
+
+
 def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
-    """SGD behind the curvature-adapted pre-conditioner.
+    """SGD behind the curvature-adapted pre-conditioner: a lane loop of one run.
 
     Full mode builds P once up front and steps along P^2 g; scalar mode
     steps along g and refreshes the step length at rebuild boundaries
@@ -441,50 +407,151 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     construction failures fall back to plain SGD with a warning; a
     ``ConfigError`` (such as more probes than dimensions) propagates.
     """
-    steps = cfg.n_steps(bundle.n_train)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    w = bundle.init_w(cfg.seed)
-    rec = _Recorder(bundle, cfg, oracle, steps)
-    scalar = cfg.solver.mode == "scalar"
-    precond, lr, step_length = None, cfg.lr, cfg.lr
-    info = {"rebuilds": 0, "eta": cfg.lr} if scalar else {}
-    if not scalar:
-        try:
-            precond, lr, _, est = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
-            info.update(alpha2=precond.alpha ** 2, rank=precond.spectral.k,
-                        construction_data_read=oracle.data_read,
-                        b0=est.b0, w0=est.w0, lam0=est.lam0)
-            step_length = lr * precond.alpha ** 2
-        except ConfigError:
-            raise
-        except (EstimationError, SolveFailure, ValueError) as exc:
-            log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
-            info.update(fallback=str(exc))
-
-    rec.emit(0, w, step_length)
-    for t in range(1, steps + 1):
-        epoch, offset = divmod(t - 1, rec.epoch_len)
-        if (scalar and offset == 0 and epoch % cfg.rebuild_every == 0
-                and not (cfg.warmup and epoch == 0)):
-            lr = step_length = info["eta"] = _scalar_rebuild(oracle, w, cfg.solver, lr)
-            info["rebuilds"] += 1
-        g = oracle.noisy_gradient(w)
-        w = w - lr * (apply_p_squared(precond, g) if precond is not None else g)
-        if rec.due(t) and not rec.emit(t, w, step_length):
-            log.warning("precond_sgd diverged at step %d", t)
-            return RunResult(rec.records, True, w, info)
-    return RunResult(rec.records, False, w, info)
+    return run_sgd_lanes(bundle, [cfg])[0]
 
 
-def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
+@np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
+def run_sgd_lanes(bundle, cfgs) -> list:
+    """SGD runs, plain and pre-conditioned, stepped together on one batch stream.
+
+    Every batch is seeded by (seed, position), so runs that share the seed
+    and the batch size draw the same batch at each stream position, and a
+    ``BatchStream`` draws it once.  Each lane keeps its own oracle (its
+    position and reads), parameters, records, step rule and step count,
+    so its records equal those of the config run alone.  A lane first
+    does its pre-step work: full mode's construction before step 1, or a
+    scalar rebuild at a rebuild boundary.  Then the lanes at the lowest
+    position step on one batch with one ``gradients`` call; a lane that
+    ran ahead waits for the others.  A lane stops at its last step or at
+    the first record whose loss is non-finite.  With ``timing`` the
+    lanes' wall times share one clock.  Returns one ``RunResult`` per
+    config, in order.
+    """
+    cfgs = list(cfgs)
+    seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
+    if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
+        raise ConfigError("SGD lanes must share the seed and the batch size")
+    t0 = time.perf_counter()
+    lanes = [_Lane(bundle, c, t0) for c in cfgs]
+    stream = BatchStream(lane.oracle for lane in lanes)
+    for lane in lanes:
+        lane.oracle.stream = stream
+        lane.start()
+    live = moved = lanes
+    while live:
+        _rebuild_together([lane for lane in moved
+                           if lane.scalar and lane.result is None and lane.rebuild_due()])
+        positions = [lane.oracle.position for lane in live]
+        position = min(positions)
+        stream.evict(position)
+        stepping = [lane for lane, p in zip(live, positions) if p == position]
+        batches = [lane.oracle.draw_batch() for lane in stepping]
+        grads = stepping[0].oracle.gradients([lane.w for lane in stepping], batches[0])
+        for lane, g in zip(stepping, grads):
+            lane.step(g)
+        if any(lane.result is not None for lane in stepping):
+            live = [lane for lane in live if lane.result is None]
+            stream.readers = [lane.oracle for lane in live]
+        moved = stepping
+    return [lane.result for lane in lanes]
+
+
+class _Lane:
+    """One run of ``run_sgd_lanes``: an oracle, an iterate, a recorder and a step rule.
+
+    The step is ``w <- w - lr * (P^2 g if a pre-conditioner was built,
+    else g)`` for plain SGD, full mode, its plain-SGD fallback and scalar
+    mode alike; scalar mode refreshes ``lr`` and the recorded step length
+    at its rebuilds.
+    """
+
+    def __init__(self, bundle, cfg: ExperimentConfig, t0):
+        self.cfg = cfg
+        self.steps = cfg.n_steps(bundle.n_train)
+        self.oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
+        self.w = bundle.init_w(cfg.seed)
+        self.rec = _Recorder(bundle, cfg, self.oracle, self.steps, t0)
+        self.t = 0
+        self.precond, self.lr, self.step_length = None, cfg.lr, cfg.lr
+        self.scalar = cfg.optimizer == "precond_sgd" and cfg.solver.mode == "scalar"
+        self.info = {"rebuilds": 0, "eta": cfg.lr} if self.scalar else {}
+        self.result = None
+
+    def start(self):
+        """Full mode's construction, falling back to plain SGD; then the step-0 record."""
+        cfg = self.cfg
+        if cfg.optimizer == "precond_sgd" and not self.scalar:
+            try:
+                self.precond, self.lr, _, est = construct_preconditioner(
+                    self.oracle, self.w, cfg.solver, cfg.lr)
+                self.info.update(alpha2=self.precond.alpha ** 2, rank=self.precond.spectral.k,
+                                 construction_data_read=self.oracle.data_read,
+                                 b0=est.b0, w0=est.w0, lam0=est.lam0)
+                self.step_length = self.lr * self.precond.alpha ** 2
+            except ConfigError:
+                raise
+            except (EstimationError, SolveFailure, ValueError) as exc:
+                log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
+                self.info.update(fallback=str(exc))
+        self.rec.emit(0, self.w, self.step_length)
+
+    def rebuild_due(self):
+        """Whether scalar mode refreshes the step length before the next step."""
+        epoch, offset = divmod(self.t, self.rec.epoch_len)
+        return (offset == 0 and epoch % self.cfg.rebuild_every == 0
+                and not (self.cfg.warmup and epoch == 0))
+
+    def step(self, g):
+        """One step along the gradient ``g``, then its record if one is due."""
+        self.t = t = self.t + 1
+        self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
+                                     if self.precond is not None else g)
+        if self.rec.due(t) and not self.rec.emit(t, self.w, self.step_length):
+            if self.cfg.optimizer == "precond_sgd":
+                log.warning("precond_sgd diverged at step %d", t)
+            else:
+                log.warning("sgd diverged at step %d (lr=%g)", t, self.cfg.lr)
+            self.result = RunResult(self.rec.records, True, self.w, self.info)
+        elif t == self.steps:
+            self.result = RunResult(self.rec.records, False, self.w, self.info)
+
+
+def _rebuild_together(lanes):
+    """The scalar rebuilds due before the next step of ``lanes``.
+
+    Lanes at one position share their first estimate's batches, with one
+    stacked ``gradients`` call per batch; each makes its own products and
+    arithmetic in ``_scalar_rebuild``, where a lane whose estimate raises
+    retries alone and so draws ahead.
+    """
+    groups = {}
+    for lane in lanes:
+        key = (lane.oracle.position, lane.cfg.solver.init_samples)
+        groups.setdefault(key, []).append(lane)
+    for (_, k), group in groups.items():
+        drawn = [[lane.oracle.draw_batch() for _ in range(k)] for lane in group]
+        grads = [group[0].oracle.gradients([lane.w for lane in group], b) for b in drawn[0]]
+        for i, lane in enumerate(group):
+            sample = (drawn[i], np.stack([g[i] for g in grads]))
+            lane.lr = lane.step_length = lane.info["eta"] = _scalar_rebuild(
+                lane.oracle, lane.w, lane.cfg.solver, lane.lr, sample)
+            lane.info["rebuilds"] += 1
+
+
+def _scalar_rebuild(oracle, w, settings: SolverSettings, previous, sample=None):
     """The scalar step rule: ``eta = 1 / b0``, b0 estimated on fresh batches.
 
     An ``EstimationError`` is retried, ``SCALAR_ATTEMPTS`` times in all.  An
     eta that is not positive and finite, or no estimate, keeps ``previous``.
+    ``sample``, if given, is the first attempt's ``(batches, gradients)``,
+    drawn and charged by the caller.
     """
-    for _ in range(SCALAR_ATTEMPTS):
+    for attempt in range(SCALAR_ATTEMPTS):
         try:
-            est = estimate_parameters(oracle, w, settings.init_samples, mode="scalar")
+            if attempt == 0 and sample is not None:
+                est = scale_estimates(oracle, w, *sample, mode="scalar")
+            else:
+                est = estimate_parameters(oracle, w, settings.init_samples, mode="scalar")
         except EstimationError as exc:
             log.warning("scalar estimation attempt failed (%s)", exc)
             continue
@@ -572,8 +639,10 @@ def compare(configs) -> ComparisonResult:
     All configs must agree on the problem block, the seed and the target,
     and no two may share a label; the merged records are keyed by
     (optimizer label, data_read).
-    Fixed-step SGD runs that share a batch size are stepped together by
-    ``run_sgd_lanes``; records and summaries stay in config order.
+    The ``sgd`` and ``precond_sgd`` runs that share a batch size are
+    stepped together by ``run_sgd_lanes``, on one batch stream, so with
+    ``timing`` their rows share one clock; records and summaries stay in
+    config order.
     Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
@@ -605,11 +674,11 @@ def compare(configs) -> ComparisonResult:
     for i, cfg in enumerate(configs):
         if results[i] is not None:
             continue
-        if cfg.optimizer != "sgd":
-            results[i] = run_experiment(bundle, cfg)
+        if cfg.optimizer not in LANE_OPTIMIZERS:
+            results[i] = run_baseline(bundle, cfg)
             continue
         lanes = [j for j, c in enumerate(configs)
-                 if c.optimizer == "sgd" and c.batch_size == cfg.batch_size]
+                 if c.optimizer in LANE_OPTIMIZERS and c.batch_size == cfg.batch_size]
         for j, result in zip(lanes, run_sgd_lanes(bundle, [configs[j] for j in lanes])):
             results[j] = result
 

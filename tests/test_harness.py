@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import hessprec.harness as harness_mod
+import hessprec.precond as precond_mod
 from hessprec.cli import _config_from_args, build_parser, merge_config
 from hessprec.harness import (
     ComparisonResult,
@@ -30,7 +31,7 @@ from hessprec.harness import (
 )
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import ToyNet
-from hessprec.solver import EstimationError
+from hessprec.solver import BatchStream, EstimationError
 from tests.test_solver import MatrixOracle, ScriptedOracle
 
 
@@ -600,12 +601,18 @@ class TestCompare:
 
 
 class TestSgdLanes:
-    """compare steps SGD runs that share a batch size on one batch stream."""
+    """compare steps the sgd and precond_sgd runs of one batch size in one lane loop.
+
+    Each comparison mixes plain SGD lanes (one diverging early), a full-mode
+    run, a full-mode run whose construction falls back, and two scalar-mode
+    runs that share their first rebuild; at the second, one of their
+    estimates raises, so that run retries alone and draws ahead.
+    """
 
     def configs(self, kind):
         if kind == "quadratic":
             base = dict(problem=small_quadratic(), batch_size=64, seed=0)
-            return [
+            sgd = [
                 ExperimentConfig(optimizer="sgd", lr=0.1, steps=10, record_every=2, **base),
                 ExperimentConfig(optimizer="avg_inv", steps=5, record_every=1, **base),
                 ExperimentConfig(optimizer="sgd", lr=0.05, steps=14, record_every=3, **base),
@@ -613,23 +620,84 @@ class TestSgdLanes:
                 ExperimentConfig(optimizer="sgd", lr=0.02, steps=6, record_every=1,
                                  **dict(base, batch_size=32)),
             ]
-        base = dict(problem=small_mlp(), optimizer="sgd", batch_size=30, seed=0)
-        return [
-            ExperimentConfig(lr=0.1, steps=12, record_every=2, **base),
-            ExperimentConfig(lr=0.3, epochs=2.0, record_every=5, **base),
-            ExperimentConfig(lr=1e6, steps=300, record_every=7, **base),
+            steps, scalar_lrs = 20, (0.05, 0.02)
+        else:
+            base = dict(problem=small_mlp(), batch_size=30, seed=0)
+            sgd = [
+                ExperimentConfig(optimizer="sgd", lr=0.1, steps=12, record_every=2, **base),
+                ExperimentConfig(optimizer="sgd", lr=0.3, epochs=2.0, record_every=5, **base),
+                ExperimentConfig(optimizer="sgd", lr=1e6, steps=300, record_every=7, **base),
+            ]
+            steps, scalar_lrs = 14, (0.1, 0.3)
+        precond = dict(optimizer="precond_sgd", steps=steps, record_every=3, **base)
+        scalar = SolverSettings(init_samples=3, mode="scalar")
+        return sgd + [
+            ExperimentConfig(lr=0.01, solver=SolverSettings(iterations=6, init_samples=3,
+                                                            rank=6), **precond),
+            # rank 2 is the one whose rank reduction fails (see ``runs``)
+            ExperimentConfig(lr=0.03, solver=SolverSettings(iterations=4, init_samples=2,
+                                                            rank=2), **precond),
+            ExperimentConfig(lr=scalar_lrs[0], solver=scalar, **precond),
+            ExperimentConfig(lr=scalar_lrs[1], solver=scalar, **precond),
         ]
 
-    def runs(self, kind):
+    def runs(self, kind, monkeypatch):
+        """The comparison and each config run alone, with the comparison's lane
+        results and every take from a batch stream, the solo runs' included, as
+        (stream, position, batch, batches held, largest lead between readers)."""
         cfgs = self.configs(kind)
+        bundle = build_problem(cfgs[0].problem)
+        real_svd = precond_mod.thin_svd_product
+
+        def svd_fails_at_rank_2(gram_a, gram_c, mul_a, keep=None):
+            if keep == 2:
+                raise SolveFailure("synthetic rank-reduction failure")
+            return real_svd(gram_a, gram_c, mul_a, keep=keep)
+
+        monkeypatch.setattr(precond_mod, "thin_svd_product", svd_fails_at_rank_2)
+        # the first estimate of the last scalar run's second rebuild raises,
+        # once; the run alone shows the iterate that rebuild starts from
+        real_estimates = harness_mod.scale_estimates
+        seen = []
+        monkeypatch.setattr(harness_mod, "scale_estimates",
+                            lambda oracle, w, *args, **kw: seen.append(w.copy())
+                            or real_estimates(oracle, w, *args, **kw))
+        run_precond_sgd(bundle, cfgs[-1])
+        fail_at = seen[1]
+
+        def flaky(oracle, w, *args, **kw):
+            if np.array_equal(w, fail_at):
+                raise EstimationError("synthetic estimate failure")
+            return real_estimates(oracle, w, *args, **kw)
+
+        monkeypatch.setattr(harness_mod, "scale_estimates", flaky)
+        lane_results, takes = [], []
+        real_lanes, real_take = harness_mod.run_sgd_lanes, BatchStream.take
+
+        def recorded_lanes(bundle, cfgs):
+            lane_results.append((cfgs, real_lanes(bundle, cfgs)))
+            return lane_results[-1][1]
+
+        def recorded_take(stream, oracle):
+            t = oracle.position
+            batch = real_take(stream, oracle)
+            positions = [r.position for r in stream.readers]
+            takes.append((stream, t, batch, len(stream._batches),
+                          max(positions) - min(positions)))
+            return batch
+
+        monkeypatch.setattr(BatchStream, "take", recorded_take)
         with np.errstate(over="ignore", invalid="ignore"):
-            result = compare(cfgs)
+            with monkeypatch.context() as m:
+                m.setattr(harness_mod, "run_sgd_lanes", recorded_lanes)
+                result = compare(cfgs)
             solo = [run_experiment(build_problem(c.problem), c) for c in cfgs]
-        return cfgs, result, solo
+        lanes = {id(c): r for group, results in lane_results for c, r in zip(group, results)}
+        return cfgs, result, solo, [lanes.get(id(c)) for c in cfgs], takes
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
-    def test_comparison_csv_equals_solo_runs(self, tmp_path, kind):
-        cfgs, result, solo = self.runs(kind)
+    def test_comparison_csv_equals_solo_runs(self, tmp_path, kind, monkeypatch):
+        cfgs, result, solo, lanes, _ = self.runs(kind, monkeypatch)
         assert [s.diverged for s in result.summaries] == [r.diverged for r in solo]
         assert any(r.diverged for r in solo) and not all(r.diverged for r in solo)
         labels = [s.label for s in result.summaries]
@@ -637,9 +705,46 @@ class TestSgdLanes:
         write_comparison_csv(tmp_path / "solo.csv",
                              [(lab, r) for lab, res in zip(labels, solo) for r in res.records])
         assert (tmp_path / "lanes.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
+        for cfg, lane, alone in zip(cfgs, lanes, solo):
+            if cfg.optimizer in ("sgd", "precond_sgd"):
+                assert lane.info == alone.info
+                assert_same_records(lane.records, alone.records)
+                np.testing.assert_array_equal(lane.w, alone.w)
 
-    def test_each_lane_charged_once_per_step(self):
-        cfgs, result, solo = self.runs("quadratic")
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_comparison_covers_each_lane_kind(self, kind, monkeypatch, caplog):
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            cfgs, result, solo, lanes, _ = self.runs(kind, monkeypatch)
+        full, fallback, scalar, flaky = solo[-4:]
+        # an SGD lane diverges and stops before its last step
+        assert any(r.diverged and r.final.step < c.steps for c, r in zip(cfgs, solo))
+        assert "alpha2" in full.info and "fallback" not in full.info
+        assert fallback.info["fallback"] == "synthetic rank-reduction failure"
+        assert fallback.records[0].data_read == (2 + 4) * cfgs[-1].batch_size
+        assert all(r.step_length == cfgs[-3].lr for r in fallback.records)
+        # the flaky run retried its first rebuild alone, three batches ahead
+        assert scalar.info["rebuilds"] == flaky.info["rebuilds"] > 1
+        assert flaky.final.data_read - scalar.final.data_read == 3 * cfgs[-1].batch_size
+        failed = [r.message for r in caplog.records if "scalar estimation attempt failed" in r.message]
+        assert len(failed) == 2  # once in the comparison, once alone
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_stream_holds_at_most_the_lead_plus_one(self, kind, monkeypatch):
+        *_, takes = self.runs(kind, monkeypatch)
+        assert all(held <= lead + 1 for *_, held, lead in takes)
+        # lanes met on shared batches: the full-mode construction's lead was held
+        assert max(held for *_, held, _ in takes) >= 3 + 6 - 1
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_each_stream_position_drawn_once(self, kind, monkeypatch):
+        *_, takes = self.runs(kind, monkeypatch)
+        first = {}
+        for stream, t, batch, *_ in takes:
+            assert first.setdefault((id(stream), t), batch) is batch
+        assert len(first) < len(takes)  # lanes met on shared positions
+
+    def test_each_lane_charged_once_per_step(self, monkeypatch):
+        cfgs, result, solo, _, _ = self.runs("quadratic", monkeypatch)
         for cfg, summary, alone in zip(cfgs, result.summaries, solo):
             lane = [r for lab, r in result.labeled_records if lab == summary.label]
             assert [r.data_read for r in lane] == [r.data_read for r in alone.records]
