@@ -6,8 +6,9 @@ active probing loop and save the posterior), ``precond`` (build and save
 a pre-conditioner), ``run`` (one optimizer run -> CSV), ``compare``
 (several optimizers on a shared problem -> merged CSV + summary).
 
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical
-failure or a diverged run (outputs are still written when possible).
+Exit codes: 0 success, 1 configuration or usage error (a problem block
+too large to allocate included), 2 numerical failure or a diverged run
+(outputs are still written when possible).
 """
 from __future__ import annotations
 
@@ -277,6 +278,9 @@ def main(argv=None):
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # such as a problem block too large to generate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

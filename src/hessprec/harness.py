@@ -13,11 +13,12 @@ reproducible.  Every record, baselines' included, is built by one
 ``_Recorder``.
 
 ``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
-its plain-SGD fallback and scalar mode as lanes on one
-``solver.BatchStream``: the lanes at the lowest stream position step on
-one batch with one ``gradients`` call, and each lane keeps its own
-oracle, so its records equal those of the run made alone.  ``compare``
-runs every ``sgd`` and ``precond_sgd`` config of one batch size in it.
+its plain-SGD fallback and scalar mode as lanes: the lanes at the lowest
+stream position step on one drawn batch with one ``gradients`` call, and
+each lane keeps its own oracle and draws its own batches for a
+construction or a scalar rebuild, so its records equal those of the run
+made alone.  ``compare`` runs every ``sgd`` and ``precond_sgd`` config
+of one batch size in it.
 """
 from __future__ import annotations
 
@@ -42,8 +43,8 @@ from .problems import (
     polynomial_features,
     scales_log_uniform,
 )
-from .solver import (BatchStream, ConfigError, EstimationError, SolverSettings,
-                     config_from_dict, estimate_parameters, run_inference, scale_estimates)
+from .solver import (ConfigError, EstimationError, SolverSettings, config_from_dict,
+                     estimate_parameters, run_inference)
 
 log = logging.getLogger(__name__)
 
@@ -154,7 +155,10 @@ class ExperimentConfig:
         if self.steps is not None:
             return self.steps
         if self.epochs is not None:
-            return max(1, math.ceil(self.epochs * n_train / self.batch_size))
+            steps = self.epochs * n_train / self.batch_size
+            if not math.isfinite(steps):
+                raise ConfigError(f"epochs {self.epochs!r} imply a step count that is not finite")
+            return max(1, math.ceil(steps))
         raise ConfigError("either steps or epochs must be set")
 
 
@@ -415,17 +419,17 @@ def run_sgd_lanes(bundle, cfgs) -> list:
     """SGD runs, plain and pre-conditioned, stepped together on one batch stream.
 
     Every batch is seeded by (seed, position), so runs that share the seed
-    and the batch size draw the same batch at each stream position, and a
-    ``BatchStream`` draws it once.  Each lane keeps its own oracle (its
-    position and reads), parameters, records, step rule and step count,
-    so its records equal those of the config run alone.  A lane first
-    does its pre-step work: full mode's construction before step 1, or a
-    scalar rebuild at a rebuild boundary.  Then the lanes at the lowest
-    position step on one batch with one ``gradients`` call; a lane that
-    ran ahead waits for the others.  A lane stops at its last step or at
-    the first record whose loss is non-finite.  With ``timing`` the
-    lanes' wall times share one clock.  Returns one ``RunResult`` per
-    config, in order.
+    and the batch size draw the same batch at each stream position.  Each
+    lane keeps its own oracle (its position and reads), parameters,
+    records, step rule and step count, so its records equal those of the
+    config run alone; a full-mode construction or a scalar rebuild draws
+    on the lane's own oracle and so moves it ahead.  Each round, the first
+    lane at the lowest position draws the batch, every other lane there
+    is charged for it, and they step on it with one ``gradients`` call; a
+    lane that ran ahead waits for the others.  A lane stops at its last
+    step or at the first record whose loss is non-finite.  With
+    ``timing`` the lanes' wall times share one clock.  Returns one
+    ``RunResult`` per config, in order.
     """
     cfgs = list(cfgs)
     seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
@@ -433,26 +437,19 @@ def run_sgd_lanes(bundle, cfgs) -> list:
         raise ConfigError("SGD lanes must share the seed and the batch size")
     t0 = time.perf_counter()
     lanes = [_Lane(bundle, c, t0) for c in cfgs]
-    stream = BatchStream(lane.oracle for lane in lanes)
     for lane in lanes:
-        lane.oracle.stream = stream
         lane.start()
-    live = moved = lanes
+    live = lanes
     while live:
-        _rebuild_together([lane for lane in moved
-                           if lane.scalar and lane.result is None and lane.rebuild_due()])
-        positions = [lane.oracle.position for lane in live]
-        position = min(positions)
-        stream.evict(position)
-        stepping = [lane for lane, p in zip(live, positions) if p == position]
-        batches = [lane.oracle.draw_batch() for lane in stepping]
-        grads = stepping[0].oracle.gradients([lane.w for lane in stepping], batches[0])
+        position = min(lane.oracle.position for lane in live)
+        stepping = [lane for lane in live if lane.oracle.position == position]
+        batch = stepping[0].oracle.draw_batch()
+        for lane in stepping[1:]:
+            lane.oracle.draw_batch(batch)
+        grads = stepping[0].oracle.gradients([lane.w for lane in stepping], batch)
         for lane, g in zip(stepping, grads):
             lane.step(g)
-        if any(lane.result is not None for lane in stepping):
-            live = [lane for lane in live if lane.result is None]
-            stream.readers = [lane.oracle for lane in live]
-        moved = stepping
+        live = [lane for lane in live if lane.result is None]
     return [lane.result for lane in lanes]
 
 
@@ -462,7 +459,7 @@ class _Lane:
     The step is ``w <- w - lr * (P^2 g if a pre-conditioner was built,
     else g)`` for plain SGD, full mode, its plain-SGD fallback and scalar
     mode alike; scalar mode refreshes ``lr`` and the recorded step length
-    at its rebuilds.
+    at its rebuilds, each after the record of the step before.
     """
 
     def __init__(self, bundle, cfg: ExperimentConfig, t0):
@@ -478,7 +475,8 @@ class _Lane:
         self.result = None
 
     def start(self):
-        """Full mode's construction, falling back to plain SGD; then the step-0 record."""
+        """Full mode's construction, falling back to plain SGD; then the step-0
+        record, and scalar mode's first rebuild if it is due before step 1."""
         cfg = self.cfg
         if cfg.optimizer == "precond_sgd" and not self.scalar:
             try:
@@ -494,15 +492,11 @@ class _Lane:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
                 self.info.update(fallback=str(exc))
         self.rec.emit(0, self.w, self.step_length)
-
-    def rebuild_due(self):
-        """Whether scalar mode refreshes the step length before the next step."""
-        epoch, offset = divmod(self.t, self.rec.epoch_len)
-        return (offset == 0 and epoch % self.cfg.rebuild_every == 0
-                and not (self.cfg.warmup and epoch == 0))
+        self._rebuild_if_due()
 
     def step(self, g):
-        """One step along the gradient ``g``, then its record if one is due."""
+        """One step along the gradient ``g``, then its record if one is due, then
+        scalar mode's rebuild if the next step opens a rebuild epoch."""
         self.t = t = self.t + 1
         self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
                                      if self.precond is not None else g)
@@ -514,44 +508,29 @@ class _Lane:
             self.result = RunResult(self.rec.records, True, self.w, self.info)
         elif t == self.steps:
             self.result = RunResult(self.rec.records, False, self.w, self.info)
+        else:
+            self._rebuild_if_due()
+
+    def _rebuild_if_due(self):
+        """Scalar mode's rebuild, due before the first step of every
+        ``rebuild_every``-th epoch but a fixed-rate ``warmup`` epoch."""
+        epoch, offset = divmod(self.t, self.rec.epoch_len)
+        if (self.scalar and offset == 0 and epoch % self.cfg.rebuild_every == 0
+                and not (self.cfg.warmup and epoch == 0)):
+            self.lr = self.step_length = self.info["eta"] = _scalar_rebuild(
+                self.oracle, self.w, self.cfg.solver, self.lr)
+            self.info["rebuilds"] += 1
 
 
-def _rebuild_together(lanes):
-    """The scalar rebuilds due before the next step of ``lanes``.
-
-    Lanes at one position share their first estimate's batches, with one
-    stacked ``gradients`` call per batch; each makes its own products and
-    arithmetic in ``_scalar_rebuild``, where a lane whose estimate raises
-    retries alone and so draws ahead.
-    """
-    groups = {}
-    for lane in lanes:
-        key = (lane.oracle.position, lane.cfg.solver.init_samples)
-        groups.setdefault(key, []).append(lane)
-    for (_, k), group in groups.items():
-        drawn = [[lane.oracle.draw_batch() for _ in range(k)] for lane in group]
-        grads = [group[0].oracle.gradients([lane.w for lane in group], b) for b in drawn[0]]
-        for i, lane in enumerate(group):
-            sample = (drawn[i], np.stack([g[i] for g in grads]))
-            lane.lr = lane.step_length = lane.info["eta"] = _scalar_rebuild(
-                lane.oracle, lane.w, lane.cfg.solver, lane.lr, sample)
-            lane.info["rebuilds"] += 1
-
-
-def _scalar_rebuild(oracle, w, settings: SolverSettings, previous, sample=None):
+def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
     """The scalar step rule: ``eta = 1 / b0``, b0 estimated on fresh batches.
 
     An ``EstimationError`` is retried, ``SCALAR_ATTEMPTS`` times in all.  An
     eta that is not positive and finite, or no estimate, keeps ``previous``.
-    ``sample``, if given, is the first attempt's ``(batches, gradients)``,
-    drawn and charged by the caller.
     """
-    for attempt in range(SCALAR_ATTEMPTS):
+    for _ in range(SCALAR_ATTEMPTS):
         try:
-            if attempt == 0 and sample is not None:
-                est = scale_estimates(oracle, w, *sample, mode="scalar")
-            else:
-                est = estimate_parameters(oracle, w, settings.init_samples, mode="scalar")
+            est = estimate_parameters(oracle, w, settings.init_samples, mode="scalar")
         except EstimationError as exc:
             log.warning("scalar estimation attempt failed (%s)", exc)
             continue

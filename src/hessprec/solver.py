@@ -7,10 +7,9 @@ to an incremental posterior, in O(N m + m^3) per probe with nothing
 rebuilt.  With exact products the probes reproduce the Krylov sequence
 of the underlying matrix; with noise they stay close to it while the
 posterior absorbs the error.  The module also owns the oracle base
-class, whose seeded batch stream every method is charged on,
-``BatchStream``, which serves one stream's batches to several oracles,
-the one settings type, ``SolverSettings``, and ``config_from_dict``,
-the one JSON-to-config path of every config type.
+class, whose seeded batch stream every method is charged on, the one
+settings type, ``SolverSettings``, and ``config_from_dict``, the one
+JSON-to-config path of every config type.
 """
 from __future__ import annotations
 
@@ -45,11 +44,10 @@ class HessianOracle(abc.ABC):
     ``noisy_gradient`` / ``noisy_hvp`` draw their own batch per call.
     A subclass over a dataset passes its size ``n_data`` and a seed to
     inherit ``_draw``'s batch stream; any other subclass overrides it.
-    An oracle whose ``stream`` is a ``BatchStream`` takes its batches
-    there, so runs that read one stream draw each batch once.
+    Oracles that share the seed, the data and the batch size draw the
+    same batch at each position, so ``draw_batch`` can hand one oracle
+    the batch another drew there.
     """
-
-    stream = None
 
     def __init__(self, batch_size: int, n_data: int | None = None, seed: int = 0):
         if batch_size < 1:
@@ -91,52 +89,21 @@ class HessianOracle(abc.ABC):
         """Mini-batch gradients at each of ``ws`` on one drawn batch."""
         return [self.gradient(w, batch) for w in ws]
 
-    def draw_batch(self):
-        batch = self._draw() if self.stream is None else self.stream.take(self)
+    def draw_batch(self, drawn=None):
+        """The next batch, charged to ``data_read``: a fresh draw, or ``drawn``,
+        the batch an oracle of the same stream drew at this position."""
+        if drawn is None:
+            drawn = self._draw()
+        else:
+            self._counter += 1
         self.data_read += self.batch_size
-        return batch
+        return drawn
 
     def noisy_gradient(self, w):
         return self.gradient(w, self.draw_batch())
 
     def noisy_hvp(self, w, s):
         return self.hvp(w, s, self.draw_batch())
-
-
-class BatchStream:
-    """One seeded batch stream, read by several oracles at their own positions.
-
-    Oracles that share the seed, the data and the batch size draw the same
-    indices at each position.  The first reader to reach a position draws
-    its batch, which is kept only while another of ``readers`` has yet to
-    reach it; each reader is still charged its own reads.  ``readers`` are
-    the oracles that will draw again, and ``evict`` drops the positions
-    below the lowest of them, so the stream holds at most the lead of the
-    foremost reader over the hindmost, plus one.
-    """
-
-    def __init__(self, readers):
-        self.readers = list(readers)
-        self._batches = {}
-        self._floor = 0
-
-    def take(self, oracle):
-        """The batch at ``oracle``'s position; moves the oracle one position on."""
-        t = oracle._counter
-        batch = self._batches.get(t)
-        if batch is not None:
-            oracle._counter += 1
-            return batch
-        batch = oracle._draw()
-        if any(r is not oracle and r._counter <= t for r in self.readers):
-            self._batches[t] = batch
-        return batch
-
-    def evict(self, position):
-        """Drop the batches below ``position``, which no reader will take again."""
-        for t in range(self._floor, position):
-            self._batches.pop(t, None)
-        self._floor = max(self._floor, position)
 
 
 @dataclass(frozen=True)
@@ -271,18 +238,7 @@ def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -
         raise ValueError(f"need at least 2 samples to estimate scales, got {init_samples}")
     w = np.asarray(w, dtype=float)
     batches = [oracle.draw_batch() for _ in range(init_samples)]
-    return scale_estimates(oracle, w, batches, np.stack([oracle.gradient(w, b) for b in batches]),
-                           mode)
-
-
-def scale_estimates(oracle: HessianOracle, w, batches, grads, mode="full") -> PriorEstimates:
-    """``estimate_parameters`` on batches already drawn and charged.
-
-    ``grads`` holds the gradient at ``w`` on each of ``batches``, one row
-    per batch, so runs that draw the same batches can take their
-    gradients in one stacked call; the products along the mean gradient
-    are taken here.  Raises as ``estimate_parameters`` does.
-    """
+    grads = np.stack([oracle.gradient(w, b) for b in batches])
     gbar = grads.mean(axis=0)
     if np.linalg.norm(gbar) == 0:
         raise EstimationError("mean gradient is zero; nothing to probe")

@@ -453,6 +453,8 @@ BAD_INPUTS = {
     "epochs-negative": ("run", ["--epochs", "-3"], None),
     "epochs-nan": ("run", ["--epochs", "nan"], None),
     "epochs-zero": ("run", ["--epochs", "0"], None),
+    # finite, but epochs * n_train overflows to an infinite step count
+    "epochs-overflow": ("run", ["--epochs", "1e308", "--set", "steps=null"], None),
     "seed-negative": ("run", ["--set", "seed=-1"], None),
     "seed-past-32-bits": ("run", ["--set", "seed=4294967296"], None),
     "scales-profile-dict": ("run", ["--set", 'problem.scales={"profile": "two_band"}'], None),
@@ -494,7 +496,7 @@ BAD_INPUTS = {
 
 
 # The cases whose message must also name the field at fault, or the fault.
-NAMED_FIELD = {"n-classes-one": "n_classes", "n-classes-zero": "n_classes",
+NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "input-dim-negative": "input_dim", "noise-negative": "noise",
                "scales-entry-nan": "scales", "separation-nan": "separation",
                "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
@@ -541,6 +543,22 @@ def test_non_finite_dataset_cell_exits_1(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert rc == 1
     assert "config error" in err and "data row 3, column 2" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# 10^15 samples: numpy refuses the first array (149 PiB of regression inputs,
+# 7.1 PiB of blob labels) before it allocates anything
+@pytest.mark.parametrize("command, kind", [("run", "quadratic"), ("run", "mlp"),
+                                           ("gen-data", "quadratic"), ("gen-data", "mlp")])
+def test_problem_too_large_to_allocate_exits_1(tmp_path, capsys, command, kind):
+    out = tmp_path / "out.csv"
+    args = [command, "--set", f"problem.kind={kind}",
+            "--set", "problem.n_samples=1000000000000000", "--out", str(out)]
+    rc = main(args + (["--optimizer", "sgd", "--steps", "3"] if command == "run" else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "out of memory" in err and "Unable to allocate" in err
     assert "Traceback" not in err
     assert not out.exists()
 

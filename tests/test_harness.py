@@ -31,7 +31,7 @@ from hessprec.harness import (
 )
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import ToyNet
-from hessprec.solver import BatchStream, EstimationError
+from hessprec.solver import EstimationError, HessianOracle
 from tests.test_solver import MatrixOracle, ScriptedOracle
 
 
@@ -603,10 +603,11 @@ class TestCompare:
 class TestSgdLanes:
     """compare steps the sgd and precond_sgd runs of one batch size in one lane loop.
 
-    Each comparison mixes plain SGD lanes (one diverging early), a full-mode
+    Each comparison mixes plain SGD lanes (one diverging early), a scalar-mode
+    run without warmup, whose first rebuild comes before step 1, a full-mode
     run, a full-mode run whose construction falls back, and two scalar-mode
-    runs that share their first rebuild; at the second, one of their
-    estimates raises, so that run retries alone and draws ahead.
+    runs; at their second rebuild, one of their estimates raises, so that run
+    retries and draws ahead.
     """
 
     def configs(self, kind):
@@ -620,7 +621,7 @@ class TestSgdLanes:
                 ExperimentConfig(optimizer="sgd", lr=0.02, steps=6, record_every=1,
                                  **dict(base, batch_size=32)),
             ]
-            steps, scalar_lrs = 20, (0.05, 0.02)
+            steps, scalar_lrs = 20, (0.05, 0.02, 0.04)
         else:
             base = dict(problem=small_mlp(), batch_size=30, seed=0)
             sgd = [
@@ -628,10 +629,12 @@ class TestSgdLanes:
                 ExperimentConfig(optimizer="sgd", lr=0.3, epochs=2.0, record_every=5, **base),
                 ExperimentConfig(optimizer="sgd", lr=1e6, steps=300, record_every=7, **base),
             ]
-            steps, scalar_lrs = 14, (0.1, 0.3)
+            steps, scalar_lrs = 14, (0.1, 0.3, 0.2)
         precond = dict(optimizer="precond_sgd", steps=steps, record_every=3, **base)
         scalar = SolverSettings(init_samples=3, mode="scalar")
         return sgd + [
+            ExperimentConfig(lr=scalar_lrs[2], solver=scalar, warmup=False,
+                             **dict(precond, record_every=1)),
             ExperimentConfig(lr=0.01, solver=SolverSettings(iterations=6, init_samples=3,
                                                             rank=6), **precond),
             # rank 2 is the one whose rank reduction fails (see ``runs``)
@@ -642,9 +645,7 @@ class TestSgdLanes:
         ]
 
     def runs(self, kind, monkeypatch):
-        """The comparison and each config run alone, with the comparison's lane
-        results and every take from a batch stream, the solo runs' included, as
-        (stream, position, batch, batches held, largest lead between readers)."""
+        """The comparison, each config run alone and the comparison's lane results."""
         cfgs = self.configs(kind)
         bundle = build_problem(cfgs[0].problem)
         real_svd = precond_mod.thin_svd_product
@@ -656,48 +657,41 @@ class TestSgdLanes:
 
         monkeypatch.setattr(precond_mod, "thin_svd_product", svd_fails_at_rank_2)
         # the first estimate of the last scalar run's second rebuild raises,
-        # once; the run alone shows the iterate that rebuild starts from
-        real_estimates = harness_mod.scale_estimates
+        # once per run; the run alone shows the iterate that rebuild starts from
+        real_estimate = harness_mod.estimate_parameters
         seen = []
-        monkeypatch.setattr(harness_mod, "scale_estimates",
+        monkeypatch.setattr(harness_mod, "estimate_parameters",
                             lambda oracle, w, *args, **kw: seen.append(w.copy())
-                            or real_estimates(oracle, w, *args, **kw))
+                            or real_estimate(oracle, w, *args, **kw))
         run_precond_sgd(bundle, cfgs[-1])
-        fail_at = seen[1]
+        fail_at, failed = seen[1], []
 
         def flaky(oracle, w, *args, **kw):
-            if np.array_equal(w, fail_at):
+            est = real_estimate(oracle, w, *args, **kw)  # the failed attempt charges its batches
+            if np.array_equal(w, fail_at) and oracle not in failed:
+                failed.append(oracle)
                 raise EstimationError("synthetic estimate failure")
-            return real_estimates(oracle, w, *args, **kw)
+            return est
 
-        monkeypatch.setattr(harness_mod, "scale_estimates", flaky)
-        lane_results, takes = [], []
-        real_lanes, real_take = harness_mod.run_sgd_lanes, BatchStream.take
+        monkeypatch.setattr(harness_mod, "estimate_parameters", flaky)
+        lane_results = []
+        real_lanes = harness_mod.run_sgd_lanes
 
         def recorded_lanes(bundle, cfgs):
             lane_results.append((cfgs, real_lanes(bundle, cfgs)))
             return lane_results[-1][1]
 
-        def recorded_take(stream, oracle):
-            t = oracle.position
-            batch = real_take(stream, oracle)
-            positions = [r.position for r in stream.readers]
-            takes.append((stream, t, batch, len(stream._batches),
-                          max(positions) - min(positions)))
-            return batch
-
-        monkeypatch.setattr(BatchStream, "take", recorded_take)
         with np.errstate(over="ignore", invalid="ignore"):
             with monkeypatch.context() as m:
                 m.setattr(harness_mod, "run_sgd_lanes", recorded_lanes)
                 result = compare(cfgs)
             solo = [run_experiment(build_problem(c.problem), c) for c in cfgs]
         lanes = {id(c): r for group, results in lane_results for c, r in zip(group, results)}
-        return cfgs, result, solo, [lanes.get(id(c)) for c in cfgs], takes
+        return cfgs, result, solo, [lanes.get(id(c)) for c in cfgs]
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_comparison_csv_equals_solo_runs(self, tmp_path, kind, monkeypatch):
-        cfgs, result, solo, lanes, _ = self.runs(kind, monkeypatch)
+        cfgs, result, solo, lanes = self.runs(kind, monkeypatch)
         assert [s.diverged for s in result.summaries] == [r.diverged for r in solo]
         assert any(r.diverged for r in solo) and not all(r.diverged for r in solo)
         labels = [s.label for s in result.summaries]
@@ -714,37 +708,45 @@ class TestSgdLanes:
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_comparison_covers_each_lane_kind(self, kind, monkeypatch, caplog):
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
-            cfgs, result, solo, lanes, _ = self.runs(kind, monkeypatch)
-        full, fallback, scalar, flaky = solo[-4:]
+            cfgs, result, solo, lanes = self.runs(kind, monkeypatch)
+        no_warmup, full, fallback, scalar, flaky = solo[-5:]
         # an SGD lane diverges and stops before its last step
         assert any(r.diverged and r.final.step < c.steps for c, r in zip(cfgs, solo))
+        # without warmup the step-0 record comes before the first rebuild, whose
+        # three batches step 1 reads before its own
+        lr, batch_size = cfgs[-5].lr, cfgs[-5].batch_size
+        assert no_warmup.info["rebuilds"] > 1
+        assert [(r.step, r.data_read) for r in no_warmup.records[:2]] == [
+            (0, 0), (1, (3 + 1) * batch_size)]
+        assert no_warmup.records[0].step_length == lr != no_warmup.records[1].step_length
         assert "alpha2" in full.info and "fallback" not in full.info
         assert fallback.info["fallback"] == "synthetic rank-reduction failure"
         assert fallback.records[0].data_read == (2 + 4) * cfgs[-1].batch_size
         assert all(r.step_length == cfgs[-3].lr for r in fallback.records)
-        # the flaky run retried its first rebuild alone, three batches ahead
+        # the flaky run retried its second rebuild, three batches ahead
         assert scalar.info["rebuilds"] == flaky.info["rebuilds"] > 1
         assert flaky.final.data_read - scalar.final.data_read == 3 * cfgs[-1].batch_size
         failed = [r.message for r in caplog.records if "scalar estimation attempt failed" in r.message]
         assert len(failed) == 2  # once in the comparison, once alone
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
-    def test_stream_holds_at_most_the_lead_plus_one(self, kind, monkeypatch):
-        *_, takes = self.runs(kind, monkeypatch)
-        assert all(held <= lead + 1 for *_, held, lead in takes)
-        # lanes met on shared batches: the full-mode construction's lead was held
-        assert max(held for *_, held, _ in takes) >= 3 + 6 - 1
-
-    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
-    def test_each_stream_position_drawn_once(self, kind, monkeypatch):
-        *_, takes = self.runs(kind, monkeypatch)
-        first = {}
-        for stream, t, batch, *_ in takes:
-            assert first.setdefault((id(stream), t), batch) is batch
-        assert len(first) < len(takes)  # lanes met on shared positions
+    def test_lanes_at_one_position_share_one_draw_and_one_gradients_call(self, kind,
+                                                                          monkeypatch):
+        problem = small_quadratic() if kind == "quadratic" else small_mlp()
+        cfgs = [ExperimentConfig(problem=problem, optimizer="sgd", lr=lr, steps=9,
+                                 batch_size=30, record_every=4) for lr in (0.1, 0.05, 0.02)]
+        oracle_type = type(build_problem(problem).make_oracle(30, 0))
+        calls = []
+        for owner, name in ((HessianOracle, "_draw"), (oracle_type, "gradients")):
+            monkeypatch.setattr(owner, name, lambda self, *args, real=getattr(owner, name),
+                                name=name: calls.append(name) or real(self, *args))
+        result = compare(cfgs)
+        assert not any(s.diverged for s in result.summaries)
+        assert [s.data_read for s in result.summaries] == [9 * 30] * 3
+        assert calls.count("_draw") == calls.count("gradients") == 9
 
     def test_each_lane_charged_once_per_step(self, monkeypatch):
-        cfgs, result, solo, _, _ = self.runs("quadratic", monkeypatch)
+        cfgs, result, solo, _ = self.runs("quadratic", monkeypatch)
         for cfg, summary, alone in zip(cfgs, result.summaries, solo):
             lane = [r for lab, r in result.labeled_records if lab == summary.label]
             assert [r.data_read for r in lane] == [r.data_read for r in alone.records]
