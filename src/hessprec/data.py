@@ -47,7 +47,7 @@ def gen_regression(seed, n_samples, input_dim=21, n_features=253, noise=0.05,
         u[u == 0] = 1.0
     u /= np.sqrt(k)
     u[k:] = 0.0
-    signal = raw_monomials(X, input_dim, n_features) @ u
+    signal = raw_monomials(X, n_features) @ u
     scale = float(np.std(signal)) or 1.0
     y = signal + noise * scale * rng.normal(size=n_samples)
     return X, y

@@ -10,7 +10,8 @@ different methods are directly comparable.  Runs are deterministic given
 (config, seed); wall times are recorded only when ``timing`` is enabled
 and written as 0.0 otherwise so that emitted CSVs are byte-for-byte
 reproducible.  Every record, baselines' included, is built by one
-``_Recorder``.
+``_Recorder``.  ``ProblemConfig`` checks the rules on the problem block's
+fields, so ``gen-data`` refuses a block that breaks one before it writes.
 
 ``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
 its plain-SGD fallback and scalar mode as lanes: the lanes at the lowest
@@ -34,14 +35,12 @@ from .linalg import SolveFailure
 from .mlp import MLPOracle, ToyNet
 from .precond import apply_p_squared, build, reduce_rank
 from .problems import (
-    FeatureMapSpec,
     QuadraticProblem,
     SquaredLoss,
     avg_inv_baseline,
     batch_oracle,
     cg_baseline,
     polynomial_features,
-    scales_log_uniform,
 )
 from .solver import (ConfigError, EstimationError, SolverSettings, config_from_dict,
                      estimate_parameters, run_inference)
@@ -88,21 +87,31 @@ class ProblemConfig:
                 raise ConfigError(f"problem {name} must be at least {low}, got {value}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"problem noise must be non-negative and finite, got {self.noise}")
+        if not (np.isfinite(self.reg) and self.reg >= 0):
+            raise ConfigError(f"problem reg must be non-negative and finite, got {self.reg}")
+        if not (np.isfinite(self.alpha_reg) and self.alpha_reg > 0):
+            raise ConfigError(f"problem alpha_reg must be positive and finite, got {self.alpha_reg}")
         if not np.isfinite(self.separation):
             raise ConfigError(f"problem separation must be finite, got {self.separation}")
+        if not 0 <= self.test_fraction < 1:
+            raise ConfigError(f"problem test_fraction must be in [0, 1), got {self.test_fraction}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"problem hidden sizes must be at least 1, got {list(self.hidden)}")
         if self.scales is not None:
             object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
+            if len(self.scales) != self.n_features:
+                raise ConfigError(f"problem scales have {len(self.scales)} entries "
+                                  f"but problem n_features is {self.n_features}")
+            if bad := [s for s in self.scales if not 0 < s < math.inf]:
+                raise ConfigError(f"problem scales must be positive and finite, got {bad[0]}")
 
     from_dict = classmethod(config_from_dict)
 
     def scale_vector(self):
         """The per-feature scales as an array; log-uniform from 1 to 1e-3 by default."""
         if self.scales is None:
-            return scales_log_uniform(self.n_features, 1e-3, 1.0)
-        if len(self.scales) != self.n_features:
-            raise ConfigError(f"explicit scales have {len(self.scales)} entries "
-                              f"but n_features={self.n_features}")
+            return np.logspace(np.log10(1.0), np.log10(1e-3), self.n_features)
         return np.array(self.scales)
 
 
@@ -236,8 +245,7 @@ class QuadraticBundle:
 
     def __init__(self, pc: ProblemConfig):
         X, y = dataset(pc)
-        spec = FeatureMapSpec(pc.input_dim, pc.scale_vector())
-        Phi = polynomial_features(X, spec).T  # features x samples
+        Phi = polynomial_features(X, pc.scale_vector()).T  # features x samples
         tr, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
         self.problem = problem = QuadraticProblem(Phi[:, tr], y[tr], pc.alpha_reg)
         self._optimum = (problem.w_star, problem.loss(problem.w_star))
@@ -561,6 +569,8 @@ def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
     oracle.data_read += bundle.n_train  # b = Phi y / n is one full pass over the data
     w, diverged = cg_baseline(oracle, bundle.problem.b, n,
                               callback=lambda t, x, res_norm: rec.emit(t + 1, x, 0.0))
+    if not rec.records:  # no iteration completed (b = 0, or no positive curvature at once)
+        rec.emit(0, w, 0.0)
     return RunResult(rec.records, diverged, w, {"diverged": diverged})
 
 

@@ -4,7 +4,9 @@ The regression problem mirrors the classic setup of an ill-conditioned
 quadratic produced by a polynomial feature expansion with hand-picked
 per-feature scales; it is the problem of the paper's pre-conditioned SGD
 experiment, and its two reference baselines live here too (averaged
-per-batch inverses, and conjugate gradients on noisy products).
+per-batch inverses, and conjugate gradients on noisy products).  The
+feature map takes the input dimension from ``X`` and its scales as given;
+``harness.ProblemConfig`` checks a run's scales, one per feature.
 Logistic regression supplies a convex non-quadratic oracle, used by no
 experiment, for checking the estimator on a Hessian that moves with ``w``.
 Both oracles use the draw-once / evaluate-free cost model of :mod:`hessprec.solver`.
@@ -32,61 +34,19 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 # feature map
 
-@dataclass(frozen=True)
-class FeatureMapSpec:
-    """Second-order polynomial features with per-feature scaling.
-
-    With a scale vector of length q, the map selects the distinct
-    monomials in a fixed order (the d linear terms, then the upper
-    triangle of ``x x.T`` row by row, then the trace ``||x||^2``),
-    truncates to the first q, and multiplies entrywise by ``scales``.
-    For d = 21 the distinct-monomial count is 21 + 231 + 1 = 253.
-    """
-
-    input_dim: int
-    scales: np.ndarray
-
-    def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError(f"input_dim must be positive, got {self.input_dim}")
-        scales = np.asarray(self.scales, dtype=float)
-        if scales.ndim != 1 or scales.size < 1:
-            raise ValueError("scales must be a non-empty vector")
-        if not np.all((scales > 0) & np.isfinite(scales)):
-            raise ValueError("scales must be positive and finite")
-        limit = n_monomials(self.input_dim)
-        if scales.size > limit:
-            raise ValueError(
-                f"at most {limit} distinct monomial features exist for input_dim={self.input_dim}, "
-                f"got {scales.size} scales"
-            )
-        object.__setattr__(self, "scales", scales)
-
-    @property
-    def n_features(self) -> int:
-        return self.scales.size
-
-
-def scales_log_uniform(n_features: int, lo: float = 1e-3, hi: float = 1.0):
-    """Deterministic log-spaced scale profile from hi down to lo."""
-    if not (0 < lo <= hi):
-        raise ValueError(f"need 0 < lo <= hi, got lo={lo}, hi={hi}")
-    return np.logspace(np.log10(hi), np.log10(lo), n_features)
-
-
 def n_monomials(d):
     """How many distinct monomials ``raw_monomials`` has for d inputs: d + d(d+1)/2 + 1."""
     return d + d * (d + 1) // 2 + 1
 
 
-def raw_monomials(X, input_dim, count):
-    """First ``count`` distinct monomials [x, upper-tri(x x.T), ||x||^2], unscaled.
+def raw_monomials(X, count):
+    """First ``count`` distinct monomials of each row of ``X``, unscaled.
 
-    Only those ``count`` columns are formed, not all ``n_monomials(d)``."""
+    The order is fixed: the d linear terms, then the upper triangle of
+    ``x x.T`` row by row, then the trace ``||x||^2``; for d = 21 that is
+    21 + 231 + 1 = 253.  Only the ``count`` returned columns are formed."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    d = input_dim
-    if X.shape[1] != d:
-        raise ValueError(f"expected inputs of dimension {d}, got {X.shape[1]}")
+    d = X.shape[1]
     if count > n_monomials(d):
         raise ValueError(f"only {n_monomials(d)} distinct monomials exist, need {count}")
     iu, ju = np.triu_indices(d)
@@ -97,10 +57,11 @@ def raw_monomials(X, input_dim, count):
     return np.concatenate(cols, axis=1)
 
 
-def polynomial_features(X, spec: FeatureMapSpec):
-    """Apply the feature map to one sample (1-d input) or a batch (2-d input)."""
+def polynomial_features(X, scales):
+    """The first ``len(scales)`` monomials times ``scales``, of one sample
+    (1-d input) or a batch (2-d input)."""
     X = np.asarray(X, dtype=float)
-    feats = raw_monomials(X, spec.input_dim, spec.scales.size) * spec.scales
+    feats = raw_monomials(X, len(scales)) * scales
     return feats[0] if X.ndim == 1 else feats
 
 
@@ -156,7 +117,8 @@ class QuadraticProblem:
     data term: within 4e-14 relative of the residual form on small
     problems, noise-free ones included, and 3e-16 on the regression
     comparison's.  ``gradient`` keeps the residual pass; it is a test
-    reference.
+    reference.  Features so large that G, b or w_star is not finite are
+    refused with a ``ValueError``.
     """
 
     Phi: np.ndarray
@@ -177,9 +139,18 @@ class QuadraticProblem:
             raise ValueError(f"alpha_reg must be positive, got {self.alpha_reg!r}")
         object.__setattr__(self, "Phi", Phi)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "G", Phi @ Phi.T / y.size)
-        object.__setattr__(self, "b", Phi @ y / y.size)
-        object.__setattr__(self, "data_loss", SquaredLoss(Phi, y, exact_solution(self), self.G))
+        # min and max are non-finite when an entry is, and unlike an entrywise
+        # check they take no temporary (a 64 KB one for G moved the regression
+        # benchmark's peak RSS); Phi is not checked, as its temporary is as large
+        with np.errstate(over="ignore", invalid="ignore"):
+            object.__setattr__(self, "G", Phi @ Phi.T / y.size)
+            object.__setattr__(self, "b", Phi @ y / y.size)
+            finite = np.isfinite([self.G.min(), self.G.max(), self.b.min(), self.b.max()]).all()
+            w_star = exact_solution(self) if finite else None
+        if not (finite and np.isfinite(w_star).all()):
+            raise ValueError("the feature moments overflow: G = Phi Phi.T / |D|, b = Phi y / |D| "
+                             "or the minimizer w_star is not finite; scale the features down")
+        object.__setattr__(self, "data_loss", SquaredLoss(Phi, y, w_star, self.G))
 
     @property
     def n_features(self) -> int:

@@ -563,6 +563,67 @@ def test_problem_too_large_to_allocate_exits_1(tmp_path, capsys, command, kind):
     assert not out.exists()
 
 
+# Rules that need only the problem block, with a kind each one matters to (they
+# hold for either kind): gen-data refuses the block before it writes anything,
+# with the message that a run of the block gives
+BLOCK_RULES = {
+    "scales-negative": ("quadratic", "problem.scales=[-1,1,1,1]", "scales must be positive"),
+    "scales-short": ("quadratic", "problem.scales=[1,1]", "scales have 2 entries"),
+    "alpha-reg-zero": ("quadratic", "problem.alpha_reg=0", "alpha_reg must be positive"),
+    "alpha-reg-negative": ("quadratic", "problem.alpha_reg=-1", "alpha_reg must be positive"),
+    "reg-negative": ("mlp", "problem.reg=-1", "reg must be non-negative"),
+    "hidden-zero": ("mlp", "problem.hidden=[0]", "hidden sizes must be at least 1"),
+    "test-fraction-above-1": ("quadratic", "problem.test_fraction=1.5", "test_fraction must be"),
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_RULES)
+def test_gen_data_and_run_refuse_the_same_block(tmp_path, capsys, case):
+    kind, setting, message = BLOCK_RULES[case]
+    block = ["--set", f"problem.kind={kind}", "--set", "problem.n_samples=50",
+             "--set", "problem.input_dim=3", "--set", "problem.n_features=4", "--set", setting]
+    out = tmp_path / "out.csv"
+    assert main(["gen-data", *block, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem {message}")
+    assert not out.exists()
+    assert main(["run", *block, "--optimizer", "sgd", "--steps", "2", "--batch-size", "8",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_cg_on_all_zero_targets_writes_the_start_point(tmp_path, capsys):
+    data = tmp_path / "zero.csv"
+    write_dataset(data, np.random.default_rng(0).standard_normal((200, 4)), np.zeros(200))
+    out = tmp_path / "cg.csv"
+    rc = main(["run", "--set", f'problem.data="{data}"', "--set", "problem.input_dim=4",
+               "--set", "problem.n_features=12", "--optimizer", "cg", "--steps", "20",
+               "--batch-size", "32", "--out", str(out)])
+    assert rc == 0
+    # b = Phi y / n is one full pass over the 160 training samples
+    assert out.read_text().splitlines()[1:] == ["0,160,0.0,0.0,nan,0.0,0.0"]
+    assert "diverged=False" in capsys.readouterr().out
+
+
+# scales of 1e160 overflow G = Phi Phi.T / |D|, which the problem refuses
+@pytest.mark.parametrize("command", [["run", "--optimizer", name, "--steps", "20"]
+                                     for name in ("sgd", "precond_sgd", "avg_inv", "cg")]
+                         + [["estimate"]], ids=lambda c: c[-3] if len(c) > 1 else c[0])
+def test_overflowing_feature_moments_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    scales = "[" + ",".join(["1e160"] * 12) + "]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would leak to stderr
+        rc = main([*command, *SMALL[:6], "--set", f"problem.scales={scales}",
+                   "--set", "solver.iterations=4", "--batch-size", "32"]
+                  + (["--out", str(out)] if command[0] == "run" else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error: the feature moments overflow" in err
+    assert not out.exists()
+
+
 # solve and precond take no optimizer-run flags, and precond no --timing
 @pytest.mark.parametrize("command, flag", [
     *((command, flag) for command in ("solve", "precond")
@@ -614,5 +675,6 @@ def test_any_value_in_one_field_exits_cleanly(field, value):
             gen_rc = main(["gen-data", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/d.csv"])
             assert gen_rc in (0, 1)
             assert os.path.exists(f"{tmp}/d.csv") == (gen_rc == 0)
+            assert gen_rc == 0 or rc == 1  # a block gen-data refuses, a run refuses too
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()

@@ -24,14 +24,14 @@ class TestGenerators:
 
     def test_regression_truth_in_monomial_span(self):
         X, y = gen_regression(3, 500, input_dim=3, n_features=9, noise=0.0)
-        feats = raw_monomials(X, 3, 9)
+        feats = raw_monomials(X, 9)
         coef, *_ = np.linalg.lstsq(feats, y, rcond=None)
         np.testing.assert_allclose(feats @ coef, y, atol=1e-10)
 
     def test_regression_signal_dim_restricts_support(self):
         X, y = gen_regression(4, 400, input_dim=3, n_features=9, noise=0.0,
                               signal_dim=4)
-        feats = raw_monomials(X, 3, 9)
+        feats = raw_monomials(X, 9)
         coef, *_ = np.linalg.lstsq(feats[:, :4], y, rcond=None)
         np.testing.assert_allclose(feats[:, :4] @ coef, y, atol=1e-10)
         full, *_ = np.linalg.lstsq(feats, y, rcond=None)
@@ -40,7 +40,7 @@ class TestGenerators:
     def test_regression_equal_coef_magnitudes(self):
         X, y = gen_regression(6, 600, input_dim=3, n_features=9, noise=0.0,
                               signal_dim=4, equal_coef=True)
-        feats = raw_monomials(X, 3, 9)
+        feats = raw_monomials(X, 9)
         coef, *_ = np.linalg.lstsq(feats[:, :4], y, rcond=None)
         np.testing.assert_allclose(np.abs(coef), 0.5, atol=1e-8)
         # signs still come from the seed's draw, so both appear in general

@@ -11,6 +11,7 @@ import pytest
 import hessprec.harness as harness_mod
 import hessprec.precond as precond_mod
 from hessprec.cli import _config_from_args, build_parser, merge_config
+from hessprec.data import write_dataset
 from hessprec.harness import (
     ComparisonResult,
     ConfigError,
@@ -95,9 +96,25 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="solver rank must be at least 1, got 0"):
             SolverSettings(rank=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha_reg", 0.0), ("alpha_reg", math.nan), ("reg", -1e-9), ("reg", math.inf),
+        ("test_fraction", 1.0), ("test_fraction", -0.1), ("hidden", (8, 0)),
+        ("scales", (1.0,) * 11), ("scales", (1.0,) * 11 + (0.0,)),
+    ])
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_problem_rules_hold_for_either_kind(self, kind, field, value):
+        with pytest.raises(ConfigError, match=f"^problem {field} "):
+            ProblemConfig(kind=kind, n_features=12, **{field: value})
+
+    def test_problem_rule_edges_accepted(self):
+        pc = ProblemConfig(reg=0.0, test_fraction=0.0, hidden=(), n_features=2,
+                           scales=(5e-324, 1.7e308))
+        assert pc.hidden == () and pc.scales == (5e-324, 1.7e308)
+
     def test_from_dict_takes_integers_for_float_fields(self):
         cfg = ExperimentConfig.from_dict({"lr": 1, "epochs": 2,
-                                          "problem": {"scales": [1, 0.5], "signal_dim": None}})
+                                          "problem": {"n_features": 2, "scales": [1, 0.5],
+                                                      "signal_dim": None}})
         assert cfg.lr == 1 and cfg.epochs == 2
         assert cfg.problem.scales == (1.0, 0.5)
 
@@ -155,9 +172,10 @@ class TestScaleVector:
         assert s[3] == pytest.approx(0.1) and s[4] == pytest.approx(1e-3)
 
     def test_explicit_list_length_checked(self):
-        pc = ProblemConfig(kind="quadratic", n_features=5, scales=[1.0, 0.5])
-        with pytest.raises(ConfigError, match="n_features"):
-            pc.scale_vector()
+        # refused when the config is built, so gen-data refuses it too
+        with pytest.raises(ConfigError, match="problem scales have 2 entries but problem "
+                                              "n_features is 5"):
+            ProblemConfig(kind="quadratic", n_features=5, scales=[1.0, 0.5])
 
     def test_unknown_profile(self):
         with pytest.raises(ConfigError, match="'scales' must be"):
@@ -463,6 +481,24 @@ class TestBaselines:
         # plus one residual-check batch (charged after the record is cut)
         assert reads[0] == 320 + 32
         assert all(b - a == 64 for a, b in zip(reads, reads[1:]))
+
+    def test_cg_without_an_iteration_records_the_start_point(self, tmp_path, monkeypatch):
+        # all-zero targets make b = 0, so CG stops before its first iteration
+        data = tmp_path / "zero.csv"
+        write_dataset(data, np.random.default_rng(0).standard_normal((200, 4)), np.zeros(200))
+        pc = small_quadratic(data=str(data))
+        cfg = ExperimentConfig(problem=pc, optimizer="cg", batch_size=32, steps=20)
+        result = compare([cfg])
+        assert [(label, r.step, r.data_read) for label, r in result.labeled_records] == [
+            ("cg", 0, 160)]
+        assert not result.summaries[0].diverged
+        # a first curvature that is not positive stops it there too, flagged
+        monkeypatch.setattr("hessprec.problems.QuadraticOracle.hvp",
+                            lambda self, w, s, batch: -s)
+        res = run_baseline(build_problem(small_quadratic()), dataclasses.replace(
+            cfg, problem=small_quadratic()))
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 320 + 32)]
+        assert res.diverged and np.all(res.w == 0)
 
     def test_kind_restrictions(self):
         mlp = build_problem(small_mlp())

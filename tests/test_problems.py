@@ -6,11 +6,10 @@ import pytest
 
 import hessprec.problems as problems_mod
 from hessprec import data as datagen
-from hessprec.harness import ProblemConfig, build_problem
+from hessprec.harness import ConfigError, ProblemConfig, build_problem
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
-    FeatureMapSpec,
     LogisticProblem,
     QuadraticProblem,
     avg_inv_baseline,
@@ -21,7 +20,6 @@ from hessprec.problems import (
     n_monomials,
     polynomial_features,
     raw_monomials,
-    scales_log_uniform,
     sigmoid,
 )
 from hessprec.solver import HessianOracle
@@ -42,32 +40,31 @@ def fd_hvp(grad, w, s, eps=1e-6):
 
 class TestFeatureMap:
     def test_distinct_monomial_count_for_dim_21(self):
-        d = 21
-        assert d + d * (d + 1) // 2 + 1 == 253
-        spec = FeatureMapSpec(input_dim=d, scales=np.ones(253))
-        assert spec.n_features == 253
+        assert n_monomials(21) == 21 + 21 * 22 // 2 + 1 == 253
+        X = np.random.default_rng(0).normal(size=(3, 21))
+        assert polynomial_features(X, np.ones(253)).shape == (3, 253)
 
     def test_monomial_order_and_trace_term(self):
         x = np.array([2.0, 3.0])
-        feats = raw_monomials(x[None, :], 2, 6)[0]
+        feats = raw_monomials(x[None, :], 6)[0]
         # linear terms, then x0^2, x0 x1, x1^2, then ||x||^2
         np.testing.assert_allclose(feats, [2.0, 3.0, 4.0, 6.0, 9.0, 13.0])
 
     def test_each_count_is_a_prefix_of_all_monomials(self):
         X = np.random.default_rng(0).normal(size=(5, 4))
-        full = raw_monomials(X, 4, n_monomials(4))
+        full = raw_monomials(X, n_monomials(4))
         assert full.shape == (5, 15)
         for count in range(1, 16):
-            np.testing.assert_array_equal(raw_monomials(X, 4, count), full[:, :count])
+            np.testing.assert_array_equal(raw_monomials(X, count), full[:, :count])
         with pytest.raises(ValueError, match="only 15 distinct monomials"):
-            raw_monomials(X, 4, 16)
+            raw_monomials(X, 16)
 
     def test_forms_only_the_returned_columns(self):
         # 120 inputs have 7,381 monomials (118 MB at 2,000 samples); 253 are kept
         X = np.random.default_rng(0).normal(size=(2000, 120))
         tracemalloc.start()
         try:
-            feats = raw_monomials(X, 120, 253)
+            feats = raw_monomials(X, 253)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -77,29 +74,33 @@ class TestFeatureMap:
     def test_scales_select_and_multiply(self):
         x = np.array([2.0, 3.0])
         scales = np.array([10.0, 1.0, 0.1])
-        feats = polynomial_features(x, FeatureMapSpec(2, scales))
+        feats = polynomial_features(x, scales)
         np.testing.assert_allclose(feats, [20.0, 3.0, 0.4])
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((5, 4))
-        spec = FeatureMapSpec(4, scales_log_uniform(10))
-        batch = polynomial_features(X, spec)
+        scales = ProblemConfig(n_features=10).scale_vector()
+        batch = polynomial_features(X, scales)
         for i in range(5):
-            np.testing.assert_allclose(batch[i], polynomial_features(X[i], spec))
+            np.testing.assert_allclose(batch[i], polynomial_features(X[i], scales))
 
     def test_too_many_scales_rejected(self):
-        with pytest.raises(ValueError, match="at most"):
-            FeatureMapSpec(input_dim=2, scales=np.ones(7))
+        with pytest.raises(ValueError, match="only 6 distinct monomials"):
+            polynomial_features(np.ones((3, 2)), np.ones(7))
 
     def test_non_positive_scales_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            FeatureMapSpec(input_dim=3, scales=np.array([1.0, 0.0]))
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ConfigError, match="problem scales must be positive and finite"):
+                ProblemConfig(n_features=2, scales=(1.0, bad))
 
     def test_log_uniform_profile(self):
-        s = scales_log_uniform(5, lo=1e-2, hi=1.0)
-        assert s[0] == pytest.approx(1.0) and s[-1] == pytest.approx(1e-2)
-        assert np.all(np.diff(s) < 0)
+        # the default profile, bit for bit: log-spaced from 1 down to 1e-3
+        for n in (1, 2, 12, 253):
+            s = ProblemConfig(n_features=n).scale_vector()
+            assert np.array_equal(s, np.logspace(np.log10(1.0), np.log10(1e-3), n))
+        s = ProblemConfig(n_features=5).scale_vector()
+        assert s[0] == 1.0 and s[-1] == pytest.approx(1e-3) and np.all(np.diff(s) < 0)
 
 
 class TestQuadraticProblem:
@@ -144,6 +145,14 @@ class TestQuadraticProblem:
         with pytest.raises(ValueError, match="at least one training sample"):
             QuadraticProblem(Phi=np.zeros((3, 0)), y=np.zeros(0), alpha_reg=1e-2)
 
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+    @pytest.mark.parametrize("scale, alpha", [(1e160, 1e-2), (1e-170, 1e-308)])
+    def test_overflowing_moments_refused(self, scale, alpha):
+        # G overflows in the first case; w_star = b / alpha_reg in the second
+        p = self.make()
+        with pytest.raises(ValueError, match="feature moments overflow"):
+            QuadraticProblem(Phi=scale * p.Phi, y=p.y / scale ** 1.01, alpha_reg=alpha)
+
     def test_held_out_loss_excludes_regularizer(self):
         pc = ProblemConfig(kind="quadratic", n_samples=400, input_dim=4, n_features=12,
                            alpha_reg=1e-2, noise=0.05, test_fraction=0.2)
@@ -158,7 +167,7 @@ def held_out_split(pc):
     """The held-out (Phi, y) of ``pc``'s bundle, built here from the public pieces."""
     X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
                                   pc.n_features, pc.noise)
-    Phi = polynomial_features(X, FeatureMapSpec(pc.input_dim, pc.scale_vector())).T
+    Phi = polynomial_features(X, pc.scale_vector()).T
     _, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
     return Phi[:, te], y[te]
 
