@@ -5,6 +5,7 @@ Subcommands: ``gen-data`` (write the problem block's dataset), ``estimate``
 active probing loop and save the posterior), ``precond`` (build and save
 a pre-conditioner), ``run`` (one optimizer run -> CSV), ``compare``
 (several optimizers on a shared problem -> merged CSV + summary).
+``solve`` and ``precond`` run the full-mode construction only.
 
 Exit codes: 0 success, 1 configuration or usage error (a problem block
 too large to allocate included), 2 numerical failure or a diverged run
@@ -86,8 +87,6 @@ def _overrides(args):
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "timing", False):
-        overrides["timing"] = True
     return overrides
 
 
@@ -98,9 +97,13 @@ def _config_from_args(args):
     return ExperimentConfig.from_dict(overrides)
 
 
-def _setup(args):
-    """The config of ``args``, a fresh oracle on its problem and the start point."""
+def _setup(args, full_mode=False):
+    """The config of ``args``, a fresh oracle on its problem and the start point;
+    with ``full_mode``, a scalar ``solver.mode`` is refused, not ignored."""
     cfg = _config_from_args(args)
+    if full_mode and cfg.solver.mode != "full":
+        raise ConfigError(f"{args.command} runs the full-mode construction; "
+                          f"solver.mode {cfg.solver.mode!r} is read by estimate and run only")
     bundle = build_problem(cfg.problem)
     return cfg, bundle.make_oracle(cfg.batch_size, cfg.seed), bundle.init_w(cfg.seed)
 
@@ -117,13 +120,10 @@ def _add_config_file_flags(p):
                    help="override a config entry, e.g. --set problem.n_samples=4096")
 
 
-def _add_config_flags(p, timing=False):
+def _add_config_flags(p):
     _add_config_file_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    if timing:
-        p.add_argument("--timing", action="store_true",
-                       help="record wall-clock times (breaks byte-level reproducibility)")
 
 
 def _cmd_gen_data(args):
@@ -147,7 +147,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_solve(args):
-    cfg, oracle, w = _setup(args)
+    cfg, oracle, w = _setup(args, full_mode=True)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
     records = []
     try:
@@ -155,9 +155,9 @@ def _cmd_solve(args):
     finally:
         # written even when the loop fails, so the log shows how far it got
         if args.log:
-            datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read", "wall_ms"),
-                              ([str(r.iteration), repr(r.probe_norm), str(r.data_read),
-                                repr(r.wall_ms if cfg.timing else 0.0)] for r in records))
+            datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read"),
+                              ([str(r.iteration), repr(r.probe_norm), str(r.data_read)]
+                               for r in records))
     _write_json(args.out, posterior_to_dict(post))
     print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.prior.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
@@ -165,7 +165,7 @@ def _cmd_solve(args):
 
 
 def _cmd_precond(args):
-    cfg, oracle, w = _setup(args)
+    cfg, oracle, w = _setup(args, full_mode=True)
     precond, _, post, _ = construct_preconditioner(oracle, w, cfg.solver, cfg.lr)
     _write_json(args.out, precond_to_dict(precond))
     print(f"wrote preconditioner (n={precond.spectral.n}, k={precond.spectral.k}, "
@@ -235,7 +235,7 @@ def build_parser():
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("solve", help="run active probing, save the posterior")
-    _add_config_flags(p, timing=True)
+    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.add_argument("--log", help="write per-iteration CSV log here")
     p.set_defaults(func=_cmd_solve)
@@ -246,7 +246,7 @@ def build_parser():
     p.set_defaults(func=_cmd_precond)
 
     p = sub.add_parser("run", help="run one optimizer, write the curve CSV")
-    _add_config_flags(p, timing=True)
+    _add_config_flags(p)
     p.add_argument("--optimizer")
     p.add_argument("--lr", type=float)
     p.add_argument("--steps", type=int)

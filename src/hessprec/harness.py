@@ -7,9 +7,8 @@ learning-rate sweep.  All loops share a cost axis: cumulative samples
 loaded from disk (``data_read``), charged through the oracle including
 everything spent on pre-conditioner construction, so curves from
 different methods are directly comparable.  Runs are deterministic given
-(config, seed); wall times are recorded only when ``timing`` is enabled
-and written as 0.0 otherwise so that emitted CSVs are byte-for-byte
-reproducible.  Every record, baselines' included, is built by one
+(config, seed), and so is every emitted CSV, byte for byte: no column
+holds a wall time.  Every record, baselines' included, is built by one
 ``_Recorder``.  ``ProblemConfig`` checks the rules on the problem block's
 fields, so ``gen-data`` refuses a block that breaks one before it writes.
 
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +38,7 @@ from .problems import (
     avg_inv_baseline,
     batch_oracle,
     cg_baseline,
+    n_monomials,
     polynomial_features,
 )
 from .solver import (ConfigError, EstimationError, SolverSettings, config_from_dict,
@@ -48,7 +47,7 @@ from .solver import (ConfigError, EstimationError, SolverSettings, config_from_d
 log = logging.getLogger(__name__)
 
 RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
-                   "test_accuracy", "step_length", "wall_ms")
+                   "test_accuracy", "step_length")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
 LANE_OPTIMIZERS = ("sgd", "precond_sgd")  # the runs that run_sgd_lanes steps
@@ -105,6 +104,10 @@ class ProblemConfig:
                                   f"but problem n_features is {self.n_features}")
             if bad := [s for s in self.scales if not 0 < s < math.inf]:
                 raise ConfigError(f"problem scales must be positive and finite, got {bad[0]}")
+        if self.kind == "quadratic" and self.n_features > n_monomials(self.input_dim):
+            raise ConfigError(f"problem n_features must be at most {n_monomials(self.input_dim)}, "
+                              f"the distinct monomials of {self.input_dim} inputs, "
+                              f"got {self.n_features}")
 
     from_dict = classmethod(config_from_dict)
 
@@ -123,13 +126,9 @@ class ExperimentConfig:
     lr: float = 0.1
     steps: int | None = None
     epochs: float | None = None
-    rebuild_every: int = 1
-    warmup: bool = True
     record_every: int = 10
     seed: int = 0
-    timing: bool = False
     target_loss: float | None = None
-    target_suboptimality: float | None = None
     solver: SolverSettings = field(default_factory=SolverSettings)
 
     def __post_init__(self):
@@ -147,16 +146,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be positive, got {self.record_every}")
-        if self.rebuild_every < 1:
-            raise ConfigError(f"rebuild_every must be positive, got {self.rebuild_every}")
-        if self.target_loss is not None and self.target_suboptimality is not None:
-            raise ConfigError("set at most one of target_loss and target_suboptimality")
         if self.target_loss is not None and not np.isfinite(self.target_loss):
             raise ConfigError(f"target_loss must be finite, got {self.target_loss}")
-        if self.target_suboptimality is not None and not (
-                np.isfinite(self.target_suboptimality) and self.target_suboptimality >= 0):
-            raise ConfigError("target_suboptimality must be non-negative and finite, "
-                              f"got {self.target_suboptimality}")
 
     from_dict = classmethod(config_from_dict)
 
@@ -182,7 +173,6 @@ class RunRecord:
     test_loss: float
     test_accuracy: float
     step_length: float
-    wall_ms: float
 
 
 @dataclass
@@ -199,7 +189,7 @@ class RunResult:
 
 def _csv_row(rec):
     """The RUN_CSV_COLUMNS cells of one record; floats in shortest round-trip form."""
-    floats = (rec.train_loss, rec.test_loss, rec.test_accuracy, rec.step_length, rec.wall_ms)
+    floats = (rec.train_loss, rec.test_loss, rec.test_accuracy, rec.step_length)
     return [str(rec.step), str(rec.data_read)] + [repr(float(x)) for x in floats]
 
 
@@ -349,14 +339,13 @@ def build_problem(pc: ProblemConfig):
 class _Recorder:
     """Emission schedule plus loss evaluation shared by all loops."""
 
-    def __init__(self, bundle, cfg, oracle, total_steps, t0=None):
+    def __init__(self, bundle, cfg, oracle, total_steps):
         self.bundle = bundle
         self.cfg = cfg
         self.oracle = oracle
         self.total = total_steps
         self.epoch_len = max(1, math.ceil(bundle.n_train / cfg.batch_size))
         self.records = []
-        self.t0 = time.perf_counter() if t0 is None else t0
 
     def due(self, step):
         return (step == 0 or step == self.total
@@ -371,14 +360,13 @@ class _Recorder:
         """
         with np.errstate(over="ignore", invalid="ignore"):
             train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
-            wall = (time.perf_counter() - self.t0) * 1e3 if self.cfg.timing else 0.0
             read = self.oracle.data_read
             if not np.isfinite(train):
                 self.records.append(RunRecord(step, read, float("nan"), float("nan"),
-                                              float("nan"), step_length, wall))
+                                              float("nan"), step_length))
                 return False
             self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
-                                          step_length, wall))
+                                          step_length))
         return True
 
 
@@ -400,7 +388,7 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
         raise EstimationError("active solver produced no usable observations")
     k = min(settings.rank, post.m)
     spectral = reduce_rank(post, k)
-    precond, lr = build(spectral, beta=settings.beta, base_lr=base_lr)
+    precond, lr = build(spectral, base_lr=base_lr)
     return precond, lr, post, est
 
 
@@ -413,9 +401,9 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
     """SGD behind the curvature-adapted pre-conditioner: a lane loop of one run.
 
     Full mode builds P once up front and steps along P^2 g; scalar mode
-    steps along g and refreshes the step length at rebuild boundaries
-    (every ``rebuild_every`` epochs, with an optional fixed-rate warmup
-    epoch first), before that step's batch is drawn.  Numerical
+    steps along g at the configured rate for its first epoch and
+    refreshes the step length before the first step of every later
+    epoch, before that step's batch is drawn.  Numerical
     construction failures fall back to plain SGD with a warning; a
     ``ConfigError`` (such as more probes than dimensions) propagates.
     """
@@ -435,16 +423,14 @@ def run_sgd_lanes(bundle, cfgs) -> list:
     lane at the lowest position draws the batch, every other lane there
     is charged for it, and they step on it with one ``gradients`` call; a
     lane that ran ahead waits for the others.  A lane stops at its last
-    step or at the first record whose loss is non-finite.  With
-    ``timing`` the lanes' wall times share one clock.  Returns one
+    step or at the first record whose loss is non-finite.  Returns one
     ``RunResult`` per config, in order.
     """
     cfgs = list(cfgs)
     seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
     if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
         raise ConfigError("SGD lanes must share the seed and the batch size")
-    t0 = time.perf_counter()
-    lanes = [_Lane(bundle, c, t0) for c in cfgs]
+    lanes = [_Lane(bundle, c) for c in cfgs]
     for lane in lanes:
         lane.start()
     live = lanes
@@ -470,12 +456,12 @@ class _Lane:
     at its rebuilds, each after the record of the step before.
     """
 
-    def __init__(self, bundle, cfg: ExperimentConfig, t0):
+    def __init__(self, bundle, cfg: ExperimentConfig):
         self.cfg = cfg
         self.steps = cfg.n_steps(bundle.n_train)
         self.oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
         self.w = bundle.init_w(cfg.seed)
-        self.rec = _Recorder(bundle, cfg, self.oracle, self.steps, t0)
+        self.rec = _Recorder(bundle, cfg, self.oracle, self.steps)
         self.t = 0
         self.precond, self.lr, self.step_length = None, cfg.lr, cfg.lr
         self.scalar = cfg.optimizer == "precond_sgd" and cfg.solver.mode == "scalar"
@@ -483,8 +469,7 @@ class _Lane:
         self.result = None
 
     def start(self):
-        """Full mode's construction, falling back to plain SGD; then the step-0
-        record, and scalar mode's first rebuild if it is due before step 1."""
+        """Full mode's construction, falling back to plain SGD; then the step-0 record."""
         cfg = self.cfg
         if cfg.optimizer == "precond_sgd" and not self.scalar:
             try:
@@ -500,11 +485,11 @@ class _Lane:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
                 self.info.update(fallback=str(exc))
         self.rec.emit(0, self.w, self.step_length)
-        self._rebuild_if_due()
 
     def step(self, g):
         """One step along the gradient ``g``, then its record if one is due, then
-        scalar mode's rebuild if the next step opens a rebuild epoch."""
+        scalar mode's rebuild if the next step opens an epoch: every epoch but
+        the first, which steps at the configured rate, starts with one."""
         self.t = t = self.t + 1
         self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
                                      if self.precond is not None else g)
@@ -516,15 +501,7 @@ class _Lane:
             self.result = RunResult(self.rec.records, True, self.w, self.info)
         elif t == self.steps:
             self.result = RunResult(self.rec.records, False, self.w, self.info)
-        else:
-            self._rebuild_if_due()
-
-    def _rebuild_if_due(self):
-        """Scalar mode's rebuild, due before the first step of every
-        ``rebuild_every``-th epoch but a fixed-rate ``warmup`` epoch."""
-        epoch, offset = divmod(self.t, self.rec.epoch_len)
-        if (self.scalar and offset == 0 and epoch % self.cfg.rebuild_every == 0
-                and not (self.cfg.warmup and epoch == 0)):
+        elif self.scalar and t % self.rec.epoch_len == 0:
             self.lr = self.step_length = self.info["eta"] = _scalar_rebuild(
                 self.oracle, self.w, self.cfg.solver, self.lr)
             self.info["rebuilds"] += 1
@@ -571,7 +548,7 @@ def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
                               callback=lambda t, x, res_norm: rec.emit(t + 1, x, 0.0))
     if not rec.records:  # no iteration completed (b = 0, or no positive curvature at once)
         rec.emit(0, w, 0.0)
-    return RunResult(rec.records, diverged, w, {"diverged": diverged})
+    return RunResult(rec.records, diverged, w)
 
 
 def run_experiment(bundle, cfg: ExperimentConfig) -> RunResult:
@@ -629,15 +606,14 @@ def compare(configs) -> ComparisonResult:
     and no two may share a label; the merged records are keyed by
     (optimizer label, data_read).
     The ``sgd`` and ``precond_sgd`` runs that share a batch size are
-    stepped together by ``run_sgd_lanes``, on one batch stream, so with
-    ``timing`` their rows share one clock; records and summaries stay in
-    config order.
+    stepped together by ``run_sgd_lanes``, on one batch stream; records
+    and summaries stay in config order.
     Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
         raise ConfigError("compare needs at least one run config")
     first = configs[0]
-    for name in ("problem", "seed", "target_loss", "target_suboptimality"):
+    for name in ("problem", "seed", "target_loss"):
         if any(getattr(cfg, name) != getattr(first, name) for cfg in configs[1:]):
             raise ConfigError(f"compare requires all runs to share the same {name}")
     counts = {}
@@ -649,16 +625,7 @@ def compare(configs) -> ComparisonResult:
             raise ConfigError(f"compare runs share the label {label!r}; their rows could not "
                               "be told apart")
     bundle = build_problem(first.problem)
-
     target = first.target_loss
-    if first.target_suboptimality is not None:
-        opt = bundle.optimum()
-        if opt is None:
-            raise ConfigError("target_suboptimality needs a problem with a computable optimum")
-        loss_star = opt[1]
-        loss_init = bundle.train_loss(bundle.init_w(first.seed))
-        target = loss_star + first.target_suboptimality * (loss_init - loss_star)
-
     results = [None] * len(configs)
     for i, cfg in enumerate(configs):
         if results[i] is not None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import abc
 import dataclasses
 import logging
-import time
 import types
 import typing
 from dataclasses import dataclass
@@ -179,7 +178,6 @@ class SolverSettings:
     iterations: int = 16
     init_samples: int = 5
     rank: int = 16
-    beta: float = 1.0
     mode: str = "full"
 
     def __post_init__(self):
@@ -188,8 +186,6 @@ class SolverSettings:
         for name, low in (("iterations", 1), ("init_samples", 2), ("rank", 1)):
             if (value := getattr(self, name)) < low:
                 raise ConfigError(f"solver {name} must be at least {low}, got {value}")
-        if not (np.isfinite(self.beta) and self.beta > 0):
-            raise ConfigError(f"solver beta must be positive and finite, got {self.beta!r}")
 
     from_dict = classmethod(config_from_dict)
 
@@ -204,7 +200,6 @@ class IterationRecord:
     iteration: int
     probe_norm: float
     data_read: int
-    wall_ms: float
 
 
 def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -> PriorEstimates:
@@ -322,7 +317,6 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     post = IncrementalPosterior(prior, NoiseModel(lam0=estimates.lam0), settings.iterations)
     r = np.asarray(estimates.mean_grad, dtype=float)
     for i in range(1, settings.iterations + 1):
-        t0 = time.perf_counter()
         raw = next_direction(post, r)
         probe_norm = float(np.linalg.norm(raw))
         s = raw / probe_norm
@@ -338,7 +332,6 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
             )
             break
         if callback is not None:
-            wall_ms = (time.perf_counter() - t0) * 1e3
             callback(IterationRecord(iteration=i, probe_norm=probe_norm,
-                                     data_read=oracle.data_read, wall_ms=wall_ms))
+                                     data_read=oracle.data_read))
     return post

@@ -24,7 +24,7 @@ from hessprec.harness import (
     construct_preconditioner,
 )
 from hessprec.linalg import SolveFailure
-from hessprec.solver import estimate_parameters, run_inference
+from hessprec.solver import HessianOracle, estimate_parameters, run_inference
 
 SMALL = [
     "--set", "problem.n_samples=400",
@@ -69,12 +69,23 @@ class TestGenData:
                 "--set", "problem.input_dim=3"]
         # the default n_features (253) exceeds the 10 monomials of 3 inputs, as in a run
         assert main(args) == 1
-        assert "only 10 distinct monomials exist, need 253" in capsys.readouterr().err
+        assert ("problem n_features must be at most 10, the distinct monomials of 3 inputs, "
+                "got 253") in capsys.readouterr().err
         assert not out.exists()
         assert main(args + ["--set", "problem.n_features=10"]) == 0
         X, y = read_dataset(out)
         assert X.shape == (50, 3) and y.shape == (50,)
         assert "50 samples x 3 features" in capsys.readouterr().out
+        # a data file forms no features, and the block is still refused, as a run refuses it
+        copy = tmp_path / "copy.csv"
+        block = args[3:] + ["--set", f'problem.data="{out}"', "--set", "problem.n_features=12"]
+        assert main(["gen-data", "--out", str(copy), *block]) == 1
+        assert "problem n_features must be at most 10" in capsys.readouterr().err
+        assert not copy.exists()
+        assert main(["run", "--out", str(copy), *block, "--optimizer", "sgd", "--steps", "3",
+                     "--batch-size", "8"]) == 1
+        assert "problem n_features must be at most 10" in capsys.readouterr().err
+        assert not copy.exists()
 
     def test_blobs(self, tmp_path):
         out = tmp_path / "blobs.csv"
@@ -178,10 +189,10 @@ class TestSolve:
         assert (payload["b0"], payload["w0"]) == (post.prior.b0, post.prior.w0)
         np.testing.assert_array_equal(np.reshape(payload["A"], (12, 6)), post.A)
         np.testing.assert_array_equal(np.reshape(payload["C"], (12, 6)), post.C)
-        # 3 estimation batches of 64, then one batch per probe; no timing, so
-        # wall_ms is 0.0; probe norms in shortest round-trip form
-        golden = "iteration,probe_norm,data_read,wall_ms\n" + "".join(
-            f"{i},{r.probe_norm!r},{192 + 64 * i},0.0\n" for i, r in enumerate(records, 1))
+        # 3 estimation batches of 64, then one batch per probe; probe norms in
+        # shortest round-trip form
+        golden = "iteration,probe_norm,data_read\n" + "".join(
+            f"{i},{r.probe_norm!r},{192 + 64 * i}\n" for i, r in enumerate(records, 1))
         assert len(records) == 6
         assert log.read_bytes() == golden.encode()
         capsys.readouterr()
@@ -202,7 +213,7 @@ class TestSolve:
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
         lines = log.read_text().splitlines()
-        assert lines[0] == "iteration,probe_norm,data_read,wall_ms"
+        assert lines[0] == "iteration,probe_norm,data_read"
         assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
         assert not out.exists()
 
@@ -368,7 +379,7 @@ class TestCompare:
         cfg.write_text(json.dumps({
             "base": {
                 "batch_size": 64, "steps": 8, "record_every": 4, "seed": 0,
-                "target_suboptimality": 0.5,
+                "target_loss": 0.5,
                 "problem": {"kind": "quadratic", "n_samples": 400,
                             "input_dim": 4, "n_features": 12},
             },
@@ -445,7 +456,6 @@ BAD_INPUTS = {
     "batch-size-is-a-bool": ("run", ["--set", "batch_size=true"], None),
     "steps-not-an-integer": ("run", ["--set", "steps=2.5"], None),
     "steps-zero": ("run", ["--set", "steps=0"], None),
-    "timing-not-a-bool": ("run", ["--set", "timing=1"], None),
     "hidden-not-integers": ("run", ["--set", "problem.hidden=[8,2.5]"], None),
     "scales-entry-null": ("run", ["--set", "problem.scales=[1.0,null]"], None),
     "target-loss-is-a-string": ("run", ["--set", 'target_loss="x"'], None),
@@ -474,10 +484,6 @@ BAD_INPUTS = {
                        None),
     "target-loss-nan": ("run", ["--set", "target_loss=NaN"], None),
     "target-loss-inf": ("run", ["--set", "target_loss=Infinity"], None),
-    "target-suboptimality-negative": ("run", ["--set", "target_suboptimality=-0.5"], None),
-    "target-suboptimality-nan": ("run", ["--set", "target_suboptimality=NaN"], None),
-    "both-targets": ("run", ["--set", "target_loss=0.5", "--set", "target_suboptimality=0.1"],
-                     None),
     "compare-targets-differ": ("compare", [], {"base": {}, "runs": [{"target_loss": 1e-12},
                                                                  {"target_loss": 1e9}]}),
     "gen-data-separation-nan": ("gen-data", ["--set", "problem.kind=mlp",
@@ -492,6 +498,15 @@ BAD_INPUTS = {
     # the test writes header-only.csv, a header with no rows, in the working directory
     "dataset-header-only": ("run", ["--set", "problem.data=header-only.csv",
                                     "--set", "problem.input_dim=4"], None),
+    # keys the config does not have: any value is an unknown key, named as such
+    "timing-not-a-bool": ("run", ["--set", "timing=1"], None),
+    "target-suboptimality-negative": ("run", ["--set", "target_suboptimality=-0.5"], None),
+    "target-suboptimality-nan": ("run", ["--set", "target_suboptimality=NaN"], None),
+    "both-targets": ("run", ["--set", "target_loss=0.5", "--set", "target_suboptimality=0.1"],
+                     None),
+    "warmup-false": ("run", ["--set", "warmup=false"], None),
+    "rebuild-every-two": ("run", ["--set", "rebuild_every=2"], None),
+    "solver-beta-half": ("run", ["--set", "solver.beta=0.5"], None),
 }
 
 
@@ -500,8 +515,13 @@ NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-cla
                "input-dim-negative": "input_dim", "noise-negative": "noise",
                "scales-entry-nan": "scales", "separation-nan": "separation",
                "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
-               "target-suboptimality-negative": "target_suboptimality",
-               "target-suboptimality-nan": "target_suboptimality",
+               "timing-not-a-bool": "config keys: ['timing']",
+               "target-suboptimality-negative": "config keys: ['target_suboptimality']",
+               "target-suboptimality-nan": "config keys: ['target_suboptimality']",
+               "both-targets": "config keys: ['target_suboptimality']",
+               "warmup-false": "config keys: ['warmup']",
+               "rebuild-every-two": "config keys: ['rebuild_every']",
+               "solver-beta-half": "solver keys: ['beta']",
                "compare-targets-differ": "target_loss",
                "gen-data-separation-nan": "separation", "gen-data-noise-nan": "noise",
                "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim",
@@ -602,7 +622,7 @@ def test_cg_on_all_zero_targets_writes_the_start_point(tmp_path, capsys):
                "--batch-size", "32", "--out", str(out)])
     assert rc == 0
     # b = Phi y / n is one full pass over the 160 training samples
-    assert out.read_text().splitlines()[1:] == ["0,160,0.0,0.0,nan,0.0,0.0"]
+    assert out.read_text().splitlines()[1:] == ["0,160,0.0,0.0,nan,0.0"]
     assert "diverged=False" in capsys.readouterr().out
 
 
@@ -624,11 +644,11 @@ def test_overflowing_feature_moments_exit_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
-# solve and precond take no optimizer-run flags, and precond no --timing
+# solve and precond take no optimizer-run flags, and no command has --timing
 @pytest.mark.parametrize("command, flag", [
     *((command, flag) for command in ("solve", "precond")
       for flag in ("--optimizer=sgd", "--lr=0.1", "--steps=3", "--epochs=1")),
-    ("precond", "--timing"),
+    ("precond", "--timing"), ("run", "--timing"), ("solve", "--timing"),
 ])
 def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
@@ -636,6 +656,19 @@ def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command, flag)
     assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+# solve and precond run the full-mode construction only, so a scalar mode is
+# refused before a batch is drawn rather than ignored
+@pytest.mark.parametrize("command", ["solve", "precond"])
+def test_full_mode_command_refuses_scalar_mode(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(HessianOracle, "draw_batch", lambda *args: pytest.fail("drew a batch"))
+    out = tmp_path / "out.json"
+    rc = main([command, *SMALL, "--set", "solver.mode=scalar", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"config error: {command} runs the full-mode construction; solver.mode 'scalar'" in err
+    assert not out.exists()
 
 
 TINY = {

@@ -91,8 +91,6 @@ class TestConfigs:
             ExperimentConfig(lr=-0.1)
         with pytest.raises(ConfigError, match="solver mode"):
             SolverSettings(mode="diagonal")
-        with pytest.raises(ConfigError, match="beta"):
-            SolverSettings(beta=0.0)
         with pytest.raises(ConfigError, match="solver rank must be at least 1, got 0"):
             SolverSettings(rank=0)
 
@@ -251,7 +249,6 @@ class TestRunSgd:
         # epoch_len = 320/64 = 5; due at 0, multiples of 5 and 10, and 25
         assert [r.step for r in res.records] == [0, 5, 10, 15, 20, 25]
         assert [r.data_read for r in res.records] == [0, 320, 640, 960, 1280, 1600]
-        assert all(r.wall_ms == 0.0 for r in res.records)
         assert all(r.step_length == 0.05 for r in res.records)
 
     def test_zero_rate_freezes_iterates(self):
@@ -367,16 +364,9 @@ class TestRunPrecondSgd:
         cfg = self.cfg(solver=solver, lr=0.05, steps=15)
         res = run_precond_sgd(build_problem(cfg.problem), cfg)
         assert not res.diverged
-        # epoch_len = 5 -> epochs 0,1,2; warmup skips epoch 0
+        # epoch_len = 5 -> epochs 0,1,2; epoch 0 steps at the configured rate
         assert res.info["rebuilds"] == 2
         assert res.info["eta"] > 0
-
-    def test_scalar_mode_without_warmup(self):
-        solver = SolverSettings(init_samples=3, mode="scalar")
-        cfg = self.cfg(solver=solver, lr=0.05, steps=15, warmup=False,
-                       rebuild_every=2)
-        res = run_precond_sgd(build_problem(cfg.problem), cfg)
-        assert res.info["rebuilds"] == 2  # epochs 0 and 2
 
     def test_scalar_mode_divergence_stops_at_first_nan_record(self, monkeypatch, caplog):
         # a step of 1e6 on this quadratic overflows after a few epochs
@@ -388,7 +378,7 @@ class TestRunPrecondSgd:
         assert res.diverged
         assert [math.isnan(r.train_loss) for r in res.records].index(True) == len(res.records) - 1
         assert res.records[-1].step < 60
-        # epoch_len = 5 and warmup skips epoch 0: one rebuild per later epoch begun
+        # epoch_len = 5 and epoch 0 has no rebuild: one per later epoch begun
         assert res.info["rebuilds"] == (res.records[-1].step - 1) // 5 > 0
         assert res.info["eta"] == 1e6
         assert any("precond_sgd diverged at step" in r.message for r in caplog.records)
@@ -510,33 +500,20 @@ class TestBaselines:
             run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
                                                optimizer="sgd", steps=2))
 
-    @pytest.mark.parametrize("optimizer", ["avg_inv", "cg"])
-    def test_wall_ms_only_with_timing(self, optimizer):
-        bundle = build_problem(small_quadratic())
-        cfg = ExperimentConfig(problem=small_quadratic(), optimizer=optimizer,
-                               batch_size=32, steps=6, record_every=1)
-        untimed = run_baseline(bundle, cfg)
-        assert len(untimed.records) > 2
-        assert all(r.wall_ms == 0.0 for r in untimed.records)
-        timed = run_baseline(bundle, dataclasses.replace(cfg, timing=True))
-        walls = [r.wall_ms for r in timed.records]
-        assert walls[0] > 0 and all(b >= a for a, b in zip(walls, walls[1:]))
-        assert [r.data_read for r in timed.records] == [r.data_read for r in untimed.records]
-
 
 class TestCsvOutput:
     def records(self):
-        return [RunRecord(0, 0, 2.5, 2.25, float("nan"), 0.1, 0.0),
-                RunRecord(5, 320, 1.0, 1.125, float("nan"), 0.1, 0.0)]
+        return [RunRecord(0, 0, 2.5, 2.25, float("nan"), 0.1),
+                RunRecord(5, 320, 1.0, 1.125, float("nan"), 0.1)]
 
     def test_run_csv_schema(self, tmp_path):
         path = tmp_path / "run.csv"
         write_run_csv(path, self.records())
         lines = path.read_text().splitlines()
         assert lines[0] == ("step,data_read,train_loss,test_loss,"
-                            "test_accuracy,step_length,wall_ms")
-        assert lines[1] == "0,0,2.5,2.25,nan,0.1,0.0"
-        assert lines[2] == "5,320,1.0,1.125,nan,0.1,0.0"
+                            "test_accuracy,step_length")
+        assert lines[1] == "0,0,2.5,2.25,nan,0.1"
+        assert lines[2] == "5,320,1.0,1.125,nan,0.1"
 
     def test_comparison_csv(self, tmp_path):
         path = tmp_path / "cmp.csv"
@@ -610,24 +587,6 @@ class TestCompare:
                    and r.train_loss <= target]
         assert s.data_read_to_target == min(r.data_read for r in reached)
 
-    def test_suboptimality_target(self):
-        bundle = build_problem(small_quadratic())
-        _, loss_star = bundle.optimum()
-        init_loss = bundle.train_loss(np.zeros(12))
-        cfgs = [ExperimentConfig(problem=small_quadratic(), optimizer="sgd",
-                                 lr=0.1, batch_size=64, steps=5, seed=0,
-                                 target_suboptimality=0.5)]
-        result = compare(cfgs)
-        assert result.target_loss == pytest.approx(
-            loss_star + 0.5 * (init_loss - loss_star))
-
-    def test_suboptimality_needs_optimum(self):
-        cfgs = [ExperimentConfig(problem=small_mlp(), optimizer="sgd", lr=0.01,
-                                 batch_size=30, steps=3, seed=0,
-                                 target_suboptimality=0.5)]
-        with pytest.raises(ConfigError, match="optimum"):
-            compare(cfgs)
-
     def test_summary_text_mentions_every_run(self):
         result = compare(self.configs(target_loss=1e-9))
         text = result.summary_text()
@@ -639,8 +598,7 @@ class TestCompare:
 class TestSgdLanes:
     """compare steps the sgd and precond_sgd runs of one batch size in one lane loop.
 
-    Each comparison mixes plain SGD lanes (one diverging early), a scalar-mode
-    run without warmup, whose first rebuild comes before step 1, a full-mode
+    Each comparison mixes plain SGD lanes (one diverging early), a full-mode
     run, a full-mode run whose construction falls back, and two scalar-mode
     runs; at their second rebuild, one of their estimates raises, so that run
     retries and draws ahead.
@@ -657,7 +615,7 @@ class TestSgdLanes:
                 ExperimentConfig(optimizer="sgd", lr=0.02, steps=6, record_every=1,
                                  **dict(base, batch_size=32)),
             ]
-            steps, scalar_lrs = 20, (0.05, 0.02, 0.04)
+            steps, scalar_lrs = 20, (0.05, 0.02)
         else:
             base = dict(problem=small_mlp(), batch_size=30, seed=0)
             sgd = [
@@ -665,12 +623,10 @@ class TestSgdLanes:
                 ExperimentConfig(optimizer="sgd", lr=0.3, epochs=2.0, record_every=5, **base),
                 ExperimentConfig(optimizer="sgd", lr=1e6, steps=300, record_every=7, **base),
             ]
-            steps, scalar_lrs = 14, (0.1, 0.3, 0.2)
+            steps, scalar_lrs = 14, (0.1, 0.3)
         precond = dict(optimizer="precond_sgd", steps=steps, record_every=3, **base)
         scalar = SolverSettings(init_samples=3, mode="scalar")
         return sgd + [
-            ExperimentConfig(lr=scalar_lrs[2], solver=scalar, warmup=False,
-                             **dict(precond, record_every=1)),
             ExperimentConfig(lr=0.01, solver=SolverSettings(iterations=6, init_samples=3,
                                                             rank=6), **precond),
             # rank 2 is the one whose rank reduction fails (see ``runs``)
@@ -745,16 +701,9 @@ class TestSgdLanes:
     def test_comparison_covers_each_lane_kind(self, kind, monkeypatch, caplog):
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             cfgs, result, solo, lanes = self.runs(kind, monkeypatch)
-        no_warmup, full, fallback, scalar, flaky = solo[-5:]
+        full, fallback, scalar, flaky = solo[-4:]
         # an SGD lane diverges and stops before its last step
         assert any(r.diverged and r.final.step < c.steps for c, r in zip(cfgs, solo))
-        # without warmup the step-0 record comes before the first rebuild, whose
-        # three batches step 1 reads before its own
-        lr, batch_size = cfgs[-5].lr, cfgs[-5].batch_size
-        assert no_warmup.info["rebuilds"] > 1
-        assert [(r.step, r.data_read) for r in no_warmup.records[:2]] == [
-            (0, 0), (1, (3 + 1) * batch_size)]
-        assert no_warmup.records[0].step_length == lr != no_warmup.records[1].step_length
         assert "alpha2" in full.info and "fallback" not in full.info
         assert fallback.info["fallback"] == "synthetic rank-reduction failure"
         assert fallback.records[0].data_read == (2 + 4) * cfgs[-1].batch_size
