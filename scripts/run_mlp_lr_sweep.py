@@ -25,8 +25,7 @@ from hessprec.harness import (
 
 def build_runs(seed, grid, epochs):
     pc = ProblemConfig(kind="mlp", n_samples=4096, input_dim=20, n_classes=10,
-                       separation=3.0, hidden=(32, 16), test_fraction=0.2,
-                       data_seed=seed)
+                       hidden=(32, 16), data_seed=seed)
     runs = [ExperimentConfig(problem=pc, optimizer="sgd", lr=float(lr),
                              batch_size=128, epochs=epochs, record_every=50,
                              seed=seed) for lr in grid]

@@ -51,8 +51,7 @@ def problem_config(seed):
     return ProblemConfig(kind="quadratic", n_samples=20000, input_dim=21,
                          n_features=253, alpha_reg=5e-5, noise=1.0,
                          signal_dim=16, equal_coef=True,
-                         scales=head_tail_scales(), test_fraction=0.2,
-                         data_seed=seed)
+                         scales=head_tail_scales(), data_seed=seed)
 
 
 def build_runs(pc, seed, target):

@@ -10,7 +10,8 @@ different methods are directly comparable.  Runs are deterministic given
 (config, seed), and so is every emitted CSV, byte for byte: no column
 holds a wall time.  Every record, baselines' included, is built by one
 ``_Recorder``.  ``ProblemConfig`` checks the rules on the problem block's
-fields, so ``gen-data`` refuses a block that breaks one before it writes.
+fields, so ``gen-data`` refuses a block that breaks one before it writes;
+the held-out share and the network's penalty are constants, not fields.
 
 ``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
 its plain-SGD fallback and scalar mode as lanes: the lanes at the lowest
@@ -53,6 +54,8 @@ OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
 LANE_OPTIMIZERS = ("sgd", "precond_sgd")  # the runs that run_sgd_lanes steps
 
 SCALAR_ATTEMPTS = 3  # scalar-mode estimates tried before the previous step length is kept
+TEST_FRACTION = 0.2  # the held-out share of every problem's samples
+MLP_REG = 1e-3  # the network's L2 penalty
 
 
 # ---------------------------------------------------------------------------
@@ -66,15 +69,12 @@ class ProblemConfig:
     input_dim: int = 21
     n_features: int = 253
     alpha_reg: float = 1e-4
-    reg: float = 1e-3
     noise: float = 0.05
     signal_dim: int | None = None
     equal_coef: bool = False
     scales: tuple[float, ...] | None = None
     hidden: tuple[int, ...] = (32, 16)
     n_classes: int = 10
-    separation: float = 3.0
-    test_fraction: float = 0.2
     data_seed: int = 0
 
     def __post_init__(self):
@@ -86,14 +86,8 @@ class ProblemConfig:
                 raise ConfigError(f"problem {name} must be at least {low}, got {value}")
         if not (np.isfinite(self.noise) and self.noise >= 0):
             raise ConfigError(f"problem noise must be non-negative and finite, got {self.noise}")
-        if not (np.isfinite(self.reg) and self.reg >= 0):
-            raise ConfigError(f"problem reg must be non-negative and finite, got {self.reg}")
         if not (np.isfinite(self.alpha_reg) and self.alpha_reg > 0):
             raise ConfigError(f"problem alpha_reg must be positive and finite, got {self.alpha_reg}")
-        if not np.isfinite(self.separation):
-            raise ConfigError(f"problem separation must be finite, got {self.separation}")
-        if not 0 <= self.test_fraction < 1:
-            raise ConfigError(f"problem test_fraction must be in [0, 1), got {self.test_fraction}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"problem hidden sizes must be at least 1, got {list(self.hidden)}")
@@ -214,8 +208,7 @@ def dataset(pc: ProblemConfig):
         if pc.kind == "quadratic":
             return datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
                                           pc.n_features, pc.noise, pc.signal_dim, pc.equal_coef)
-        return datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes,
-                                 pc.separation)
+        return datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes)
     X, y = datagen.read_dataset(pc.data)
     if X.shape[1] != pc.input_dim:
         raise ConfigError(
@@ -236,7 +229,7 @@ class QuadraticBundle:
     def __init__(self, pc: ProblemConfig):
         X, y = dataset(pc)
         Phi = polynomial_features(X, pc.scale_vector()).T  # features x samples
-        tr, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
+        tr, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
         self.problem = problem = QuadraticProblem(Phi[:, tr], y[tr], pc.alpha_reg)
         self._optimum = (problem.w_star, problem.loss(problem.w_star))
         # the held-out split lives as long as the bundle: freed here, it moved
@@ -281,8 +274,8 @@ class MLPBundle:
 
     def __init__(self, pc: ProblemConfig):
         X, targets = dataset(pc)
-        tr, te = datagen.train_test_split(X.shape[0], pc.test_fraction, pc.data_seed)
-        self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=pc.reg)
+        tr, te = datagen.train_test_split(X.shape[0], TEST_FRACTION, pc.data_seed)
+        self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=MLP_REG)
         self._train = (X[tr], targets[tr])
         self._test = (X[te], targets[te])
 
@@ -317,9 +310,6 @@ class MLPBundle:
         loss, acc = self.net.loss_and_accuracy(w, X, t)
         # report the data term only on held-out samples
         return loss - 0.5 * self.net.reg * float(w @ w), acc
-
-    def optimum(self):
-        return None
 
 
 def build_problem(pc: ProblemConfig):
@@ -542,7 +532,7 @@ def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
                 rec.emit(t + 1, w_mean, 0.0)
 
         w = avg_inv_baseline(oracle, n, callback=cb)
-        return RunResult(rec.records, False, w)
+        return RunResult(rec.records, any(math.isnan(r.train_loss) for r in rec.records), w)
     oracle.data_read += bundle.n_train  # b = Phi y / n is one full pass over the data
     w, diverged = cg_baseline(oracle, bundle.problem.b, n,
                               callback=lambda t, x, res_norm: rec.emit(t + 1, x, 0.0))

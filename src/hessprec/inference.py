@@ -98,8 +98,8 @@ class IncrementalPosterior:
     Probe-major buffers of shape ``capacity x N`` hold the probes S and
     ``Delta = Y - b0 S`` one row per probe, so ``S[:m].T`` is the N x m
     probe matrix in Fortran order.  Beside them sit the m x m matrices
-    ``S.T S`` and ``S.T Delta``, the noise diagonal and the Cholesky
-    factor L of ``M = w0^2 S.T S + lam0 diag(noise)``.
+    ``S.T S`` and ``S.T Delta`` and the Cholesky factor L of
+    ``M = w0^2 S.T S + lam0 diag(noise)``, which holds the noise term.
 
     The buffers are the posterior: the factors ``A = w0 Delta M^-1`` and
     ``C = w0 S`` are not held.  ``add`` extends every matrix with GEMVs
@@ -117,7 +117,6 @@ class IncrementalPosterior:
         self.D = np.empty((capacity, prior.n))
         self.StS = np.zeros((capacity, capacity))
         self.StD = np.zeros((capacity, capacity))
-        self.noise = np.zeros(capacity)
         self.L = np.zeros((capacity, capacity))
         self.m = 0
 
@@ -145,7 +144,7 @@ class IncrementalPosterior:
             noise = self.lam0 * sts[k]
         row = self.prior.w0 ** 2 * sts
         self.L[k, :k + 1] = cholesky_row(self.L[:k, :k], row[:k], row[k] + self.lam0 * noise)
-        self.S[k], self.D[k], self.noise[k] = s, delta, noise
+        self.S[k], self.D[k] = s, delta
         self.StS[k, :k + 1] = self.StS[:k + 1, k] = sts
         self.StD[k, :k + 1] = self.D[:k + 1] @ s
         self.StD[:k, k] = self.S[:k] @ delta

@@ -63,10 +63,6 @@ class ToyNet:
             pos = w_end + fan_out
         return tuple(out)
 
-    def layer_slices(self):
-        """Flat-vector index ranges, one (W_slice, b_slice) pair per layer."""
-        return [(ws, bs) for ws, bs, _ in self._slices]
-
     def _layers(self, w):
         """(W, b) views per layer of a flat vector, or of each row of a stack of them."""
         lead = w.shape[:-1]
@@ -127,9 +123,6 @@ class ToyNet:
 
     def loss_value(self, w, X, targets):
         return self._loss(w, self.logits(w, X), targets)
-
-    def accuracy(self, w, X, targets):
-        return float(np.mean(self.logits(w, X).argmax(axis=1) == np.asarray(targets)))
 
     def loss_and_accuracy(self, w, X, targets):
         """``(loss_value, accuracy)`` from one forward pass."""

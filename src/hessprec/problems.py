@@ -93,7 +93,10 @@ class SquaredLoss:
         resid = Phi.T @ anchor - y
         self.anchor = anchor
         self.gram = Phi @ Phi.T / n if gram is None else gram
-        self.value_at_anchor = 0.5 * float(np.mean(resid * resid))
+        with np.errstate(over="ignore"):
+            self.value_at_anchor = 0.5 * float(np.mean(resid * resid))
+        if not np.isfinite(self.value_at_anchor):
+            raise ValueError("the targets overflow: the data term at the anchor is not finite")
         self.grad_at_anchor = Phi @ resid / n
 
     def __call__(self, w):
@@ -117,8 +120,8 @@ class QuadraticProblem:
     data term: within 4e-14 relative of the residual form on small
     problems, noise-free ones included, and 3e-16 on the regression
     comparison's.  ``gradient`` keeps the residual pass; it is a test
-    reference.  Features so large that G, b or w_star is not finite are
-    refused with a ``ValueError``.
+    reference.  Features so large that G, b or w_star is not finite, or
+    targets so large that L(w_star) is not, are refused with a ``ValueError``.
     """
 
     Phi: np.ndarray

@@ -1,9 +1,11 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -155,7 +157,6 @@ class TestEstimate:
         rc = main(["estimate", "--set", f'problem.data="{data}"',
                    "--set", "problem.input_dim=4",
                    "--set", "problem.n_features=12",
-                   "--set", "problem.test_fraction=0.0",
                    "--batch-size", "50"])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
@@ -480,14 +481,10 @@ BAD_INPUTS = {
     "compare-base-a-list": ("compare", [], {"base": [1], "runs": [{"optimizer": "sgd"}]}),
     # one scale per feature, so the length check passes and the NaN is what fails
     "scales-entry-nan": ("run", ["--set", "problem.scales=[1.0,NaN" + ",0.5" * 10 + "]"], None),
-    "separation-nan": ("run", ["--set", "problem.kind=mlp", "--set", "problem.separation=NaN"],
-                       None),
     "target-loss-nan": ("run", ["--set", "target_loss=NaN"], None),
     "target-loss-inf": ("run", ["--set", "target_loss=Infinity"], None),
     "compare-targets-differ": ("compare", [], {"base": {}, "runs": [{"target_loss": 1e-12},
                                                                  {"target_loss": 1e9}]}),
-    "gen-data-separation-nan": ("gen-data", ["--set", "problem.kind=mlp",
-                                             "--set", "problem.separation=NaN"], None),
     "gen-data-noise-nan": ("gen-data", ["--set", "problem.noise=NaN"], None),
     "gen-data-noise-negative": ("gen-data", ["--set", "problem.noise=-0.5"], None),
     "gen-data-input-dim-zero": ("gen-data", ["--set", "problem.kind=mlp",
@@ -507,13 +504,17 @@ BAD_INPUTS = {
     "warmup-false": ("run", ["--set", "warmup=false"], None),
     "rebuild-every-two": ("run", ["--set", "rebuild_every=2"], None),
     "solver-beta-half": ("run", ["--set", "solver.beta=0.5"], None),
+    "separation-nan": ("run", ["--set", "problem.kind=mlp", "--set", "problem.separation=NaN"],
+                       None),
+    "gen-data-separation-nan": ("gen-data", ["--set", "problem.kind=mlp",
+                                             "--set", "problem.separation=NaN"], None),
 }
 
 
 # The cases whose message must also name the field at fault, or the fault.
 NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "input-dim-negative": "input_dim", "noise-negative": "noise",
-               "scales-entry-nan": "scales", "separation-nan": "separation",
+               "scales-entry-nan": "scales",
                "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
                "timing-not-a-bool": "config keys: ['timing']",
                "target-suboptimality-negative": "config keys: ['target_suboptimality']",
@@ -522,8 +523,10 @@ NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-cla
                "warmup-false": "config keys: ['warmup']",
                "rebuild-every-two": "config keys: ['rebuild_every']",
                "solver-beta-half": "solver keys: ['beta']",
+               "separation-nan": "problem keys: ['separation']",
+               "gen-data-separation-nan": "problem keys: ['separation']",
                "compare-targets-differ": "target_loss",
-               "gen-data-separation-nan": "separation", "gen-data-noise-nan": "noise",
+               "gen-data-noise-nan": "noise",
                "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim",
                "gen-data-seed-negative": "data_seed", "data-seed-negative": "data_seed",
                "dataset-header-only": "no data rows"}
@@ -585,15 +588,19 @@ def test_problem_too_large_to_allocate_exits_1(tmp_path, capsys, command, kind):
 
 # Rules that need only the problem block, with a kind each one matters to (they
 # hold for either kind): gen-data refuses the block before it writes anything,
-# with the message that a run of the block gives
+# with the message that a run of the block gives.  The network's penalty and the
+# held-out share are constants, so setting either is an unknown key.
 BLOCK_RULES = {
-    "scales-negative": ("quadratic", "problem.scales=[-1,1,1,1]", "scales must be positive"),
-    "scales-short": ("quadratic", "problem.scales=[1,1]", "scales have 2 entries"),
-    "alpha-reg-zero": ("quadratic", "problem.alpha_reg=0", "alpha_reg must be positive"),
-    "alpha-reg-negative": ("quadratic", "problem.alpha_reg=-1", "alpha_reg must be positive"),
-    "reg-negative": ("mlp", "problem.reg=-1", "reg must be non-negative"),
-    "hidden-zero": ("mlp", "problem.hidden=[0]", "hidden sizes must be at least 1"),
-    "test-fraction-above-1": ("quadratic", "problem.test_fraction=1.5", "test_fraction must be"),
+    "scales-negative": ("quadratic", "problem.scales=[-1,1,1,1]",
+                        "problem scales must be positive"),
+    "scales-short": ("quadratic", "problem.scales=[1,1]", "problem scales have 2 entries"),
+    "alpha-reg-zero": ("quadratic", "problem.alpha_reg=0", "problem alpha_reg must be positive"),
+    "alpha-reg-negative": ("quadratic", "problem.alpha_reg=-1",
+                           "problem alpha_reg must be positive"),
+    "reg-negative": ("mlp", "problem.reg=-1", "unknown problem keys: ['reg']"),
+    "hidden-zero": ("mlp", "problem.hidden=[0]", "problem hidden sizes must be at least 1"),
+    "test-fraction-above-1": ("quadratic", "problem.test_fraction=1.5",
+                              "unknown problem keys: ['test_fraction']"),
 }
 
 
@@ -605,7 +612,7 @@ def test_gen_data_and_run_refuse_the_same_block(tmp_path, capsys, case):
     out = tmp_path / "out.csv"
     assert main(["gen-data", *block, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: problem {message}")
+    assert err.startswith(f"config error: {message}")
     assert not out.exists()
     assert main(["run", *block, "--optimizer", "sgd", "--steps", "2", "--batch-size", "8",
                  "--out", str(out)]) == 1
@@ -626,10 +633,14 @@ def test_cg_on_all_zero_targets_writes_the_start_point(tmp_path, capsys):
     assert "diverged=False" in capsys.readouterr().out
 
 
+OVERFLOW_COMMANDS = pytest.mark.parametrize(
+    "command", [["run", "--optimizer", name, "--steps", "20"]
+                for name in ("sgd", "precond_sgd", "avg_inv", "cg")] + [["estimate"]],
+    ids=lambda c: c[-3] if len(c) > 1 else c[0])
+
+
 # scales of 1e160 overflow G = Phi Phi.T / |D|, which the problem refuses
-@pytest.mark.parametrize("command", [["run", "--optimizer", name, "--steps", "20"]
-                                     for name in ("sgd", "precond_sgd", "avg_inv", "cg")]
-                         + [["estimate"]], ids=lambda c: c[-3] if len(c) > 1 else c[0])
+@OVERFLOW_COMMANDS
 def test_overflowing_feature_moments_exit_1(tmp_path, capsys, command):
     out = tmp_path / "out.csv"
     scales = "[" + ",".join(["1e160"] * 12) + "]"
@@ -641,6 +652,22 @@ def test_overflowing_feature_moments_exit_1(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1
     assert "config error: the feature moments overflow" in err
+    assert not out.exists()
+
+
+# noise of 1e200 gives targets whose squared residuals overflow, so the loss
+# at the minimizer is not finite, which the problem refuses
+@OVERFLOW_COMMANDS
+def test_overflowing_targets_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would leak to stderr
+        rc = main([*command, *SMALL[:6], "--set", "problem.noise=1e200",
+                   "--set", "solver.iterations=4", "--batch-size", "32"]
+                  + (["--out", str(out)] if command[0] == "run" else []))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error: the targets overflow" in err
     assert not out.exists()
 
 
@@ -691,23 +718,85 @@ JSON_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(field=st.sampled_from(FIELDS), value=JSON_VALUES)
-def test_any_value_in_one_field_exits_cleanly(field, value):
+# values that each field may well take, drawn as often as any JSON value, so
+# that some settings pass validation and reach the numerics
+PLAUSIBLE = {
+    "optimizer": ["sgd", "precond_sgd", "avg_inv", "cg"], "batch_size": [1, 8, 200],
+    "lr": [0.0, 1e-3, 0.1, 10.0, 1e8], "steps": [1, 3, 20, None], "epochs": [0.5, 2.0],
+    "record_every": [1, 3, 100], "seed": [7, 2 ** 32 - 1], "target_loss": [0.0, 1.0, -1.0],
+    "problem.kind": ["quadratic", "mlp"], "problem.data": [None],
+    "problem.n_samples": [2, 5, 50], "problem.input_dim": [1, 2, 5],
+    "problem.n_features": [1, 4, 10], "problem.alpha_reg": [1e-8, 1.0, 1e8],
+    "problem.noise": [0.0, 10.0, 1e200], "problem.signal_dim": [1, 3],
+    "problem.equal_coef": [True], "problem.scales": [[1e-150] * 8, [1e150] * 8],
+    "problem.hidden": [[], [1], [4, 4]], "problem.n_classes": [2, 3],
+    "problem.data_seed": [1, 99], "solver.iterations": [1, 2, 8],
+    "solver.init_samples": [2, 10], "solver.rank": [1, 2, 8], "solver.mode": ["scalar"],
+}
+FIELD_SETTINGS = st.sampled_from(FIELDS).flatmap(lambda field: st.tuples(
+    st.just(field),
+    st.booleans().flatmap(lambda plausible: st.sampled_from(PLAUSIBLE[field])
+                          if plausible else JSON_VALUES)))
+# the runs of the fuzzed comparison; each drawn field is set in its base block
+COMPARE_RUNS = [{"optimizer": "sgd"}, {"optimizer": "precond_sgd"}, {"optimizer": "cg"}]
+SUMMARY_LINE = re.compile(r"^(\S+): final_train=.* diverged=(True|False) ", re.M)
+
+
+def _fuzz_args(command, settings_, as_set, tmp):
+    """The argv of ``command`` with the drawn ``(field, value)`` pairs, written into
+    its config file or, with ``as_set``, passed as ``--set`` strings after it."""
     payload = json.loads(json.dumps(TINY))
-    *block, name = field.split(".")
-    (payload[block[0]] if block else payload)[name] = value
-    err = io.StringIO()
+    for field, value in ([] if as_set else settings_):
+        *block, name = field.split(".")
+        (payload[block[0]] if block else payload)[name] = value
+    if command == "compare":
+        payload = {"base": payload, "runs": COMPARE_RUNS}
+    with open(f"{tmp}/cfg.json", "w") as fh:
+        json.dump(payload, fh)
+    args = ["--config", f"{tmp}/cfg.json"]
+    for field, value in (settings_ if as_set else []):
+        args += ["--set", f"{field}={value if isinstance(value, str) else json.dumps(value)}"]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(command=st.sampled_from(["run", "estimate", "solve", "precond", "compare"]),
+       settings_=st.lists(FIELD_SETTINGS, min_size=1, max_size=3, unique_by=lambda fv: fv[0]),
+       as_set=st.booleans())
+def test_any_values_in_any_command_exit_cleanly(command, settings_, as_set):
+    """Up to three fields at once, in a config file or as ``--set`` strings, through
+    every config command: the exit code is 0, 1 or 2 and never a traceback; a run
+    that exits 0 wrote finite losses, a comparison's non-finite rows belong to runs
+    its summary calls diverged, and exit 2 is a numerical failure or a divergence."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, np.errstate(all="ignore"), \
-            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        with open(f"{tmp}/cfg.json", "w") as fh:
-            json.dump(payload, fh)
-        rc = main(["run", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/out.csv"])
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        config = _fuzz_args(command, settings_, as_set, tmp)
+        outputs = {"estimate": []}.get(command, ["--out", f"{tmp}/out"])
+        if command == "compare":
+            outputs += ["--summary", f"{tmp}/summary.txt"]
+        rc = main([command, *config, *outputs])
+        rows = []
+        if rc == 0 and command in ("run", "compare"):
+            with open(f"{tmp}/out") as fh:
+                rows = list(csv.DictReader(fh))
+        summary = ""
+        if rc == 0 and command == "compare":
+            with open(f"{tmp}/summary.txt") as fh:
+                summary = fh.read()
         # gen-data reads the same problem block, and may fail only as a config error
-        if block == ["problem"]:
-            gen_rc = main(["gen-data", "--config", f"{tmp}/cfg.json", "--out", f"{tmp}/d.csv"])
+        if command != "compare" and any(f.startswith("problem.") for f, _ in settings_):
+            gen_rc = main(["gen-data", *config, "--out", f"{tmp}/d.csv"])
             assert gen_rc in (0, 1)
             assert os.path.exists(f"{tmp}/d.csv") == (gen_rc == 0)
-            assert gen_rc == 0 or rc == 1  # a block gen-data refuses, a run refuses too
+            assert gen_rc == 0 or rc == 1  # a block gen-data refuses, a command refuses too
     assert rc in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert "numerical failure" in err.getvalue() or "diverged=True" in out.getvalue()
+    finite = [math.isfinite(float(row["train_loss"])) for row in rows]
+    if command == "run":
+        assert all(finite)
+    diverged = {label: flag == "True" for label, flag in SUMMARY_LINE.findall(summary)}
+    for row, ok in zip(rows, finite):
+        assert ok or diverged[row["optimizer"]], row

@@ -45,16 +45,14 @@ def assert_same_records(a, b):
 
 def small_quadratic(**kw):
     base = dict(kind="quadratic", n_samples=400, input_dim=4, n_features=12,
-                alpha_reg=1e-2, noise=0.05, scales=[1.0] * 12,
-                test_fraction=0.2, data_seed=0)
+                alpha_reg=1e-2, noise=0.05, scales=[1.0] * 12, data_seed=0)
     base.update(kw)
     return ProblemConfig(**base)
 
 
 def small_mlp(**kw):
     base = dict(kind="mlp", n_samples=120, input_dim=5, hidden=[8],
-                n_classes=3, separation=3.0, reg=1e-3, test_fraction=0.25,
-                data_seed=0)
+                n_classes=3, data_seed=0)
     base.update(kw)
     return ProblemConfig(**base)
 
@@ -101,12 +99,15 @@ class TestConfigs:
     ])
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_problem_rules_hold_for_either_kind(self, kind, field, value):
-        with pytest.raises(ConfigError, match=f"^problem {field} "):
-            ProblemConfig(kind=kind, n_features=12, **{field: value})
+        # reg and test_fraction are constants, not fields: any value is an unknown key
+        message = (f"^unknown problem keys: \\['{field}'\\]$" if field in ("reg", "test_fraction")
+                   else f"^problem {field} ")
+        with pytest.raises(ConfigError, match=message):
+            ProblemConfig.from_dict({"kind": kind, "n_features": 12, field: value},
+                                    "problem")
 
     def test_problem_rule_edges_accepted(self):
-        pc = ProblemConfig(reg=0.0, test_fraction=0.0, hidden=(), n_features=2,
-                           scales=(5e-324, 1.7e308))
+        pc = ProblemConfig(hidden=(), n_features=2, scales=(5e-324, 1.7e308))
         assert pc.hidden == () and pc.scales == (5e-324, 1.7e308)
 
     def test_from_dict_takes_integers_for_float_fields(self):
@@ -213,12 +214,13 @@ class TestBundles:
         X_te, t_te = b._test
         assert b.test_loss(w) == pytest.approx(bare.loss_value(w, X_te, t_te))
         assert 0.0 <= b.test_accuracy(w) <= 1.0
-        assert b.optimum() is None
 
+    # every bundle holds out TEST_FRACTION, so the 0.0 case holds out nothing by
+    # taking a 2-sample block, where round(0.2 * 2) = 0
     @pytest.mark.parametrize("test_fraction", [0.25, 0.0])
     @pytest.mark.parametrize("problem", [small_quadratic, small_mlp])
     def test_test_metrics_equal_separate_calls(self, problem, test_fraction):
-        b = build_problem(problem(test_fraction=test_fraction))
+        b = build_problem(problem() if test_fraction else problem(n_samples=2))
         rng = np.random.default_rng(3)
         for w in (b.init_w(seed=1), rng.standard_normal(b.dim)):
             metrics = b.test_metrics(w)
@@ -228,13 +230,14 @@ class TestBundles:
             elif b.kind == "mlp":
                 # the loss with its penalty, less the penalty: the CSV cells of before
                 X, t = b._test
-                penalty = 0.5 * b.net.reg * float(w @ w)
-                assert repr(metrics) == repr((b.net.loss_value(w, X, t) - penalty,
-                                              b.net.accuracy(w, X, t)))
+                loss, acc = b.net.loss_and_accuracy(w, X, t)
+                assert repr(metrics) == repr((loss - 0.5 * b.net.reg * float(w @ w), acc))
 
     def test_feature_overflow_is_config_error(self):
-        with pytest.raises(ConfigError):
-            build_problem(small_quadratic(n_features=30, scales=None))
+        # a valid block whose feature moments overflow: build_problem turns the
+        # problem's ValueError into a ConfigError
+        with pytest.raises(ConfigError, match="feature moments overflow"):
+            build_problem(small_quadratic(scales=[1e160] * 12))
 
 
 class TestRunSgd:
@@ -460,6 +463,17 @@ class TestBaselines:
         res = run_baseline(bundle, cfg)
         assert [r.step for r in res.records] == [1, 2, 4, 5]
         assert [r.data_read for r in res.records] == [32, 64, 128, 160]
+
+    def test_avg_inv_flags_a_non_finite_loss_as_diverged(self, monkeypatch):
+        bundle = build_problem(small_quadratic())
+        cfg = ExperimentConfig(problem=small_quadratic(), optimizer="avg_inv",
+                               batch_size=32, steps=5, record_every=2)
+        assert not run_baseline(bundle, cfg).diverged
+        losses = iter([1.0, math.inf, 1.0, 1.0])
+        monkeypatch.setattr(bundle, "train_loss", lambda w: next(losses))
+        res = run_baseline(bundle, cfg)
+        assert res.diverged
+        assert math.isnan(res.records[1].train_loss)
 
     def test_cg_charges_per_iteration(self):
         bundle = build_problem(small_quadratic())

@@ -224,7 +224,9 @@ class TestNoisy:
         post = infer_noisy(MatrixPrior(b0, w0, 8), NoiseModel(lam0),
                            ObservationSet(S=S, Y=Y, noise_diag=noise_diag))
         assert isinstance(post, IncrementalPosterior)
-        np.testing.assert_allclose(post.noise, noise_diag)
+        # M = w0^2 S.T S + lam0 diag(noise) holds the given diagonal, through its factor L
+        M = w0 ** 2 * S.T @ S + lam0 * np.diag(noise_diag)
+        np.testing.assert_allclose(post.L @ post.L.T, M, rtol=1e-12)
         ref = dense_posterior_mean(b0, w0, lam0, S, Y, noise_diag)
         assert rel_err(post.dense(), ref) <= 1e-10
         assert rel_err(post.dense(), dense_posterior_mean(b0, w0, lam0, S, Y)) > 1e-3
@@ -276,7 +278,9 @@ class TestIncrementalPosterior:
             np.testing.assert_allclose(state.StS[:j, :j], Sj.T @ Sj, rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(state.StD[:j, :j], Sj.T @ (Yj - b0 * Sj),
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(state.noise[:j], lam0 * np.sum(Sj * Sj, axis=0))
+            M = w0 ** 2 * Sj.T @ Sj + lam0 ** 2 * np.diag(np.sum(Sj * Sj, axis=0))
+            L = state.L[:j, :j]
+            np.testing.assert_allclose(L @ L.T, M, rtol=1e-12, atol=1e-12)
             v = np.random.default_rng(seed + j).standard_normal(n)
             np.testing.assert_allclose(got @ state.solve(v), v, atol=1e-8)
 
@@ -285,7 +289,7 @@ class TestIncrementalPosterior:
         state = IncrementalPosterior(MatrixPrior(1.1, 0.7, 8), NoiseModel(0.0), capacity=4)
         for j in range(3):
             state.add(S[:, j], Y[:, j])
-        names = ("S", "D", "StS", "StD", "noise", "L")
+        names = ("S", "D", "StS", "StD", "L")
         before = {name: getattr(state, name).tobytes() for name in names}
         A, C = state.A, state.C
         with pytest.raises(ValueError, match="column 3 is linearly dependent"):

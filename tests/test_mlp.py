@@ -136,12 +136,14 @@ class TestParams:
                                       net.init_params(seed=7))
         assert not np.array_equal(net.init_params(seed=7), net.init_params(seed=8))
 
-    def test_layer_slices_partition_params(self):
+    def test_slices_partition_params(self):
         net = tiny_net(sizes=(2, 5, 4, 3))
         covered = np.zeros(net.n_params, dtype=int)
-        for sl_w, sl_b in net.layer_slices():
+        for sl_w, sl_b, shape in net._slices:
             covered[sl_w] += 1
             covered[sl_b] += 1
+            assert sl_w.stop - sl_w.start == shape[0] * shape[1]
+            assert sl_b.stop - sl_b.start == shape[0]
         assert np.all(covered == 1)
 
 
@@ -258,7 +260,7 @@ class TestAccuracy:
         w = net.init_params(seed=20)
         Z = net.logits(w, X)
         expected = np.mean(Z.argmax(axis=1) == targets)
-        assert net.accuracy(w, X, targets) == pytest.approx(expected)
+        assert net.loss_and_accuracy(w, X, targets)[1] == pytest.approx(expected)
 
 
 class TestMLPOracle:
@@ -321,7 +323,6 @@ class TestAgainstReference:
         np.testing.assert_array_equal(net.hvp(w, v, X, targets), ref.hvp(w, v, X, targets))
         loss, acc = ref.loss_value(w, X, targets), ref.accuracy(w, X, targets)
         assert repr(net.loss_value(w, X, targets)) == repr(loss)
-        assert repr(net.accuracy(w, X, targets)) == repr(acc)
         assert repr(net.loss_and_accuracy(w, X, targets)) == repr((loss, acc))
         ws = np.stack([w, v, w - v])
         for g, wi in zip(net.gradients(ws, X, targets), ws):

@@ -6,7 +6,7 @@ import pytest
 
 import hessprec.problems as problems_mod
 from hessprec import data as datagen
-from hessprec.harness import ConfigError, ProblemConfig, build_problem
+from hessprec.harness import TEST_FRACTION, ConfigError, ProblemConfig, build_problem
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
@@ -146,6 +146,13 @@ class TestQuadraticProblem:
             QuadraticProblem(Phi=np.zeros((3, 0)), y=np.zeros(0), alpha_reg=1e-2)
 
     @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+    def test_overflowing_targets_refused(self):
+        # G, b and w_star stay finite, but the squared residuals overflow
+        p = self.make()
+        with pytest.raises(ValueError, match="the targets overflow"):
+            QuadraticProblem(Phi=p.Phi, y=p.y * 1e200, alpha_reg=1e-2)
+
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
     @pytest.mark.parametrize("scale, alpha", [(1e160, 1e-2), (1e-170, 1e-308)])
     def test_overflowing_moments_refused(self, scale, alpha):
         # G overflows in the first case; w_star = b / alpha_reg in the second
@@ -155,7 +162,7 @@ class TestQuadraticProblem:
 
     def test_held_out_loss_excludes_regularizer(self):
         pc = ProblemConfig(kind="quadratic", n_samples=400, input_dim=4, n_features=12,
-                           alpha_reg=1e-2, noise=0.05, test_fraction=0.2)
+                           alpha_reg=1e-2, noise=0.05)
         bundle = build_problem(pc)
         Phi_te, y_te = held_out_split(pc)
         w = np.ones(12)
@@ -168,7 +175,7 @@ def held_out_split(pc):
     X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
                                   pc.n_features, pc.noise)
     Phi = polynomial_features(X, pc.scale_vector()).T
-    _, te = datagen.train_test_split(Phi.shape[1], pc.test_fraction, pc.data_seed)
+    _, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
     return Phi[:, te], y[te]
 
 
@@ -189,7 +196,7 @@ class TestAnchoredLoss:
     @pytest.mark.parametrize("point", ["zero", "w_star", "near_w_star", "random"])
     def test_train_and_test_losses_match_residual_pass(self, noise, point):
         pc = ProblemConfig(kind="quadratic", n_samples=600, input_dim=4, n_features=15,
-                           alpha_reg=1e-8, noise=noise, test_fraction=0.25)
+                           alpha_reg=1e-8, noise=noise)
         bundle = build_problem(pc)
         p = bundle.problem
         w = {"zero": np.zeros(15), "w_star": p.w_star, "near_w_star": p.w_star * (1 + 1e-3),
