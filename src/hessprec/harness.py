@@ -1,4 +1,4 @@
-"""Experiment harness: configs, optimizer loops, baselines, comparisons.
+"""Experiment harness: configs, the optimizer loop, baselines, comparisons.
 
 Two problem kinds cover the paper's two experiments: ``quadratic``, the
 ill-conditioned regression on polynomial features with the averaged
@@ -14,12 +14,13 @@ fields, so ``gen-data`` refuses a block that breaks one before it writes;
 the held-out share and the network's penalty are constants, not fields.
 
 ``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
-its plain-SGD fallback and scalar mode as lanes: the lanes at the lowest
-stream position step on one drawn batch with one ``gradients`` call, and
-each lane keeps its own oracle and draws its own batches for a
-construction or a scalar rebuild, so its records equal those of the run
-made alone.  ``compare`` runs every ``sgd`` and ``precond_sgd`` config
-of one batch size in it.
+its plain-SGD fallback, scalar mode and the two baselines as lanes: the
+lanes at the lowest stream position step on one drawn batch, the SGD
+lanes with one ``gradients`` call and the baselines on the batch itself,
+and each lane keeps its own oracle and draws its own batches for a
+construction, a scalar rebuild or a CG residual check, so its records
+equal those of the run made alone.  ``compare`` runs every config of one
+batch size in it, and ``run_experiment`` one config.
 """
 from __future__ import annotations
 
@@ -36,9 +37,8 @@ from .precond import apply_p_squared, build, reduce_rank
 from .problems import (
     QuadraticProblem,
     SquaredLoss,
-    avg_inv_baseline,
     batch_oracle,
-    cg_baseline,
+    batch_ridge_solution,
     n_monomials,
     polynomial_features,
 )
@@ -51,7 +51,6 @@ RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
                    "test_accuracy", "step_length")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
-LANE_OPTIMIZERS = ("sgd", "precond_sgd")  # the runs that run_sgd_lanes steps
 
 SCALAR_ATTEMPTS = 3  # scalar-mode estimates tried before the previous step length is kept
 TEST_FRACTION = 0.2  # the held-out share of every problem's samples
@@ -327,7 +326,7 @@ def build_problem(pc: ProblemConfig):
 # optimizer loops
 
 class _Recorder:
-    """Emission schedule plus loss evaluation shared by all loops."""
+    """Emission schedule plus loss evaluation shared by all lanes."""
 
     def __init__(self, bundle, cfg, oracle, total_steps):
         self.bundle = bundle
@@ -388,51 +387,46 @@ def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
 
 
 def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
-    """SGD behind the curvature-adapted pre-conditioner: a lane loop of one run.
-
-    Full mode builds P once up front and steps along P^2 g; scalar mode
-    steps along g at the configured rate for its first epoch and
-    refreshes the step length before the first step of every later
-    epoch, before that step's batch is drawn.  Numerical
-    construction failures fall back to plain SGD with a warning; a
-    ``ConfigError`` (such as more probes than dimensions) propagates.
-    """
+    """SGD behind the curvature-adapted pre-conditioner, in full or scalar mode
+    (see ``_Lane``): a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
 def run_sgd_lanes(bundle, cfgs) -> list:
-    """SGD runs, plain and pre-conditioned, stepped together on one batch stream.
+    """Runs of any optimizer, stepped together on one batch stream.
 
     Every batch is seeded by (seed, position), so runs that share the seed
     and the batch size draw the same batch at each stream position.  Each
-    lane keeps its own oracle (its position and reads), parameters,
-    records, step rule and step count, so its records equal those of the
-    config run alone; a full-mode construction or a scalar rebuild draws
-    on the lane's own oracle and so moves it ahead.  Each round, the first
-    lane at the lowest position draws the batch, every other lane there
-    is charged for it, and they step on it with one ``gradients`` call; a
-    lane that ran ahead waits for the others.  A lane stops at its last
-    step or at the first record whose loss is non-finite.  Returns one
-    ``RunResult`` per config, in order.
+    lane keeps its own oracle (its position and reads), iterate, records,
+    step rule and step count, so its records equal those of the config run
+    alone; a full-mode construction, a scalar rebuild or a CG residual check
+    draws on the lane's own oracle and so moves it ahead.  Each round, the
+    first lane at the lowest position draws the batch, the others there are
+    charged for it, and all step on it, the SGD lanes with gradients from
+    one ``gradients`` call; a lane that ran ahead waits.  A lane stops at its
+    last step or when its rule finds it diverged.  Every lane is built before
+    the first draw.  Returns one ``RunResult`` per config, in order.
     """
     cfgs = list(cfgs)
     seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
     if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
-        raise ConfigError("SGD lanes must share the seed and the batch size")
-    lanes = [_Lane(bundle, c) for c in cfgs]
+        raise ConfigError("lanes must share the seed and the batch size")
+    lanes = [_LANE_RULES.get(c.optimizer, _Lane)(bundle, c) for c in cfgs]
     for lane in lanes:
         lane.start()
-    live = lanes
+    live = [lane for lane in lanes if lane.result is None]
     while live:
         position = min(lane.oracle.position for lane in live)
         stepping = [lane for lane in live if lane.oracle.position == position]
         batch = stepping[0].oracle.draw_batch()
         for lane in stepping[1:]:
             lane.oracle.draw_batch(batch)
-        grads = stepping[0].oracle.gradients([lane.w for lane in stepping], batch)
-        for lane, g in zip(stepping, grads):
-            lane.step(g)
+        takers = [lane for lane in stepping if lane.takes_gradient]
+        grads = dict(zip(takers, takers and takers[0].oracle.gradients(
+            [lane.w for lane in takers], batch)))
+        for lane in stepping:
+            lane.step(batch, grads.get(lane))
         live = [lane for lane in live if lane.result is None]
     return [lane.result for lane in lanes]
 
@@ -440,11 +434,18 @@ def run_sgd_lanes(bundle, cfgs) -> list:
 class _Lane:
     """One run of ``run_sgd_lanes``: an oracle, an iterate, a recorder and a step rule.
 
-    The step is ``w <- w - lr * (P^2 g if a pre-conditioner was built,
-    else g)`` for plain SGD, full mode, its plain-SGD fallback and scalar
-    mode alike; scalar mode refreshes ``lr`` and the recorded step length
-    at its rebuilds, each after the record of the step before.
+    This class holds the SGD rule, ``w <- w - lr * (P^2 g if a
+    pre-conditioner was built, else g)``, for plain SGD, full mode, its
+    plain-SGD fallback and scalar mode alike.  Full mode builds P before
+    the step-0 record; a numerical failure there falls back to plain SGD
+    with a warning, and a ``ConfigError`` propagates.  Scalar mode steps
+    its first epoch at the configured rate and refreshes ``lr`` and the
+    recorded step length before the first step of every later epoch,
+    after the record of the step before.  The subclasses hold the
+    baselines' rules.
     """
+
+    takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
 
     def __init__(self, bundle, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -476,7 +477,7 @@ class _Lane:
                 self.info.update(fallback=str(exc))
         self.rec.emit(0, self.w, self.step_length)
 
-    def step(self, g):
+    def step(self, batch, g):
         """One step along the gradient ``g``, then its record if one is due, then
         scalar mode's rebuild if the next step opens an epoch: every epoch but
         the first, which steps at the configured rate, starts with one."""
@@ -488,13 +489,117 @@ class _Lane:
                 log.warning("precond_sgd diverged at step %d", t)
             else:
                 log.warning("sgd diverged at step %d (lr=%g)", t, self.cfg.lr)
-            self.result = RunResult(self.rec.records, True, self.w, self.info)
+            self.finish(True)
         elif t == self.steps:
-            self.result = RunResult(self.rec.records, False, self.w, self.info)
+            self.finish(False)
         elif self.scalar and t % self.rec.epoch_len == 0:
             self.lr = self.step_length = self.info["eta"] = _scalar_rebuild(
                 self.oracle, self.w, self.cfg.solver, self.lr)
             self.info["rebuilds"] += 1
+
+    def finish(self, diverged):
+        self.result = RunResult(self.rec.records, diverged, self.w, self.info)
+
+
+class _Baseline(_Lane):
+    """A baseline's lane: a rule that reads the loaded batch, not a gradient, on a
+    quadratic problem; its records have step length 0."""
+
+    takes_gradient = False
+
+    def __init__(self, bundle, cfg: ExperimentConfig):
+        if bundle.kind != "quadratic":
+            raise ConfigError(f"{cfg.optimizer} baseline only applies to quadratic problems")
+        super().__init__(bundle, cfg)
+        self.problem = bundle.problem
+
+
+class _AvgInvLane(_Baseline):
+    """The running mean of ``problems.batch_ridge_solution``, one batch per step.
+
+    The per-batch inverse is biased for the inverse of the averaged
+    curvature, which is the point of comparing against it.  A batch whose
+    solve fails is skipped with a warning but stays charged.  The mean is
+    recorded after step 1, every ``record_every``-th step and the last
+    step, once a batch has been solved; a non-finite loss marks the run
+    diverged, and a run with no solved batch raises ``SolveFailure``.
+    """
+
+    def start(self):
+        self.total, self.used, self.diverged = np.zeros(self.problem.n_features), 0, False
+
+    def step(self, batch, g):
+        self.t = t = self.t + 1
+        try:
+            self.total += batch_ridge_solution(self.problem, batch)
+        except (SolveFailure, np.linalg.LinAlgError) as exc:
+            log.warning("skipping batch %d in averaged-inverse baseline (%s)", t - 1, exc)
+        else:
+            self.used += 1
+            self.w = self.total / self.used
+        if self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps):
+            self.diverged |= not self.rec.emit(t, self.w, 0.0)
+        if t == self.steps:
+            if not self.used:
+                raise SolveFailure("every batch failed in the averaged-inverse baseline")
+            self.finish(self.diverged)
+
+
+class _CgLane(_Baseline):
+    """Conjugate gradients from zero on ``B w = b`` from noisy products, one
+    iteration per step, each recorded; its product along ``p`` is on the lane's batch.
+
+    Divergence is expected under noise and is recorded, not raised: the
+    run stops and flags when ``p.T B p`` stops being positive and finite,
+    the residual goes non-finite or its norm grows past 10x its start.
+    The recursive residual goes blind once resampled products stop being
+    consistent, so each iteration then recomputes it from a product on
+    the next batch, which the lane draws itself; a recomputed norm above
+    10x the recursive one (and not itself at convergence level) flags
+    the run too.  A run that stops with no iteration recorded (b = 0, or
+    no positive curvature at once) records its iterate as step 0.
+    """
+
+    def start(self):
+        self.oracle.data_read += self.problem.n_data  # b = Phi y / n is one full pass
+        self.r = self.problem.b.copy()
+        self.rs = float(self.r @ self.r)
+        self.r0 = np.sqrt(self.rs)
+        self.p = self.r.copy()
+        if self.r0 == 0:
+            self.finish(False)
+
+    def step(self, batch, g):
+        self.t = t = self.t + 1
+        Ap = self.oracle.hvp(self.w, self.p, batch)
+        pAp = float(self.p @ Ap)
+        if not np.isfinite(pAp) or pAp <= 0:
+            return self.finish(True)
+        step = self.rs / pAp
+        self.w = self.w + step * self.p
+        r = self.r - step * Ap
+        rs_new = float(r @ r)
+        if not np.isfinite(rs_new):
+            return self.finish(True)
+        self.rec.emit(t, self.w, 0.0)
+        rnorm = np.sqrt(rs_new)
+        if rnorm > 10.0 * self.r0:
+            return self.finish(True)
+        check = np.linalg.norm(self.problem.b - self.oracle.noisy_hvp(self.w, self.w))
+        if not np.isfinite(check) or (check > 10.0 * rnorm and check > 1e-2 * self.r0):
+            return self.finish(True)
+        if t == self.steps:
+            return self.finish(False)
+        self.p = r + (rs_new / self.rs) * self.p
+        self.r, self.rs = r, rs_new
+
+    def finish(self, diverged):
+        if not self.rec.records:
+            self.rec.emit(0, self.w, 0.0)
+        super().finish(diverged)
+
+
+_LANE_RULES = {"avg_inv": _AvgInvLane, "cg": _CgLane}  # the other optimizers are _Lane's
 
 
 def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
@@ -519,34 +624,13 @@ def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
 
 
 def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
-    if cfg.optimizer not in ("avg_inv", "cg"):
-        raise ConfigError(f"{cfg.optimizer!r} is not a baseline")
-    if bundle.kind != "quadratic":
-        raise ConfigError(f"{cfg.optimizer} baseline only applies to quadratic problems")
-    n = cfg.n_steps(bundle.n_train)
-    oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
-    rec = _Recorder(bundle, cfg, oracle, n)
-    if cfg.optimizer == "avg_inv":
-        def cb(t, w_mean):
-            if (t + 1) % cfg.record_every == 0 or t == 0 or t + 1 == n:
-                rec.emit(t + 1, w_mean, 0.0)
-
-        w = avg_inv_baseline(oracle, n, callback=cb)
-        return RunResult(rec.records, any(math.isnan(r.train_loss) for r in rec.records), w)
-    oracle.data_read += bundle.n_train  # b = Phi y / n is one full pass over the data
-    w, diverged = cg_baseline(oracle, bundle.problem.b, n,
-                              callback=lambda t, x, res_norm: rec.emit(t + 1, x, 0.0))
-    if not rec.records:  # no iteration completed (b = 0, or no positive curvature at once)
-        rec.emit(0, w, 0.0)
-    return RunResult(rec.records, diverged, w)
+    """The averaged-inverse or CG baseline: a lane loop of one run."""
+    return run_sgd_lanes(bundle, [cfg])[0]
 
 
 def run_experiment(bundle, cfg: ExperimentConfig) -> RunResult:
-    if cfg.optimizer == "sgd":
-        return run_sgd(bundle, cfg)
-    if cfg.optimizer == "precond_sgd":
-        return run_precond_sgd(bundle, cfg)
-    return run_baseline(bundle, cfg)
+    """A run of any optimizer: a lane loop of one run."""
+    return run_sgd_lanes(bundle, [cfg])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +679,9 @@ def compare(configs) -> ComparisonResult:
     All configs must agree on the problem block, the seed and the target,
     and no two may share a label; the merged records are keyed by
     (optimizer label, data_read).
-    The ``sgd`` and ``precond_sgd`` runs that share a batch size are
-    stepped together by ``run_sgd_lanes``, on one batch stream; records
-    and summaries stay in config order.
+    The runs that share a batch size, of any optimizer, are stepped
+    together by ``run_sgd_lanes``, on one batch stream; records and
+    summaries stay in config order.
     Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
@@ -617,16 +701,10 @@ def compare(configs) -> ComparisonResult:
     bundle = build_problem(first.problem)
     target = first.target_loss
     results = [None] * len(configs)
-    for i, cfg in enumerate(configs):
-        if results[i] is not None:
-            continue
-        if cfg.optimizer not in LANE_OPTIMIZERS:
-            results[i] = run_baseline(bundle, cfg)
-            continue
-        lanes = [j for j, c in enumerate(configs)
-                 if c.optimizer in LANE_OPTIMIZERS and c.batch_size == cfg.batch_size]
-        for j, result in zip(lanes, run_sgd_lanes(bundle, [configs[j] for j in lanes])):
-            results[j] = result
+    for batch_size in dict.fromkeys(cfg.batch_size for cfg in configs):
+        group = [i for i, cfg in enumerate(configs) if cfg.batch_size == batch_size]
+        for i, result in zip(group, run_sgd_lanes(bundle, [configs[i] for i in group])):
+            results[i] = result
 
     labeled = []
     summaries = []

@@ -3,10 +3,11 @@
 The regression problem mirrors the classic setup of an ill-conditioned
 quadratic produced by a polynomial feature expansion with hand-picked
 per-feature scales; it is the problem of the paper's pre-conditioned SGD
-experiment, and its two reference baselines live here too (averaged
-per-batch inverses, and conjugate gradients on noisy products).  The
-feature map takes the input dimension from ``X`` and its scales as given;
-``harness.ProblemConfig`` checks a run's scales, one per feature.
+experiment.  The per-batch ridge solve of its averaged-inverse baseline
+lives here too; ``harness`` steps that baseline, and CG on noisy
+products, as lanes of its one loop.  The feature map takes the input
+dimension from ``X`` and its scales as given; ``harness.ProblemConfig``
+checks a run's scales, one per feature.
 Logistic regression supplies a convex non-quadratic oracle, used by no
 experiment, for checking the estimator on a Hessian that moves with ``w``.
 Both oracles use the draw-once / evaluate-free cost model of :mod:`hessprec.solver`.
@@ -20,15 +21,12 @@ O(N |D|) of a pass over the data, with rounding of order
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import SolveFailure, woodbury_solve
+from .linalg import woodbury_solve
 from .solver import HessianOracle
-
-log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -301,95 +299,18 @@ def logistic_oracle(problem: LogisticProblem, batch_size: int, seed: int) -> Log
 # ---------------------------------------------------------------------------
 # baselines
 
-def avg_inv_baseline(oracle: QuadraticOracle, n_batches: int, callback=None):
-    """Average of per-batch ridge solutions on ``oracle``'s batch stream.
+def batch_ridge_solution(problem: QuadraticProblem, batch):
+    """The minimizer of ``problem``'s objective on the samples ``batch`` alone.
 
-    Each batch solves its own normal equations exactly, through the
-    inversion lemma when the batch is no larger than the feature count,
-    else (as in the paper's batch 256 on 253 features) densely, and the
-    w estimates are averaged.  The per-batch inverse is biased for the
-    inverse of the averaged curvature, which is the point of comparing
-    against it.  Numerically failing batches are skipped with a warning,
-    but their reads stay charged.
-
-    ``callback(i, w_running_mean)`` fires after each batch.
+    This is the averaged-inverse baseline's per-batch solve, which
+    ``harness`` averages.  It goes through the inversion lemma when the
+    batch is no larger than the feature count, else (as in the paper's
+    batch 256 on 253 features) through a dense solve.  Raises
+    ``SolveFailure`` or ``numpy.linalg.LinAlgError`` when the solve fails.
     """
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be at least 1, got {n_batches}")
-    problem, batch_size = oracle.problem, oracle.batch_size
-    total = np.zeros(problem.n_features)
-    used = 0
-    for t in range(n_batches):
-        idx = oracle.draw_batch()
-        Phib = problem.Phi[:, idx]
-        rhs = Phib @ problem.y[idx] / batch_size
-        try:
-            if batch_size <= problem.n_features:
-                wt = woodbury_solve(problem.alpha_reg, Phib / batch_size, Phib, rhs)
-            else:
-                Hb = Phib @ Phib.T / batch_size \
-                    + problem.alpha_reg * np.eye(problem.n_features)
-                wt = np.linalg.solve(Hb, rhs)
-        except (SolveFailure, np.linalg.LinAlgError) as exc:
-            log.warning("skipping batch %d in averaged-inverse baseline (%s)", t, exc)
-            continue
-        total += wt
-        used += 1
-        if callback is not None:
-            callback(t, total / used)
-    if used == 0:
-        raise SolveFailure("every batch failed in the averaged-inverse baseline")
-    return total / used
-
-
-def cg_baseline(oracle: HessianOracle, b, iters: int, callback=None):
-    """Conjugate gradients on ``B w = b`` driven by (possibly noisy) products.
-
-    Textbook CG from zero.  Divergence is expected under noise and is
-    recorded, not raised: the run stops and flags when the residual goes
-    non-finite, the curvature term ``p.T B p`` stops being positive, or
-    the residual norm grows past 10x its starting value.  Because the
-    recursively updated residual goes blind once resampled products stop
-    being consistent with each other, each iteration also recomputes the
-    residual from a fresh product; when the recomputed norm exceeds 10x
-    the recursive one (and is not itself at convergence level), the
-    recurrence has lost coherence and the run is flagged as diverged.
-
-    Returns ``(w, diverged)``.  ``callback(t, w, residual_norm)`` fires
-    per completed iteration with the recursive residual norm.
-    """
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b)
-    r = b.copy()
-    rs = float(r @ r)
-    r0 = np.sqrt(rs)
-    if r0 == 0 or iters < 1:
-        return x, False
-    p = r.copy()
-    diverged = False
-    for t in range(iters):
-        Ap = oracle.noisy_hvp(x, p)
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0:
-            diverged = True
-            break
-        step = rs / pAp
-        x = x + step * p
-        r = r - step * Ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            diverged = True
-            break
-        if callback is not None:
-            callback(t, x.copy(), np.sqrt(rs_new))
-        rnorm = np.sqrt(rs_new)
-        if rnorm > 10.0 * r0:
-            diverged = True
-            break
-        check = np.linalg.norm(b - oracle.noisy_hvp(x, x))
-        if not np.isfinite(check) or (check > 10.0 * rnorm and check > 1e-2 * r0):
-            diverged = True
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, diverged
+    Phib = problem.Phi[:, batch]
+    rhs = Phib @ problem.y[batch] / batch.size
+    if batch.size <= problem.n_features:
+        return woodbury_solve(problem.alpha_reg, Phib / batch.size, Phib, rhs)
+    Hb = Phib @ Phib.T / batch.size + problem.alpha_reg * np.eye(problem.n_features)
+    return np.linalg.solve(Hb, rhs)

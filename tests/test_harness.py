@@ -10,6 +10,7 @@ import pytest
 
 import hessprec.harness as harness_mod
 import hessprec.precond as precond_mod
+import hessprec.problems as problems_mod
 from hessprec.cli import _config_from_args, build_parser, merge_config
 from hessprec.data import write_dataset
 from hessprec.harness import (
@@ -510,9 +511,30 @@ class TestBaselines:
             with pytest.raises(ConfigError, match="quadratic"):
                 run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
                                                    optimizer=optimizer, steps=2))
-        with pytest.raises(ConfigError, match="not a baseline"):
-            run_baseline(mlp, ExperimentConfig(problem=small_mlp(),
-                                               optimizer="sgd", steps=2))
+
+    def test_avg_inv_records_a_due_step_whose_batch_was_skipped(self, monkeypatch):
+        # the last batch's solve fails: the last step still records the running
+        # mean, at the reads charged for every batch
+        pc = small_quadratic()
+        cfg = ExperimentConfig(problem=pc, optimizer="avg_inv", batch_size=8, steps=4,
+                               record_every=2)
+        bundle = build_problem(pc)
+        three = run_baseline(bundle, dataclasses.replace(cfg, steps=3))
+        real, calls = problems_mod.woodbury_solve, []
+
+        def fails_fourth(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise SolveFailure("synthetic failure")
+            return real(*args)
+
+        monkeypatch.setattr(problems_mod, "woodbury_solve", fails_fourth)
+        res = run_baseline(bundle, cfg)
+        assert [(r.step, r.data_read) for r in res.records] == [(1, 8), (2, 16), (4, 32)]
+        np.testing.assert_array_equal(res.w, three.w)
+        assert res.records[-1].train_loss == three.records[-1].train_loss
+        calls.clear()
+        assert compare([cfg]).summaries[0].data_read == 32
 
 
 class TestCsvOutput:
@@ -610,12 +632,13 @@ class TestCompare:
 
 
 class TestSgdLanes:
-    """compare steps the sgd and precond_sgd runs of one batch size in one lane loop.
+    """compare steps the runs of one batch size in one lane loop.
 
     Each comparison mixes plain SGD lanes (one diverging early), a full-mode
     run, a full-mode run whose construction falls back, and two scalar-mode
     runs; at their second rebuild, one of their estimates raises, so that run
-    retries and draws ahead.
+    retries and draws ahead.  The quadratic one adds an averaged-inverse run
+    and a CG run, whose residual checks read ahead.
     """
 
     def configs(self, kind):
@@ -624,6 +647,7 @@ class TestSgdLanes:
             sgd = [
                 ExperimentConfig(optimizer="sgd", lr=0.1, steps=10, record_every=2, **base),
                 ExperimentConfig(optimizer="avg_inv", steps=5, record_every=1, **base),
+                ExperimentConfig(optimizer="cg", steps=6, **base),
                 ExperimentConfig(optimizer="sgd", lr=0.05, steps=14, record_every=3, **base),
                 ExperimentConfig(optimizer="sgd", lr=1e8, steps=30, record_every=4, **base),
                 ExperimentConfig(optimizer="sgd", lr=0.02, steps=6, record_every=1,
@@ -705,11 +729,10 @@ class TestSgdLanes:
         write_comparison_csv(tmp_path / "solo.csv",
                              [(lab, r) for lab, res in zip(labels, solo) for r in res.records])
         assert (tmp_path / "lanes.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
-        for cfg, lane, alone in zip(cfgs, lanes, solo):
-            if cfg.optimizer in ("sgd", "precond_sgd"):
-                assert lane.info == alone.info
-                assert_same_records(lane.records, alone.records)
-                np.testing.assert_array_equal(lane.w, alone.w)
+        for lane, alone in zip(lanes, solo):
+            assert lane.info == alone.info
+            assert_same_records(lane.records, alone.records)
+            np.testing.assert_array_equal(lane.w, alone.w)
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_comparison_covers_each_lane_kind(self, kind, monkeypatch, caplog):
@@ -734,15 +757,30 @@ class TestSgdLanes:
         problem = small_quadratic() if kind == "quadratic" else small_mlp()
         cfgs = [ExperimentConfig(problem=problem, optimizer="sgd", lr=lr, steps=9,
                                  batch_size=30, record_every=4) for lr in (0.1, 0.05, 0.02)]
+        if kind == "quadratic":  # a lane that reads the batch, not a gradient
+            cfgs.append(ExperimentConfig(problem=problem, optimizer="avg_inv", steps=7,
+                                         batch_size=30, record_every=4))
         oracle_type = type(build_problem(problem).make_oracle(30, 0))
         calls = []
         for owner, name in ((HessianOracle, "_draw"), (oracle_type, "gradients")):
             monkeypatch.setattr(owner, name, lambda self, *args, real=getattr(owner, name),
-                                name=name: calls.append(name) or real(self, *args))
+                                name=name: calls.append((name, len(args[0]) if args else 0))
+                                or real(self, *args))
         result = compare(cfgs)
         assert not any(s.diverged for s in result.summaries)
-        assert [s.data_read for s in result.summaries] == [9 * 30] * 3
-        assert calls.count("_draw") == calls.count("gradients") == 9
+        assert [s.data_read for s in result.summaries] == [9 * 30] * 3 + [7 * 30] * (len(cfgs) - 3)
+        assert calls.count(("_draw", 0)) == 9
+        # the gradients call takes the three SGD lanes' iterates only
+        assert [c for c in calls if c[0] == "gradients"] == [("gradients", 3)] * 9
+
+    def test_baseline_on_mlp_block_raises_before_a_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(HessianOracle, "_draw", lambda self: draws.append(1))
+        cfgs = [ExperimentConfig(problem=small_mlp(), optimizer=optimizer, steps=3,
+                                 batch_size=30) for optimizer in ("sgd", "avg_inv")]
+        with pytest.raises(ConfigError, match="avg_inv baseline only applies to quadratic"):
+            compare(cfgs)
+        assert draws == []
 
     def test_each_lane_charged_once_per_step(self, monkeypatch):
         cfgs, result, solo, _ = self.runs("quadratic", monkeypatch)

@@ -1,20 +1,26 @@
 import logging
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import hessprec.problems as problems_mod
 from hessprec import data as datagen
-from hessprec.harness import TEST_FRACTION, ConfigError, ProblemConfig, build_problem
+from hessprec.harness import (
+    TEST_FRACTION,
+    ConfigError,
+    ExperimentConfig,
+    ProblemConfig,
+    build_problem,
+    run_baseline,
+)
 from hessprec.linalg import SolveFailure
 from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
     LogisticProblem,
     QuadraticProblem,
-    avg_inv_baseline,
     batch_oracle,
-    cg_baseline,
     exact_solution,
     logistic_oracle,
     n_monomials,
@@ -376,12 +382,43 @@ class TestLogistic:
                             reg=1e-2)
 
 
+class BaselineBundle:
+    """The bundle interface that ``run_baseline`` reads, around ``problem`` (which
+    gives ``b``, ``n_data`` and ``loss``) and an oracle factory."""
+
+    kind = "quadratic"
+
+    def __init__(self, problem, make_oracle):
+        self.problem = problem
+        self.make_oracle = make_oracle
+        self.n_train = problem.n_data
+
+    def init_w(self, seed):
+        return np.zeros(self.problem.b.size)
+
+    def train_loss(self, w):
+        return self.problem.loss(w)
+
+    def test_metrics(self, w):
+        return float("nan"), float("nan")
+
+
 class TestAvgInvBaseline:
     def make(self, n_feat, n_data=500, seed=20):
         rng = np.random.default_rng(seed)
         Phi = rng.standard_normal((n_feat, n_data))
         y = Phi.T @ rng.standard_normal(n_feat) + 0.1 * rng.standard_normal(n_data)
         return QuadraticProblem(Phi=Phi, y=y, alpha_reg=1e-2)
+
+    def run(self, problem, batch_size, n_batches, seed, record_every=10):
+        """The averaged-inverse baseline on ``problem``: its result and its oracle."""
+        oracles = []
+        bundle = BaselineBundle(problem, lambda size, s: oracles.append(
+            batch_oracle(problem, size, s)) or oracles[-1])
+        res = run_baseline(bundle, ExperimentConfig(optimizer="avg_inv", batch_size=batch_size,
+                                                    steps=n_batches, seed=seed,
+                                                    record_every=record_every))
+        return res, oracles[0]
 
     def reference(self, problem, batch_size, n_batches, seed):
         # independent re-computation with plain dense per-batch solves
@@ -397,22 +434,24 @@ class TestAvgInvBaseline:
 
     def test_matches_dense_reference_small_batches(self):
         p = self.make(n_feat=10)
-        got = avg_inv_baseline(batch_oracle(p, 8, 0), n_batches=6)
-        np.testing.assert_allclose(got, self.reference(p, 8, 6, 0), atol=1e-8)
+        res, _ = self.run(p, 8, 6, 0)
+        np.testing.assert_allclose(res.w, self.reference(p, 8, 6, 0), atol=1e-8)
 
     def test_matches_dense_reference_large_batches(self):
         p = self.make(n_feat=10)
-        got = avg_inv_baseline(batch_oracle(p, 50, 1), n_batches=4)
-        np.testing.assert_allclose(got, self.reference(p, 50, 4, 1), atol=1e-8)
+        res, _ = self.run(p, 50, 4, 1)
+        np.testing.assert_allclose(res.w, self.reference(p, 50, 4, 1), atol=1e-8)
 
-    def test_callback_sees_running_mean(self):
+    def test_records_running_mean_at_cadence(self):
+        # after step 1, every record_every-th step and the last step
         p = self.make(n_feat=6)
-        seen = []
-        avg_inv_baseline(batch_oracle(p, 12, 2), n_batches=5,
-                         callback=lambda t, w: seen.append((t, w.copy())))
-        assert [t for t, _ in seen] == [0, 1, 2, 3, 4]
-        np.testing.assert_allclose(seen[-1][1],
-                                   self.reference(p, 12, 5, 2), atol=1e-8)
+        res, _ = self.run(p, 12, 5, 2, record_every=2)
+        assert [(r.step, r.data_read) for r in res.records] == [(1, 12), (2, 24), (4, 48),
+                                                                  (5, 60)]
+        for r in res.records:
+            assert r.train_loss == pytest.approx(p.loss(self.reference(p, 12, r.step, 2)),
+                                                 rel=1e-10)
+        np.testing.assert_allclose(res.w, self.reference(p, 12, 5, 2), atol=1e-8)
 
     def test_skips_failing_batches(self, monkeypatch, caplog):
         p = self.make(n_feat=10)
@@ -426,13 +465,12 @@ class TestAvgInvBaseline:
             return real(b0, A, C, rhs)
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", flaky)
-        with caplog.at_level(logging.WARNING, logger="hessprec.problems"):
-            oracle = batch_oracle(p, 8, 3)
-            got = avg_inv_baseline(oracle, n_batches=4)
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res, oracle = self.run(p, 8, 4, 3)
         assert any("skipping batch 0" in rec.message for rec in caplog.records)
         assert oracle.data_read == 4 * 8  # the skipped batch stays charged
         ref = self.reference(p, 8, 4, 3)  # includes the skipped batch
-        assert not np.allclose(got, ref)
+        assert not np.allclose(res.w, ref)
 
     def test_all_batches_failing_raises(self, monkeypatch):
         p = self.make(n_feat=10)
@@ -442,7 +480,7 @@ class TestAvgInvBaseline:
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", broken)
         with pytest.raises(SolveFailure, match="every batch failed"):
-            avg_inv_baseline(batch_oracle(p, 8, 4), n_batches=3)
+            self.run(p, 8, 3, 4)
 
 
 class ExactOracle(HessianOracle):
@@ -464,6 +502,14 @@ class ExactOracle(HessianOracle):
         return self.B @ s
 
 
+def run_cg(oracle, b, iters):
+    """The CG baseline on ``oracle``'s products and right-hand side ``b``."""
+    problem = types.SimpleNamespace(b=np.asarray(b, dtype=float), n_data=1,
+                                    loss=lambda w: 0.5 * float(w @ (oracle.B @ w)) - float(b @ w))
+    return run_baseline(BaselineBundle(problem, lambda size, seed: oracle),
+                        ExperimentConfig(optimizer="cg", batch_size=1, steps=iters))
+
+
 class TestCgBaseline:
     def test_exact_products_converge(self):
         rng = np.random.default_rng(30)
@@ -471,26 +517,25 @@ class TestCgBaseline:
         M = rng.standard_normal((n, n))
         B = M @ M.T + np.eye(n)
         b = rng.standard_normal(n)
-        x, diverged = cg_baseline(ExactOracle(B), b, iters=n + 2)
-        assert not diverged
-        np.testing.assert_allclose(B @ x, b, atol=1e-8)
+        res = run_cg(ExactOracle(B), b, iters=n + 2)
+        assert not res.diverged
+        np.testing.assert_allclose(B @ res.w, b, atol=1e-8)
 
     def test_zero_rhs_short_circuits(self):
-        x, diverged = cg_baseline(ExactOracle(np.eye(3)), np.zeros(3), iters=5)
-        assert not diverged
-        np.testing.assert_array_equal(x, np.zeros(3))
+        res = run_cg(ExactOracle(np.eye(3)), np.zeros(3), iters=5)
+        assert not res.diverged
+        np.testing.assert_array_equal(res.w, np.zeros(3))
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 1)]
 
     def test_negative_curvature_flags_divergence(self):
-        x, diverged = cg_baseline(ExactOracle(-np.eye(4)), np.ones(4), iters=10)
-        assert diverged
+        assert run_cg(ExactOracle(-np.eye(4)), np.ones(4), iters=10).diverged
 
     def test_nonfinite_product_flags_divergence(self):
         class NanOracle(ExactOracle):
             def hvp(self, w, s, batch):
                 return np.full_like(s, np.nan)
 
-        _, diverged = cg_baseline(NanOracle(np.eye(4)), np.ones(4), iters=10)
-        assert diverged
+        assert run_cg(NanOracle(np.eye(4)), np.ones(4), iters=10).diverged
 
     def test_residual_blowup_flags_divergence(self):
         # alternating wrong products make the residual grow without bound
@@ -504,8 +549,7 @@ class TestCgBaseline:
                 scale = 1e-4 if self.calls % 2 else 1e4
                 return scale * (self.B @ s)
 
-        _, diverged = cg_baseline(LyingOracle(np.eye(6)), np.ones(6), iters=50)
-        assert diverged
+        assert run_cg(LyingOracle(np.eye(6)), np.ones(6), iters=50).diverged
 
     def test_incoherent_products_flag_divergence(self):
         # resampled multiplicative noise: the recursive residual keeps
@@ -525,22 +569,21 @@ class TestCgBaseline:
 
         B = np.diag(np.logspace(0, 4, 40))
         b = np.ones(40)
-        _, diverged = cg_baseline(ResampledOracle(B, rel=0.5, seed=7), b, iters=30)
-        assert diverged
+        assert run_cg(ResampledOracle(B, rel=0.5, seed=7), b, iters=30).diverged
 
     def test_exact_run_past_convergence_stays_clean(self):
         # after convergence both residuals sit at rounding level; the
         # coherence check must not misfire on their ratio
         B = np.diag(np.linspace(1.0, 3.0, 8))
-        x, diverged = cg_baseline(ExactOracle(B), np.ones(8), iters=60)
-        assert not diverged
-        np.testing.assert_allclose(B @ x, np.ones(8), atol=1e-8)
+        res = run_cg(ExactOracle(B), np.ones(8), iters=60)
+        assert not res.diverged
+        np.testing.assert_allclose(B @ res.w, np.ones(8), atol=1e-8)
 
-    def test_callback_cadence(self):
+    def test_one_record_per_iteration(self):
+        # each iteration reads one batch for its product, then one for the
+        # residual check after its record
         rng = np.random.default_rng(31)
         B = np.diag(rng.uniform(1.0, 3.0, size=5))
-        seen = []
-        cg_baseline(ExactOracle(B), np.ones(5), iters=4,
-                    callback=lambda t, x, rn: seen.append((t, rn)))
-        assert [t for t, _ in seen] == [0, 1, 2, 3]
-        assert all(rn >= 0 for _, rn in seen)
+        res = run_cg(ExactOracle(B), np.ones(5), iters=4)
+        assert [(r.step, r.data_read) for r in res.records] == [(1, 2), (2, 4), (3, 6), (4, 8)]
+        assert not res.diverged and all(np.isfinite(r.train_loss) for r in res.records)
