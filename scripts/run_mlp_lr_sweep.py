@@ -9,8 +9,14 @@ make the final train losses nearly independent of where the grid
 started.  Prints final losses and the max/min spread per optimizer.
 """
 import argparse
+import os
 import sys
 import time
+
+# one BLAS thread unless the environment sets it, before numpy loads: the
+# CSV bytes can depend on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 

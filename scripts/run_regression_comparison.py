@@ -4,8 +4,9 @@
 Runs, per seed: a five-point fixed-step SGD grid, pre-conditioned SGD,
 the batched-inverse averaging baseline, and the noisy CG baseline, all
 against the same target (1% of the initial suboptimality above the
-exact solution).  Prints one summary block per seed and optionally
-writes the full record CSV per seed.
+exact solution).  Each seed's problem is built once: its exact solution
+sets the target, and the comparison runs on it.  Prints one summary
+block per seed and optionally writes the full record CSV per seed.
 
 The problem places all the signal on 16 steep curvature directions
 (eigenvalues spread over two decades) above a flat 237-direction bulk
@@ -13,8 +14,14 @@ whose per-batch covariance is nearly singular at batch 256 — the regime
 where batch inversion is biased and plain CG loses coherence.
 """
 import argparse
+import os
 import sys
 import time
+
+# one BLAS thread unless the environment sets it, before numpy loads: the
+# CSV bytes can depend on the thread count
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -86,7 +93,7 @@ def main(argv=None):
         target = star + 0.01 * (init - star)
         print(f"seed {seed}: exact loss {star:.6g}, target {target:.6g}")
         with np.errstate(over="ignore", invalid="ignore"):
-            result = compare(build_runs(pc, seed, target))
+            result = compare(build_runs(pc, seed, target), bundle)
         print(result.summary_text(), end="")
         if args.out_prefix:
             path = f"{args.out_prefix}{seed}.csv"

@@ -149,12 +149,15 @@ def _cmd_estimate(args):
 def _cmd_solve(args):
     cfg, oracle, w = _setup(args, full_mode=True)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
-    records = []
+    records, refused = [], False
     try:
         post = run_inference(oracle, w, est, cfg.solver, callback=records.append)
+    except ConfigError:  # refused before the first probe, so there is no loop to log
+        refused = True
+        raise
     finally:
-        # written even when the loop fails, so the log shows how far it got
-        if args.log:
+        # written even when the loop fails part-way, so the log shows how far it got
+        if args.log and not refused:
             datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read"),
                               ([str(r.iteration), repr(r.probe_norm), str(r.data_read)]
                                for r in records))

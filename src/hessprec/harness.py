@@ -7,11 +7,12 @@ learning-rate sweep.  All loops share a cost axis: cumulative samples
 loaded from disk (``data_read``), charged through the oracle including
 everything spent on pre-conditioner construction, so curves from
 different methods are directly comparable.  Runs are deterministic given
-(config, seed), and so is every emitted CSV, byte for byte: no column
-holds a wall time.  Every record, baselines' included, is built by one
-``_Recorder``.  ``ProblemConfig`` checks the rules on the problem block's
-fields, so ``gen-data`` refuses a block that breaks one before it writes;
-the held-out share and the network's penalty are constants, not fields.
+(config, seed), and so is every emitted CSV, byte for byte for one BLAS
+build and thread count: no column holds a wall time.  Every record,
+baselines' included, is built by ``_Lane.emit``.  ``ProblemConfig``
+checks the rules on the problem block's fields, so ``gen-data`` refuses
+a block that breaks one before it writes; the held-out share and the
+network's penalty are constants, not fields.
 
 ``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
 its plain-SGD fallback, scalar mode and the two baselines as lanes: the
@@ -20,7 +21,8 @@ lanes with one ``gradients`` call and the baselines on the batch itself,
 and each lane keeps its own oracle and draws its own batches for a
 construction, a scalar rebuild or a CG residual check, so its records
 equal those of the run made alone.  ``compare`` runs every config of one
-batch size in it, and ``run_experiment`` one config.
+batch size in it, on the problem its caller built or on one it builds,
+and ``run_experiment`` one config.
 """
 from __future__ import annotations
 
@@ -226,6 +228,7 @@ class QuadraticBundle:
     kind = "quadratic"
 
     def __init__(self, pc: ProblemConfig):
+        self.config = pc
         X, y = dataset(pc)
         Phi = polynomial_features(X, pc.scale_vector()).T  # features x samples
         tr, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
@@ -272,6 +275,7 @@ class MLPBundle:
     kind = "mlp"
 
     def __init__(self, pc: ProblemConfig):
+        self.config = pc
         X, targets = dataset(pc)
         tr, te = datagen.train_test_split(X.shape[0], TEST_FRACTION, pc.data_seed)
         self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=MLP_REG)
@@ -324,40 +328,6 @@ def build_problem(pc: ProblemConfig):
 
 # ---------------------------------------------------------------------------
 # optimizer loops
-
-class _Recorder:
-    """Emission schedule plus loss evaluation shared by all lanes."""
-
-    def __init__(self, bundle, cfg, oracle, total_steps):
-        self.bundle = bundle
-        self.cfg = cfg
-        self.oracle = oracle
-        self.total = total_steps
-        self.epoch_len = max(1, math.ceil(bundle.n_train / cfg.batch_size))
-        self.records = []
-
-    def due(self, step):
-        return (step == 0 or step == self.total
-                or step % self.cfg.record_every == 0
-                or step % self.epoch_len == 0)
-
-    def emit(self, step, w, step_length):
-        """Append a record at the oracle's reads; returns False when the loss went non-finite.
-
-        A diverging iterate overflows the loss, which the record reports as NaN, so
-        numpy's overflow warnings are silenced here.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):
-            train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
-            read = self.oracle.data_read
-            if not np.isfinite(train):
-                self.records.append(RunRecord(step, read, float("nan"), float("nan"),
-                                              float("nan"), step_length))
-                return False
-            self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
-                                          step_length))
-        return True
-
 
 def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     """Estimation, active probing, rank reduction, assembly; one place.
@@ -432,7 +402,7 @@ def run_sgd_lanes(bundle, cfgs) -> list:
 
 
 class _Lane:
-    """One run of ``run_sgd_lanes``: an oracle, an iterate, a recorder and a step rule.
+    """One run of ``run_sgd_lanes``: an oracle, an iterate, its records and a step rule.
 
     This class holds the SGD rule, ``w <- w - lr * (P^2 g if a
     pre-conditioner was built, else g)``, for plain SGD, full mode, its
@@ -448,16 +418,39 @@ class _Lane:
     takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
 
     def __init__(self, bundle, cfg: ExperimentConfig):
-        self.cfg = cfg
+        self.bundle, self.cfg = bundle, cfg
         self.steps = cfg.n_steps(bundle.n_train)
+        self.epoch_len = max(1, math.ceil(bundle.n_train / cfg.batch_size))
         self.oracle = bundle.make_oracle(cfg.batch_size, cfg.seed)
         self.w = bundle.init_w(cfg.seed)
-        self.rec = _Recorder(bundle, cfg, self.oracle, self.steps)
+        self.records = []
         self.t = 0
         self.precond, self.lr, self.step_length = None, cfg.lr, cfg.lr
         self.scalar = cfg.optimizer == "precond_sgd" and cfg.solver.mode == "scalar"
         self.info = {"rebuilds": 0, "eta": cfg.lr} if self.scalar else {}
         self.result = None
+
+    def due(self, step):
+        return (step == 0 or step == self.steps
+                or step % self.cfg.record_every == 0
+                or step % self.epoch_len == 0)
+
+    def emit(self, step, w, step_length):
+        """Append a record at the oracle's reads; returns False when the loss went non-finite.
+
+        A diverging iterate overflows the loss, which the record reports as NaN, so
+        numpy's overflow warnings are silenced here.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
+            read = self.oracle.data_read
+            if not np.isfinite(train):
+                self.records.append(RunRecord(step, read, float("nan"), float("nan"),
+                                              float("nan"), step_length))
+                return False
+            self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
+                                          step_length))
+        return True
 
     def start(self):
         """Full mode's construction, falling back to plain SGD; then the step-0 record."""
@@ -475,7 +468,7 @@ class _Lane:
             except (EstimationError, SolveFailure, ValueError) as exc:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
                 self.info.update(fallback=str(exc))
-        self.rec.emit(0, self.w, self.step_length)
+        self.emit(0, self.w, self.step_length)
 
     def step(self, batch, g):
         """One step along the gradient ``g``, then its record if one is due, then
@@ -484,7 +477,7 @@ class _Lane:
         self.t = t = self.t + 1
         self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
                                      if self.precond is not None else g)
-        if self.rec.due(t) and not self.rec.emit(t, self.w, self.step_length):
+        if self.due(t) and not self.emit(t, self.w, self.step_length):
             if self.cfg.optimizer == "precond_sgd":
                 log.warning("precond_sgd diverged at step %d", t)
             else:
@@ -492,13 +485,13 @@ class _Lane:
             self.finish(True)
         elif t == self.steps:
             self.finish(False)
-        elif self.scalar and t % self.rec.epoch_len == 0:
+        elif self.scalar and t % self.epoch_len == 0:
             self.lr = self.step_length = self.info["eta"] = _scalar_rebuild(
                 self.oracle, self.w, self.cfg.solver, self.lr)
             self.info["rebuilds"] += 1
 
     def finish(self, diverged):
-        self.result = RunResult(self.rec.records, diverged, self.w, self.info)
+        self.result = RunResult(self.records, diverged, self.w, self.info)
 
 
 class _Baseline(_Lane):
@@ -538,7 +531,7 @@ class _AvgInvLane(_Baseline):
             self.used += 1
             self.w = self.total / self.used
         if self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps):
-            self.diverged |= not self.rec.emit(t, self.w, 0.0)
+            self.diverged |= not self.emit(t, self.w, 0.0)
         if t == self.steps:
             if not self.used:
                 raise SolveFailure("every batch failed in the averaged-inverse baseline")
@@ -581,7 +574,7 @@ class _CgLane(_Baseline):
         rs_new = float(r @ r)
         if not np.isfinite(rs_new):
             return self.finish(True)
-        self.rec.emit(t, self.w, 0.0)
+        self.emit(t, self.w, 0.0)
         rnorm = np.sqrt(rs_new)
         if rnorm > 10.0 * self.r0:
             return self.finish(True)
@@ -594,8 +587,8 @@ class _CgLane(_Baseline):
         self.r, self.rs = r, rs_new
 
     def finish(self, diverged):
-        if not self.rec.records:
-            self.rec.emit(0, self.w, 0.0)
+        if not self.records:
+            self.emit(0, self.w, 0.0)
         super().finish(diverged)
 
 
@@ -673,12 +666,14 @@ def _run_label(cfg, counts):
     return base
 
 
-def compare(configs) -> ComparisonResult:
+def compare(configs, bundle=None) -> ComparisonResult:
     """Run several optimizers on one shared problem and merge the results.
 
     All configs must agree on the problem block, the seed and the target,
     and no two may share a label; the merged records are keyed by
-    (optimizer label, data_read).
+    (optimizer label, data_read).  ``bundle``, if given, is the problem
+    built from that block, and one built from another block is refused
+    before any batch is drawn; with none, ``build_problem`` builds it.
     The runs that share a batch size, of any optimizer, are stepped
     together by ``run_sgd_lanes``, on one batch stream; records and
     summaries stay in config order.
@@ -698,7 +693,10 @@ def compare(configs) -> ComparisonResult:
         if label in labels[:i]:
             raise ConfigError(f"compare runs share the label {label!r}; their rows could not "
                               "be told apart")
-    bundle = build_problem(first.problem)
+    if bundle is None:
+        bundle = build_problem(first.problem)
+    elif bundle.config != first.problem:
+        raise ConfigError("compare was given a problem built from another problem block")
     target = first.target_loss
     results = [None] * len(configs)
     for batch_size in dict.fromkeys(cfg.batch_size for cfg in configs):

@@ -294,11 +294,11 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     probe and refresh the gradient on that same batch, then add the pair
     to an ``IncrementalPosterior``, which costs O(N m + m^3) and rebuilds
     nothing.  If a probe is rejected (for instance a dependent probe in
-    the exact-product case once the reachable subspace is exhausted) the
-    posterior of the previous iteration is returned with a warning.  The
-    returned ``IncrementalPosterior`` is the probe buffers themselves:
-    rank reduction reads them directly, and its ``A``, ``C`` and
-    ``dense`` are formed only when read.
+    the exact-product case once the reachable subspace is exhausted) or
+    a batch gradient is zero, the posterior of the previous iteration is
+    returned with a warning.  The returned ``IncrementalPosterior`` is the
+    probe buffers themselves: rank reduction reads them directly, and its
+    ``A``, ``C`` and ``dense`` are formed only when read.
 
     Raises ``ConfigError`` before the first batch is drawn when
     ``settings.iterations`` exceeds ``oracle.dim``.
@@ -317,6 +317,9 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     post = IncrementalPosterior(prior, NoiseModel(lam0=estimates.lam0), settings.iterations)
     r = np.asarray(estimates.mean_grad, dtype=float)
     for i in range(1, settings.iterations + 1):
+        if np.linalg.norm(r) == 0:  # a zero residual ends a Krylov sequence
+            log.warning("batch gradient is zero at iteration %d; keeping previous estimate", i)
+            break
         raw = next_direction(post, r)
         probe_norm = float(np.linalg.norm(raw))
         s = raw / probe_norm

@@ -232,21 +232,24 @@ MLP_SWEEP = _load_script("run_mlp_lr_sweep")
 def _run_regression_comparison(seed):
     """One seeded repetition of the four-way optimizer comparison.
 
-    Returns a dict with the per-optimizer read counts and final losses
-    needed by the acceptance clauses.
+    The problem is built once: its Hessian gives the condition number, its
+    exact solution the target, and the comparison runs on it.  Returns a
+    dict with the condition number and the per-optimizer read counts and
+    final losses needed by the acceptance clauses.
     """
     pc = REGRESSION.problem_config(seed)
     bundle = QuadraticBundle(pc)
+    lam = np.linalg.eigvalsh(bundle.problem.hessian())
     _, star = bundle.optimum()
     init = bundle.train_loss(np.zeros(bundle.dim))
     target = star + 0.01 * (init - star)
     runs = REGRESSION.build_runs(pc, seed, target)
     with np.errstate(over="ignore", invalid="ignore"):
-        comp = compare(runs)
+        comp = compare(runs, bundle)
     by_label = {}
     for label, rec in comp.labeled_records:
         by_label.setdefault(label, []).append(rec)
-    out = {"star": star, "target": target}
+    out = {"kappa": lam[-1] / lam[0], "star": star, "target": target}
     sgd_benchmarks = []
     for s in comp.summaries:
         if s.label.startswith("sgd["):
@@ -275,10 +278,8 @@ def test_criterion_07_regression_comparison_orderings():
     checks = []
     kappa_ok = True
     for seed in range(5):
-        lam = np.linalg.eigvalsh(QuadraticBundle(
-            REGRESSION.problem_config(seed)).problem.hessian())
-        kappa_ok = kappa_ok and lam[-1] / lam[0] >= 1e4
         r = _run_regression_comparison(seed)
+        kappa_ok = kappa_ok and r["kappa"] >= 1e4
         reached = r["pre_to_target"] is not None and not r["pre_diverged"]
         half = reached and r["pre_to_target"] <= r["best_sgd_reads"] / 2
         avg_worse = r["avg_final"] > r["pre_loss_at_avg_read"]

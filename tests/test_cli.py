@@ -219,13 +219,33 @@ class TestSolve:
         assert not out.exists()
 
     def test_more_iterations_than_dimensions_exits_1(self, tmp_path, capsys):
-        out = tmp_path / "post.json"
-        rc = main(["solve", *SMALL, "--set", "solver.iterations=16", "--out", str(out)])
+        # refused before the first probe: neither the posterior nor a log is written
+        out, log = tmp_path / "post.json", tmp_path / "iters.csv"
+        rc = main(["solve", *SMALL, "--set", "solver.iterations=16", "--out", str(out),
+                   "--log", str(log)])
         err = capsys.readouterr().err
         assert rc == 1
         assert "iterations (16) exceed the parameter dimension (12)" in err
         assert "Traceback" not in err
-        assert not out.exists()
+        assert not out.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "precond"])
+def test_zero_batch_gradient_keeps_the_posterior_so_far(tmp_path, capsys, command):
+    # five nonzero targets in 160 training samples: a batch of 8 that misses
+    # them has an exactly zero gradient at w = 0, which ends the probing loop
+    X = np.random.default_rng(0).standard_normal((200, 4))
+    y = np.zeros(200)
+    y[:5] = 1
+    data, out = tmp_path / "sparse.csv", tmp_path / "out.json"
+    write_dataset(data, X, y)
+    rc = main([command, "--set", f"problem.data={data}", "--set", "problem.input_dim=4",
+               "--set", "problem.n_features=12", "--set", "solver.iterations=6",
+               "--batch-size", "8", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert re.search(r"\bm=1\b", captured.out)
+    assert out.exists()
 
 
 class TestPrecond:
@@ -442,6 +462,22 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_blas_threads_default_to_one(self, tmp_path):
+        # the set-up moments of 1,600 samples take OpenBLAS's threaded path,
+        # whose sums differ by thread count; unset, the count defaults to one
+        blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        csvs = []
+        for name, env in (("unset", unset), ("one", dict(unset, **dict.fromkeys(blas, "1")))):
+            csvs.append(tmp_path / f"{name}.csv")
+            proc = subprocess.run(
+                [sys.executable, "-m", "hessprec", "run", "--set", "problem.n_samples=2000",
+                 "--optimizer", "sgd", "--lr", "1e-3", "--steps", "40", "--batch-size", "64",
+                 "--set", "record_every=5", "--out", str(csvs[-1])],
+                capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
 
 # Each bad input: (subcommand, extra CLI arguments, JSON written to the

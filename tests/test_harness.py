@@ -234,6 +234,11 @@ class TestBundles:
                 loss, acc = b.net.loss_and_accuracy(w, X, t)
                 assert repr(metrics) == repr((loss - 0.5 * b.net.reg * float(w @ w), acc))
 
+    @pytest.mark.parametrize("problem", [small_quadratic, small_mlp])
+    def test_bundle_keeps_the_block_it_was_built_from(self, problem):
+        pc = problem()
+        assert build_problem(pc).config is pc
+
     def test_feature_overflow_is_config_error(self):
         # a valid block whose feature moments overflow: build_problem turns the
         # problem's ValueError into a ConfigError
@@ -622,6 +627,35 @@ class TestCompare:
                    if lab == s.label and np.isfinite(r.train_loss)
                    and r.train_loss <= target]
         assert s.data_read_to_target == min(r.data_read for r in reached)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
+    def test_given_bundle_gives_the_comparison_compare_builds(self, kind, monkeypatch):
+        problem = small_quadratic() if kind == "quadratic" else small_mlp()
+        base = dict(problem=problem, batch_size=30, steps=8, record_every=2, seed=0,
+                    solver=SolverSettings(iterations=4, init_samples=2, rank=4))
+        optimizers = ("sgd", "precond_sgd") + (("avg_inv", "cg") if kind == "quadratic" else ())
+        cfgs = [ExperimentConfig(optimizer=o, lr=0.01, **base) for o in optimizers]
+        built = []
+        monkeypatch.setattr(harness_mod, "build_problem",
+                            lambda pc: built.append(pc) or build_problem(pc))
+        own = compare(cfgs)
+        assert built == [problem]  # built through harness.build_problem, looked up per call
+        given = compare(cfgs, build_problem(problem))
+        assert built == [problem]
+        assert [lab for lab, _ in given.labeled_records] == [lab for lab, _ in own.labeled_records]
+        assert_same_records([r for _, r in given.labeled_records],
+                            [r for _, r in own.labeled_records])
+        assert repr(given.summaries) == repr(own.summaries)
+        assert not any(s.diverged for s in own.summaries)
+
+    @pytest.mark.parametrize("other", [small_quadratic(noise=0.2), small_mlp()])
+    def test_bundle_of_another_block_raises_before_a_draw(self, other, monkeypatch):
+        bundle = build_problem(other)
+        draws = []
+        monkeypatch.setattr(HessianOracle, "_draw", lambda self: draws.append(1))
+        with pytest.raises(ConfigError, match="built from another problem block"):
+            compare(self.configs(), bundle)
+        assert draws == []
 
     def test_summary_text_mentions_every_run(self):
         result = compare(self.configs(target_loss=1e-9))

@@ -333,6 +333,21 @@ class TestRunInference:
         assert four.A.tobytes() == one.A.tobytes()
         assert four.C.tobytes() == one.C.tobytes()
 
+    def test_zero_batch_gradient_keeps_the_posterior_so_far(self, caplog):
+        # the first probe's batch has an exactly zero gradient, so no second
+        # direction exists: the loop stops with its one-probe posterior
+        rng = np.random.default_rng(10)
+        grads = [rng.standard_normal(6) for _ in range(2)] + [np.zeros(6)] * 4
+        oracle = ScriptedOracle(grads, spd_matrix(rng, 6))
+        est = estimate_parameters(oracle, np.zeros(6), init_samples=2)
+        with caplog.at_level(logging.WARNING, logger="hessprec.solver"):
+            post = run_inference(oracle, np.zeros(6), est,
+                                 SolverConfig(iterations=4, init_samples=2))
+        assert post.m == 1
+        assert oracle.data_read == 3 * oracle.batch_size
+        assert any("batch gradient is zero at iteration 2" in rec.message
+                   for rec in caplog.records)
+
     def test_loop_matches_from_scratch_update_after_every_probe(self):
         rng = np.random.default_rng(9)
         Phi = rng.standard_normal((10, 300))
