@@ -14,15 +14,15 @@ checks the rules on the problem block's fields, so ``gen-data`` refuses
 a block that breaks one before it writes; the held-out share and the
 network's penalty are constants, not fields.
 
-``run_sgd_lanes`` is the one step loop.  It steps plain SGD, full mode,
-its plain-SGD fallback, scalar mode and the two baselines as lanes: the
-lanes at the lowest stream position step on one drawn batch, the SGD
-lanes with one ``gradients`` call and the baselines on the batch itself,
-and each lane keeps its own oracle and draws its own batches for a
-construction, a scalar rebuild or a CG residual check, so its records
-equal those of the run made alone.  ``compare`` runs every config of one
-batch size in it, on the problem its caller built or on one it builds,
-and ``run_experiment`` one config.
+``run_sgd_lanes`` is the one step loop, and a run's result is its lane.
+It steps plain SGD, full mode, its plain-SGD fallback, scalar mode and
+the two baselines as lanes: the lanes of one batch stream at its lowest
+position step on one drawn batch, the SGD lanes with one ``gradients``
+call and the baselines on the batch itself, and each lane keeps its own
+oracle and draws its own batches for a construction, a scalar rebuild or
+a CG residual check, so its records equal those of the run made alone.
+``compare`` runs all its configs in one call, on the problem its caller
+built or on one it builds, and ``run_experiment`` one config.
 """
 from __future__ import annotations
 
@@ -170,18 +170,6 @@ class RunRecord:
     step_length: float
 
 
-@dataclass
-class RunResult:
-    records: list
-    diverged: bool
-    w: np.ndarray
-    info: dict = field(default_factory=dict)
-
-    @property
-    def final(self) -> RunRecord:
-        return self.records[-1]
-
-
 def _csv_row(rec):
     """The RUN_CSV_COLUMNS cells of one record; floats in shortest round-trip form."""
     floats = (rec.train_loss, rec.test_loss, rec.test_accuracy, rec.step_length)
@@ -204,12 +192,17 @@ def write_comparison_csv(path, labeled_records):
 
 def dataset(pc: ProblemConfig):
     """The problem block's ``(X, targets)``: ``pc.data`` read and checked, or else
-    the synthetic set that ``pc.data_seed`` and the block's sizes generate."""
+    the synthetic set that ``pc.data_seed`` and the block's sizes generate, whose
+    targets must be finite, as a file's must."""
     if pc.data is None:
-        if pc.kind == "quadratic":
-            return datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
+        if pc.kind == "mlp":
+            return datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes)
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge noise overflows the targets
+            X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
                                           pc.n_features, pc.noise, pc.signal_dim, pc.equal_coef)
-        return datagen.gen_blobs(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_classes)
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"problem noise {pc.noise:g} makes targets that are not finite")
+        return X, y
     X, y = datagen.read_dataset(pc.data)
     if X.shape[1] != pc.input_dim:
         raise ConfigError(
@@ -351,12 +344,12 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     return precond, lr, post, est
 
 
-def run_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
+def run_sgd(bundle, cfg: ExperimentConfig) -> _Lane:
     """Plain fixed-step SGD: a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
 
 
-def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
+def run_precond_sgd(bundle, cfg: ExperimentConfig) -> _Lane:
     """SGD behind the curvature-adapted pre-conditioner, in full or scalar mode
     (see ``_Lane``): a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
@@ -364,55 +357,57 @@ def run_precond_sgd(bundle, cfg: ExperimentConfig) -> RunResult:
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
 def run_sgd_lanes(bundle, cfgs) -> list:
-    """Runs of any optimizer, stepped together on one batch stream.
+    """Runs of any optimizer, seed and batch size, stepped together per batch stream.
 
     Every batch is seeded by (seed, position), so runs that share the seed
     and the batch size draw the same batch at each stream position.  Each
     lane keeps its own oracle (its position and reads), iterate, records,
     step rule and step count, so its records equal those of the config run
     alone; a full-mode construction, a scalar rebuild or a CG residual check
-    draws on the lane's own oracle and so moves it ahead.  Each round, the
-    first lane at the lowest position draws the batch, the others there are
-    charged for it, and all step on it, the SGD lanes with gradients from
-    one ``gradients`` call; a lane that ran ahead waits.  A lane stops at its
-    last step or when its rule finds it diverged.  Every lane is built before
-    the first draw.  Returns one ``RunResult`` per config, in order.
+    draws on the lane's own oracle and so moves it ahead.  Every lane is
+    built, then started, before the loop's first draw.  The streams are then
+    stepped in turn, in order of first appearance: each round, the first
+    lane at the stream's lowest position draws the batch, the others there
+    are charged for it, and all step on it, the SGD lanes with gradients
+    from one ``gradients`` call; a lane that ran ahead waits.  A lane stops
+    at its last step or when its rule finds it diverged.  Returns the
+    lanes, one per config, in order.
     """
-    cfgs = list(cfgs)
-    seed, batch_size = cfgs[0].seed, cfgs[0].batch_size
-    if any(c.seed != seed or c.batch_size != batch_size for c in cfgs):
-        raise ConfigError("lanes must share the seed and the batch size")
     lanes = [_LANE_RULES.get(c.optimizer, _Lane)(bundle, c) for c in cfgs]
     for lane in lanes:
         lane.start()
-    live = [lane for lane in lanes if lane.result is None]
-    while live:
-        position = min(lane.oracle.position for lane in live)
-        stepping = [lane for lane in live if lane.oracle.position == position]
-        batch = stepping[0].oracle.draw_batch()
-        for lane in stepping[1:]:
-            lane.oracle.draw_batch(batch)
-        takers = [lane for lane in stepping if lane.takes_gradient]
-        grads = dict(zip(takers, takers and takers[0].oracle.gradients(
-            [lane.w for lane in takers], batch)))
-        for lane in stepping:
-            lane.step(batch, grads.get(lane))
-        live = [lane for lane in live if lane.result is None]
-    return [lane.result for lane in lanes]
+    for stream in dict.fromkeys((lane.cfg.seed, lane.cfg.batch_size) for lane in lanes):
+        live = [lane for lane in lanes if (lane.cfg.seed, lane.cfg.batch_size) == stream]
+        while live := [lane for lane in live if lane.diverged is None]:
+            position = min(lane.oracle.position for lane in live)
+            stepping = [lane for lane in live if lane.oracle.position == position]
+            batch = stepping[0].oracle.draw_batch()
+            for lane in stepping[1:]:
+                lane.oracle.draw_batch(batch)
+            takers = [lane for lane in stepping if lane.takes_gradient]
+            grads = dict(zip(takers, takers and takers[0].oracle.gradients(
+                [lane.w for lane in takers], batch)))
+            for lane in stepping:
+                lane.step(batch, grads.get(lane))
+    return lanes
 
 
 class _Lane:
-    """One run of ``run_sgd_lanes``: an oracle, an iterate, its records and a step rule.
+    """One run of ``run_sgd_lanes``, and its result: an oracle, an iterate, its
+    records and a step rule.
 
     This class holds the SGD rule, ``w <- w - lr * (P^2 g if a
     pre-conditioner was built, else g)``, for plain SGD, full mode, its
     plain-SGD fallback and scalar mode alike.  Full mode builds P before
-    the step-0 record; a numerical failure there falls back to plain SGD
-    with a warning, and a ``ConfigError`` propagates.  Scalar mode steps
+    the step-0 record and keeps it as ``precond`` and its scale estimates
+    as ``estimates``; a numerical failure there falls back to plain SGD
+    with a warning and leaves both ``None``, as plain SGD and the
+    baselines do, and a ``ConfigError`` propagates.  Scalar mode steps
     its first epoch at the configured rate and refreshes ``lr`` and the
     recorded step length before the first step of every later epoch,
     after the record of the step before.  The subclasses hold the
-    baselines' rules.
+    baselines' rules.  ``diverged`` is ``None`` while the lane is live and
+    a bool once ``finish`` has ended it.
     """
 
     takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
@@ -425,10 +420,13 @@ class _Lane:
         self.w = bundle.init_w(cfg.seed)
         self.records = []
         self.t = 0
-        self.precond, self.lr, self.step_length = None, cfg.lr, cfg.lr
+        self.precond, self.estimates, self.lr, self.step_length = None, None, cfg.lr, cfg.lr
         self.scalar = cfg.optimizer == "precond_sgd" and cfg.solver.mode == "scalar"
-        self.info = {"rebuilds": 0, "eta": cfg.lr} if self.scalar else {}
-        self.result = None
+        self.diverged = None
+
+    @property
+    def final(self) -> RunRecord:
+        return self.records[-1]
 
     def due(self, step):
         return (step == 0 or step == self.steps
@@ -457,17 +455,13 @@ class _Lane:
         cfg = self.cfg
         if cfg.optimizer == "precond_sgd" and not self.scalar:
             try:
-                self.precond, self.lr, _, est = construct_preconditioner(
+                self.precond, self.lr, _, self.estimates = construct_preconditioner(
                     self.oracle, self.w, cfg.solver, cfg.lr)
-                self.info.update(alpha2=self.precond.alpha ** 2, rank=self.precond.spectral.k,
-                                 construction_data_read=self.oracle.data_read,
-                                 b0=est.b0, w0=est.w0, lam0=est.lam0)
                 self.step_length = self.lr * self.precond.alpha ** 2
             except ConfigError:
                 raise
             except (EstimationError, SolveFailure, ValueError) as exc:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
-                self.info.update(fallback=str(exc))
         self.emit(0, self.w, self.step_length)
 
     def step(self, batch, g):
@@ -486,12 +480,11 @@ class _Lane:
         elif t == self.steps:
             self.finish(False)
         elif self.scalar and t % self.epoch_len == 0:
-            self.lr = self.step_length = self.info["eta"] = _scalar_rebuild(
+            self.lr = self.step_length = _scalar_rebuild(
                 self.oracle, self.w, self.cfg.solver, self.lr)
-            self.info["rebuilds"] += 1
 
     def finish(self, diverged):
-        self.result = RunResult(self.records, diverged, self.w, self.info)
+        self.diverged = diverged
 
 
 class _Baseline(_Lane):
@@ -519,7 +512,7 @@ class _AvgInvLane(_Baseline):
     """
 
     def start(self):
-        self.total, self.used, self.diverged = np.zeros(self.problem.n_features), 0, False
+        self.total, self.used, self.nonfinite = np.zeros(self.problem.n_features), 0, False
 
     def step(self, batch, g):
         self.t = t = self.t + 1
@@ -531,11 +524,11 @@ class _AvgInvLane(_Baseline):
             self.used += 1
             self.w = self.total / self.used
         if self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps):
-            self.diverged |= not self.emit(t, self.w, 0.0)
+            self.nonfinite |= not self.emit(t, self.w, 0.0)
         if t == self.steps:
             if not self.used:
                 raise SolveFailure("every batch failed in the averaged-inverse baseline")
-            self.finish(self.diverged)
+            self.finish(self.nonfinite)
 
 
 class _CgLane(_Baseline):
@@ -616,12 +609,12 @@ def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
     return previous
 
 
-def run_baseline(bundle, cfg: ExperimentConfig) -> RunResult:
+def run_baseline(bundle, cfg: ExperimentConfig) -> _Lane:
     """The averaged-inverse or CG baseline: a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
 
 
-def run_experiment(bundle, cfg: ExperimentConfig) -> RunResult:
+def run_experiment(bundle, cfg: ExperimentConfig) -> _Lane:
     """A run of any optimizer: a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
 
@@ -674,9 +667,9 @@ def compare(configs, bundle=None) -> ComparisonResult:
     (optimizer label, data_read).  ``bundle``, if given, is the problem
     built from that block, and one built from another block is refused
     before any batch is drawn; with none, ``build_problem`` builds it.
-    The runs that share a batch size, of any optimizer, are stepped
-    together by ``run_sgd_lanes``, on one batch stream; records and
-    summaries stay in config order.
+    One ``run_sgd_lanes`` call steps every run, and the runs that share a
+    batch size share one batch stream; records and summaries stay in
+    config order.
     Divergence of an individual run is recorded in its summary, not fatal.
     """
     if not configs:
@@ -698,15 +691,9 @@ def compare(configs, bundle=None) -> ComparisonResult:
     elif bundle.config != first.problem:
         raise ConfigError("compare was given a problem built from another problem block")
     target = first.target_loss
-    results = [None] * len(configs)
-    for batch_size in dict.fromkeys(cfg.batch_size for cfg in configs):
-        group = [i for i, cfg in enumerate(configs) if cfg.batch_size == batch_size]
-        for i, result in zip(group, run_sgd_lanes(bundle, [configs[i] for i in group])):
-            results[i] = result
-
     labeled = []
     summaries = []
-    for label, result in zip(labels, results):
+    for label, result in zip(labels, run_sgd_lanes(bundle, configs)):
         for r in result.records:
             labeled.append((label, r))
         reach = None

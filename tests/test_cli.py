@@ -707,6 +707,23 @@ def test_overflowing_targets_exit_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# noise of 1e308 overflows the synthetic targets themselves: gen-data refuses
+# them before it writes, and a run before it builds the problem
+@pytest.mark.parametrize("command", [["gen-data"], ["run", "--optimizer", "sgd", "--steps", "3"]],
+                         ids=lambda c: c[0])
+def test_non_finite_synthetic_targets_exit_1(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would leak to stderr
+        rc = main([*command, "--set", "problem.noise=1e308", "--set", "problem.n_samples=500",
+                   "--set", "problem.input_dim=3", "--set", "problem.n_features=4",
+                   "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "config error: problem noise 1e+308 makes targets that are not finite" in err
+    assert not out.exists()
+
+
 # solve and precond take no optimizer-run flags, and no command has --timing
 @pytest.mark.parametrize("command, flag", [
     *((command, flag) for command in ("solve", "precond")
@@ -763,7 +780,7 @@ PLAUSIBLE = {
     "problem.kind": ["quadratic", "mlp"], "problem.data": [None],
     "problem.n_samples": [2, 5, 50], "problem.input_dim": [1, 2, 5],
     "problem.n_features": [1, 4, 10], "problem.alpha_reg": [1e-8, 1.0, 1e8],
-    "problem.noise": [0.0, 10.0, 1e200], "problem.signal_dim": [1, 3],
+    "problem.noise": [0.0, 10.0, 1e200, 1e308], "problem.signal_dim": [1, 3],
     "problem.equal_coef": [True], "problem.scales": [[1e-150] * 8, [1e150] * 8],
     "problem.hidden": [[], [1], [4, 4]], "problem.n_classes": [2, 3],
     "problem.data_seed": [1, 99], "solver.iterations": [1, 2, 8],

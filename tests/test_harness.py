@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import json
 import logging
 import math
+import pathlib
 import types
 import warnings
 
@@ -19,7 +21,6 @@ from hessprec.harness import (
     ExperimentConfig,
     ProblemConfig,
     RunRecord,
-    RunResult,
     SolverSettings,
     build_problem,
     compare,
@@ -42,6 +43,22 @@ def assert_same_records(a, b):
     for ra, rb in zip(a, b):
         np.testing.assert_array_equal(np.array(dataclasses.astuple(ra)),
                                       np.array(dataclasses.astuple(rb)))
+
+
+def assert_same_construction(a, b):
+    """Lanes ``a`` and ``b`` built the same pre-conditioner, from the same estimates,
+    or neither built one, and end at the same step size."""
+    assert (a.precond is None) == (b.precond is None)
+    assert (a.estimates is None) == (b.estimates is None)
+    if a.precond is not None:
+        assert a.precond.alpha == b.precond.alpha
+        np.testing.assert_array_equal(a.precond.spectral.sigma, b.precond.spectral.sigma)
+        np.testing.assert_array_equal(a.precond.spectral.U, b.precond.spectral.U)
+    if a.estimates is not None:
+        ea, eb = a.estimates, b.estimates
+        assert (ea.b0, ea.w0, ea.lam0) == (eb.b0, eb.w0, eb.lam0)
+        np.testing.assert_array_equal(ea.mean_grad, eb.mean_grad)
+    assert a.lr == b.lr
 
 
 def small_quadratic(**kw):
@@ -163,8 +180,8 @@ class TestScaleVector:
         assert s.size == 8 and s[0] == pytest.approx(1.0)
         assert s[-1] == pytest.approx(1e-3)
 
-    def test_two_band_profile_dict(self):
-        # a two-band profile reaches the config as the explicit list it expands to
+    def test_explicit_list_is_the_scale_vector(self):
+        # an explicit list, here two log-uniform bands, is taken as given
         two_band = np.concatenate([np.logspace(0, -1, 4), np.logspace(-3, -4, 6)])
         pc = ProblemConfig.from_dict({"kind": "quadratic", "n_features": 10,
                                       "scales": two_band.tolist()})
@@ -177,21 +194,16 @@ class TestScaleVector:
                                               "n_features is 5"):
             ProblemConfig(kind="quadratic", n_features=5, scales=[1.0, 0.5])
 
-    def test_unknown_profile(self):
-        with pytest.raises(ConfigError, match="'scales' must be"):
-            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
-                                     "scales": {"profile": "banded"}})
-
-    def test_unknown_profile_reported_before_its_options(self):
-        # the dict is refused as a whole, before any of its keys is read
-        with pytest.raises(ConfigError, match=r"^problem entry 'scales' must be"):
-            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
-                                     "scales": {"profile": "bogus", "lo": 0.1}}, "problem")
-
-    def test_unknown_scale_option(self):
-        with pytest.raises(ConfigError, match="'scales' must be"):
-            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5,
-                                     "scales": {"profile": "log_uniform", "high": 2.0}})
+    # a JSON object is refused as a whole, before any of its keys is read
+    @pytest.mark.parametrize("scales, message", [
+        ({"profile": "banded"}, "'scales' must be"),
+        ({"profile": "bogus", "lo": 0.1}, r"^problem entry 'scales' must be"),
+        ({"profile": "log_uniform", "high": 2.0}, "'scales' must be"),
+    ], ids=["profile", "profile-and-option", "option"])
+    def test_object_refused_as_a_whole(self, scales, message):
+        with pytest.raises(ConfigError, match=message):
+            ProblemConfig.from_dict({"kind": "quadratic", "n_features": 5, "scales": scales},
+                                    "problem")
 
 
 class TestBundles:
@@ -317,13 +329,14 @@ class TestRunPrecondSgd:
         cfg = self.cfg()
         res = run_precond_sgd(build_problem(cfg.problem), cfg)
         assert not res.diverged
-        assert res.info["rank"] <= 6
-        assert res.info["alpha2"] >= 1.0
-        assert res.info["construction_data_read"] == (3 + 6) * 64
+        assert res.precond.spectral.k <= 6
+        alpha2 = res.precond.alpha ** 2
+        assert alpha2 >= 1.0
+        # the step-0 record is cut after construction, at the reads it spent
         assert res.records[0].data_read == (3 + 6) * 64
-        assert res.info["b0"] > 0 and res.info["w0"] > 0 and res.info["lam0"] >= 0
-        assert res.records[0].step_length == pytest.approx(
-            cfg.lr * res.info["alpha2"])
+        est = res.estimates
+        assert est.b0 > 0 and est.w0 > 0 and est.lam0 >= 0
+        assert res.records[0].step_length == pytest.approx(cfg.lr * alpha2)
 
     def test_reduces_loss(self):
         cfg = self.cfg(lr=0.02, steps=40)
@@ -339,8 +352,9 @@ class TestRunPrecondSgd:
         bundle = build_problem(cfg_p.problem)
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             res_p = run_precond_sgd(bundle, cfg_p)
-        assert res_p.info["fallback"] == "synthetic failure"
-        assert any("fallback" in r.message for r in caplog.records)
+        assert res_p.precond is None and res_p.estimates is None
+        assert any("(synthetic failure); plain SGD fallback" in r.message
+                   for r in caplog.records)
         cfg_s = ExperimentConfig(problem=cfg_p.problem, optimizer="sgd",
                                  batch_size=64, lr=0.05, steps=15,
                                  record_every=5, seed=0)
@@ -356,8 +370,9 @@ class TestRunPrecondSgd:
         bundle = build_problem(cfg_p.problem)
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             res_p = run_precond_sgd(bundle, cfg_p)
-        assert res_p.info["fallback"] == "synthetic rank-reduction failure"
-        assert any("plain SGD fallback" in r.message for r in caplog.records)
+        assert res_p.precond is None and res_p.estimates is None
+        assert any("(synthetic rank-reduction failure); plain SGD fallback" in r.message
+                   for r in caplog.records)
         # plain SGD steps after the batches construction read before failing
         assert not res_p.diverged
         assert res_p.records[0].data_read == (3 + 6) * 64
@@ -368,18 +383,24 @@ class TestRunPrecondSgd:
         with pytest.raises(ConfigError, match=r"iterations \(16\) exceed"):
             run_precond_sgd(bundle, cfg_bad)
 
-    def test_scalar_mode_rebuild_count(self):
+    def test_scalar_mode_rebuild_count(self, monkeypatch):
         solver = SolverSettings(init_samples=3, mode="scalar")
         cfg = self.cfg(solver=solver, lr=0.05, steps=15)
+        real, rebuilds = harness_mod._scalar_rebuild, []
+        monkeypatch.setattr(harness_mod, "_scalar_rebuild",
+                            lambda *args: rebuilds.append(1) or real(*args))
         res = run_precond_sgd(build_problem(cfg.problem), cfg)
         assert not res.diverged
         # epoch_len = 5 -> epochs 0,1,2; epoch 0 steps at the configured rate
-        assert res.info["rebuilds"] == 2
-        assert res.info["eta"] > 0
+        assert len(rebuilds) == 2
+        assert res.lr > 0 and res.lr == res.records[-1].step_length
+        assert res.precond is None and res.estimates is None
 
     def test_scalar_mode_divergence_stops_at_first_nan_record(self, monkeypatch, caplog):
         # a step of 1e6 on this quadratic overflows after a few epochs
-        monkeypatch.setattr(harness_mod, "_scalar_rebuild", lambda *args: 1e6)
+        rebuilds = []
+        monkeypatch.setattr(harness_mod, "_scalar_rebuild",
+                            lambda *args: rebuilds.append(1) or 1e6)
         cfg = self.cfg(solver=SolverSettings(init_samples=3, mode="scalar"), steps=60,
                        record_every=1)
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
@@ -388,8 +409,8 @@ class TestRunPrecondSgd:
         assert [math.isnan(r.train_loss) for r in res.records].index(True) == len(res.records) - 1
         assert res.records[-1].step < 60
         # epoch_len = 5 and epoch 0 has no rebuild: one per later epoch begun
-        assert res.info["rebuilds"] == (res.records[-1].step - 1) // 5 > 0
-        assert res.info["eta"] == 1e6
+        assert len(rebuilds) == (res.records[-1].step - 1) // 5 > 0
+        assert res.lr == 1e6
         assert any("precond_sgd diverged at step" in r.message for r in caplog.records)
 
 
@@ -566,7 +587,9 @@ class TestCsvOutput:
         assert lines[2].split(",")[0] == "cg"
 
     def test_final_property(self):
-        res = RunResult(self.records(), False, np.zeros(2))
+        res = run_sgd(build_problem(small_quadratic()), ExperimentConfig(
+            problem=small_quadratic(), batch_size=64, steps=2))
+        res.records = self.records()
         assert res.final.step == 5
 
 
@@ -738,6 +761,9 @@ class TestSgdLanes:
             return est
 
         monkeypatch.setattr(harness_mod, "estimate_parameters", flaky)
+        real_rebuild, self.rebuilt = harness_mod._scalar_rebuild, []
+        monkeypatch.setattr(harness_mod, "_scalar_rebuild", lambda oracle, *args:
+                            self.rebuilt.append(oracle) or real_rebuild(oracle, *args))
         lane_results = []
         real_lanes = harness_mod.run_sgd_lanes
 
@@ -750,8 +776,13 @@ class TestSgdLanes:
                 m.setattr(harness_mod, "run_sgd_lanes", recorded_lanes)
                 result = compare(cfgs)
             solo = [run_experiment(build_problem(c.problem), c) for c in cfgs]
+        assert len(lane_results) == 1  # one lane loop, whatever the batch sizes
         lanes = {id(c): r for group, results in lane_results for c, r in zip(group, results)}
         return cfgs, result, solo, [lanes.get(id(c)) for c in cfgs]
+
+    def rebuilds(self, lane):
+        """The scalar rebuilds ``runs`` saw on ``lane``'s oracle."""
+        return sum(oracle is lane.oracle for oracle in self.rebuilt)
 
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_comparison_csv_equals_solo_runs(self, tmp_path, kind, monkeypatch):
@@ -764,7 +795,8 @@ class TestSgdLanes:
                              [(lab, r) for lab, res in zip(labels, solo) for r in res.records])
         assert (tmp_path / "lanes.csv").read_bytes() == (tmp_path / "solo.csv").read_bytes()
         for lane, alone in zip(lanes, solo):
-            assert lane.info == alone.info
+            assert_same_construction(lane, alone)
+            assert self.rebuilds(lane) == self.rebuilds(alone)
             assert_same_records(lane.records, alone.records)
             np.testing.assert_array_equal(lane.w, alone.w)
 
@@ -775,12 +807,15 @@ class TestSgdLanes:
         full, fallback, scalar, flaky = solo[-4:]
         # an SGD lane diverges and stops before its last step
         assert any(r.diverged and r.final.step < c.steps for c, r in zip(cfgs, solo))
-        assert "alpha2" in full.info and "fallback" not in full.info
-        assert fallback.info["fallback"] == "synthetic rank-reduction failure"
+        assert full.precond is not None and full.estimates is not None
+        assert fallback.precond is None and fallback.estimates is None
+        fell_back = [r.message for r in caplog.records if "plain SGD fallback" in r.message]
+        assert len(fell_back) == 2  # once in the comparison, once alone
+        assert all("(synthetic rank-reduction failure)" in m for m in fell_back)
         assert fallback.records[0].data_read == (2 + 4) * cfgs[-1].batch_size
         assert all(r.step_length == cfgs[-3].lr for r in fallback.records)
         # the flaky run retried its second rebuild, three batches ahead
-        assert scalar.info["rebuilds"] == flaky.info["rebuilds"] > 1
+        assert self.rebuilds(scalar) == self.rebuilds(flaky) > 1
         assert flaky.final.data_read - scalar.final.data_read == 3 * cfgs[-1].batch_size
         failed = [r.message for r in caplog.records if "scalar estimation attempt failed" in r.message]
         assert len(failed) == 2  # once in the comparison, once alone
@@ -824,9 +859,38 @@ class TestSgdLanes:
             if cfg.optimizer == "sgd":
                 assert all(r.data_read == r.step * cfg.batch_size for r in lane)
 
-    def test_lanes_must_share_batch_stream(self):
+    def test_one_call_steps_each_batch_stream(self):
+        # two seeds and two batch sizes make four streams; each stream holds a
+        # stable and a diverging SGD run, and two add a baseline and a full-mode run
         bundle = build_problem(small_quadratic())
-        cfgs = [ExperimentConfig(problem=small_quadratic(), batch_size=b, steps=2)
-                for b in (32, 64)]
-        with pytest.raises(ConfigError, match="batch size"):
-            run_sgd_lanes(bundle, cfgs)
+        base = dict(problem=small_quadratic(), steps=30, record_every=5)
+        cfgs = [ExperimentConfig(optimizer="sgd", lr=lr, batch_size=b, seed=seed, **base)
+                for seed, b in ((0, 32), (1, 64), (0, 64), (1, 32)) for lr in (0.05, 1e8)]
+        cfgs[3:3] = [ExperimentConfig(optimizer="avg_inv", batch_size=64, seed=1, **base)]
+        cfgs.append(ExperimentConfig(optimizer="precond_sgd", lr=0.01, batch_size=32, seed=1,
+                                     solver=SolverSettings(iterations=4, init_samples=2,
+                                                           rank=4), **base))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lanes = run_sgd_lanes(bundle, cfgs)
+            solo = [run_experiment(bundle, c) for c in cfgs]
+        assert [lane.cfg for lane in lanes] == cfgs
+        assert [r.diverged for r in solo] == [c.lr == 1e8 for c in cfgs]
+        assert lanes[-1].precond is not None
+        for lane, alone in zip(lanes, solo):
+            assert lane.diverged is alone.diverged
+            assert_same_records(lane.records, alone.records)
+            np.testing.assert_array_equal(lane.w, alone.w)
+            assert_same_construction(lane, alone)
+
+
+def test_bench_tracer_finds_and_restores_the_names_it_wraps(monkeypatch):
+    """``bench/tracing.py`` wraps ``hessprec`` names by name: each must still exist,
+    and uninstalling puts every original back."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    tracer, original = importlib.import_module("tracing").Tracer(), harness_mod.run_sgd
+    try:
+        tracer.install()
+        assert harness_mod.run_sgd is not original
+    finally:
+        tracer.uninstall()
+    assert harness_mod.run_sgd is original
