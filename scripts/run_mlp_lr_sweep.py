@@ -9,15 +9,10 @@ make the final train losses nearly independent of where the grid
 started.  Prints final losses and the max/min spread per optimizer.
 """
 import argparse
-import os
 import sys
 import time
 
-# one BLAS thread unless the environment sets it, before numpy loads: the
-# CSV bytes can depend on the thread count
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+import hessprec  # first: its one-BLAS-thread default must precede numpy's load
 import numpy as np
 
 from hessprec.harness import (
@@ -56,8 +51,7 @@ def main(argv=None):
     grid = np.logspace(args.grid_lo, args.grid_hi, 5)
     t0 = time.time()
     for seed in args.seeds:
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = compare(build_runs(seed, grid, args.epochs))
+        result = compare(build_runs(seed, grid, args.epochs))
         finals = {s.label: s.final_train_loss for s in result.summaries}
         print(f"seed {seed}:")
         for label, loss in finals.items():

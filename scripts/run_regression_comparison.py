@@ -14,15 +14,10 @@ whose per-batch covariance is nearly singular at batch 256 — the regime
 where batch inversion is biased and plain CG loses coherence.
 """
 import argparse
-import os
 import sys
 import time
 
-# one BLAS thread unless the environment sets it, before numpy loads: the
-# CSV bytes can depend on the thread count
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
+import hessprec  # first: its one-BLAS-thread default must precede numpy's load
 import numpy as np
 
 from hessprec.harness import (
@@ -92,8 +87,7 @@ def main(argv=None):
         init = bundle.train_loss(np.zeros(bundle.dim))
         target = star + 0.01 * (init - star)
         print(f"seed {seed}: exact loss {star:.6g}, target {target:.6g}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            result = compare(build_runs(pc, seed, target), bundle)
+        result = compare(build_runs(pc, seed, target), bundle)
         print(result.summary_text(), end="")
         if args.out_prefix:
             path = f"{args.out_prefix}{seed}.csv"

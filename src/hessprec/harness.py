@@ -22,7 +22,10 @@ call and the baselines on the batch itself, and each lane keeps its own
 oracle and draws its own batches for a construction, a scalar rebuild or
 a CG residual check, so its records equal those of the run made alone.
 ``compare`` runs all its configs in one call, on the problem its caller
-built or on one it builds, and ``run_experiment`` one config.
+built or on one it builds, and ``run_experiment`` one config; ``run_sgd``,
+``run_precond_sgd`` and ``run_baseline`` are other names for it.  Both
+bundles hold ``n_train`` and ``dim`` as attributes and read their
+held-out ``test_loss`` and ``test_accuracy`` from ``test_metrics``.
 """
 from __future__ import annotations
 
@@ -217,7 +220,17 @@ def dataset(pc: ProblemConfig):
     return X, y.astype(int)
 
 
-class QuadraticBundle:
+class _Bundle:
+    """A problem kind's held-out pair, read from its ``test_metrics``."""
+
+    def test_loss(self, w):
+        return self.test_metrics(w)[0]
+
+    def test_accuracy(self, w):
+        return self.test_metrics(w)[1]
+
+
+class QuadraticBundle(_Bundle):
     kind = "quadratic"
 
     def __init__(self, pc: ProblemConfig):
@@ -226,6 +239,7 @@ class QuadraticBundle:
         Phi = polynomial_features(X, pc.scale_vector()).T  # features x samples
         tr, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
         self.problem = problem = QuadraticProblem(Phi[:, tr], y[tr], pc.alpha_reg)
+        self.n_train, self.dim = problem.n_data, problem.n_features
         self._optimum = (problem.w_star, problem.loss(problem.w_star))
         # the held-out split lives as long as the bundle: freed here, it moved
         # malloc's mmap threshold and raised the regression benchmark's peak
@@ -233,14 +247,6 @@ class QuadraticBundle:
         self._test = (Phi[:, te], y[te])
         # the held-out data term, anchored at the training minimizer too
         self._test_loss = SquaredLoss(*self._test, problem.w_star) if te.size else None
-
-    @property
-    def n_train(self):
-        return self.problem.n_data
-
-    @property
-    def dim(self):
-        return self.problem.n_features
 
     def make_oracle(self, batch_size, seed):
         return batch_oracle(self.problem, batch_size, seed)
@@ -251,20 +257,15 @@ class QuadraticBundle:
     def train_loss(self, w):
         return self.problem.loss(w)
 
-    def test_loss(self, w):
-        return float("nan") if self._test_loss is None else self._test_loss(w)
-
-    def test_accuracy(self, w):
-        return float("nan")
-
     def test_metrics(self, w):
-        return self.test_loss(w), float("nan")
+        """Held-out ``(test_loss, NaN)``: a regression has no accuracy."""
+        return float("nan") if self._test_loss is None else self._test_loss(w), float("nan")
 
     def optimum(self):
         return self._optimum
 
 
-class MLPBundle:
+class MLPBundle(_Bundle):
     kind = "mlp"
 
     def __init__(self, pc: ProblemConfig):
@@ -274,14 +275,7 @@ class MLPBundle:
         self.net = ToyNet((pc.input_dim,) + pc.hidden + (pc.n_classes,), reg=MLP_REG)
         self._train = (X[tr], targets[tr])
         self._test = (X[te], targets[te])
-
-    @property
-    def n_train(self):
-        return self._train[0].shape[0]
-
-    @property
-    def dim(self):
-        return self.net.n_params
+        self.n_train, self.dim = tr.size, self.net.n_params
 
     def make_oracle(self, batch_size, seed):
         return MLPOracle(self.net, self._train[0], self._train[1], batch_size, seed)
@@ -291,12 +285,6 @@ class MLPBundle:
 
     def train_loss(self, w):
         return self.net.loss_value(w, self._train[0], self._train[1])
-
-    def test_loss(self, w):
-        return self.test_metrics(w)[0]
-
-    def test_accuracy(self, w):
-        return self.test_metrics(w)[1]
 
     def test_metrics(self, w):
         """Held-out ``(test_loss, test_accuracy)`` from one forward pass."""
@@ -342,17 +330,6 @@ def construct_preconditioner(oracle, w, settings: SolverSettings, base_lr):
     spectral = reduce_rank(post, k)
     precond, lr = build(spectral, base_lr=base_lr)
     return precond, lr, post, est
-
-
-def run_sgd(bundle, cfg: ExperimentConfig) -> _Lane:
-    """Plain fixed-step SGD: a lane loop of one run."""
-    return run_sgd_lanes(bundle, [cfg])[0]
-
-
-def run_precond_sgd(bundle, cfg: ExperimentConfig) -> _Lane:
-    """SGD behind the curvature-adapted pre-conditioner, in full or scalar mode
-    (see ``_Lane``): a lane loop of one run."""
-    return run_sgd_lanes(bundle, [cfg])[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence shows in the records instead
@@ -436,18 +413,17 @@ class _Lane:
     def emit(self, step, w, step_length):
         """Append a record at the oracle's reads; returns False when the loss went non-finite.
 
-        A diverging iterate overflows the loss, which the record reports as NaN, so
-        numpy's overflow warnings are silenced here.
+        A diverging iterate overflows the loss, which the record reports as NaN;
+        ``run_sgd_lanes``, the only caller, silences numpy's overflow warnings.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
-            read = self.oracle.data_read
-            if not np.isfinite(train):
-                self.records.append(RunRecord(step, read, float("nan"), float("nan"),
-                                              float("nan"), step_length))
-                return False
-            self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
-                                          step_length))
+        train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
+        read = self.oracle.data_read
+        if not np.isfinite(train):
+            self.records.append(RunRecord(step, read, float("nan"), float("nan"),
+                                          float("nan"), step_length))
+            return False
+        self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
+                                      step_length))
         return True
 
     def start(self):
@@ -484,6 +460,9 @@ class _Lane:
                 self.oracle, self.w, self.cfg.solver, self.lr)
 
     def finish(self, diverged):
+        """End the lane; one that ends before its first record records its iterate as step 0."""
+        if not self.records:
+            self.emit(0, self.w, 0.0)
         self.diverged = diverged
 
 
@@ -579,11 +558,6 @@ class _CgLane(_Baseline):
         self.p = r + (rs_new / self.rs) * self.p
         self.r, self.rs = r, rs_new
 
-    def finish(self, diverged):
-        if not self.records:
-            self.emit(0, self.w, 0.0)
-        super().finish(diverged)
-
 
 _LANE_RULES = {"avg_inv": _AvgInvLane, "cg": _CgLane}  # the other optimizers are _Lane's
 
@@ -609,14 +583,12 @@ def _scalar_rebuild(oracle, w, settings: SolverSettings, previous):
     return previous
 
 
-def run_baseline(bundle, cfg: ExperimentConfig) -> _Lane:
-    """The averaged-inverse or CG baseline: a lane loop of one run."""
-    return run_sgd_lanes(bundle, [cfg])[0]
-
-
 def run_experiment(bundle, cfg: ExperimentConfig) -> _Lane:
     """A run of any optimizer: a lane loop of one run."""
     return run_sgd_lanes(bundle, [cfg])[0]
+
+
+run_sgd = run_precond_sgd = run_baseline = run_experiment  # one loop, four names
 
 
 # ---------------------------------------------------------------------------

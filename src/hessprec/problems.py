@@ -208,8 +208,7 @@ class QuadraticOracle(HessianOracle):
         return self.problem.alpha_reg * s + Phib @ (Phib.T @ s) / batch.size
 
 
-def batch_oracle(problem: QuadraticProblem, batch_size: int, seed: int) -> QuadraticOracle:
-    return QuadraticOracle(problem, batch_size, seed)
+batch_oracle = QuadraticOracle
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +291,7 @@ class LogisticOracle(HessianOracle):
         return Xb.T @ (d * (Xb @ s)) / batch.size + self.problem.reg * s
 
 
-def logistic_oracle(problem: LogisticProblem, batch_size: int, seed: int) -> LogisticOracle:
-    return LogisticOracle(problem, batch_size, seed)
+logistic_oracle = LogisticOracle
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+import hessprec.cli as cli_mod
 import hessprec.harness as harness_mod
 import hessprec.precond as precond_mod
 import hessprec.problems as problems_mod
@@ -885,12 +886,24 @@ class TestSgdLanes:
 
 def test_bench_tracer_finds_and_restores_the_names_it_wraps(monkeypatch):
     """``bench/tracing.py`` wraps ``hessprec`` names by name: each must still exist,
-    and uninstalling puts every original back."""
+    and uninstalling puts every original back, also where one function is bound to
+    several names, which the tracer then wraps once per name, one wrapper in another."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
-    tracer, original = importlib.import_module("tracing").Tracer(), harness_mod.run_sgd
+    tracer, run = importlib.import_module("tracing").Tracer(), harness_mod.run_experiment
+    names = ("run_sgd", "run_precond_sgd", "run_baseline", "run_experiment")
+    bundles = (harness_mod.QuadraticBundle, harness_mod.MLPBundle)
+    assert all(getattr(harness_mod, name) is run for name in names)
     try:
         tracer.install()
-        assert harness_mod.run_sgd is not original
+        assert all(getattr(harness_mod, name) is not run for name in names)
+        assert cli_mod.run_experiment is not run
+        assert all(bundle.test_loss is not harness_mod._Bundle.test_loss for bundle in bundles)
     finally:
         tracer.uninstall()
-    assert harness_mod.run_sgd is original
+    assert all(getattr(harness_mod, name) is run for name in names)
+    assert cli_mod.run_experiment is run
+    assert problems_mod.batch_oracle is problems_mod.QuadraticOracle
+    assert problems_mod.logistic_oracle is problems_mod.LogisticOracle
+    for bundle in bundles:
+        for name in ("test_loss", "test_accuracy"):
+            assert getattr(bundle, name) is getattr(harness_mod._Bundle, name)

@@ -50,6 +50,26 @@ def test_dataset_oracles_draw_the_seeded_batch_stream(kind):
         dataset_oracle(kind, n_data, n_data + 1, seed)
 
 
+# The literal first indices of today's stream, so that a numpy whose
+# SeedSequence, PCG64 or Generator.choice changed fails here instead of
+# silently changing every run's batches, CSV and benchmark fingerprint.
+@pytest.mark.parametrize("seed, position, first", [
+    (0, 0, [6148, 10668, 1457, 13279, 84, 13619]),
+    (0, 1, [15101, 1707, 9234, 14777, 8743, 1672]),
+    (0, 2 ** 32 - 1, [4816, 5635, 6616, 13925, 3441, 15844]),
+    (2 ** 32 - 1, 0, [14010, 5817, 12641, 6500, 11028, 5910]),
+    (2 ** 32 - 1, 1, [14045, 2168, 6784, 12859, 1895, 6374]),
+    (2 ** 32 - 1, 2 ** 32 - 1, [6031, 867, 993, 10106, 4761, 4276]),
+])
+def test_batch_stream_is_pinned(seed, position, first):
+    oracle = dataset_oracle("quadratic", 16000, 256, seed)
+    oracle._counter = position
+    batch = oracle.draw_batch()
+    assert batch.tolist()[:6] == first
+    assert batch.size == 256 and np.unique(batch).size == 256
+    assert oracle.position == position + 1
+
+
 class MatrixOracle(HessianOracle):
     """Exact full-batch oracle for the quadratic 0.5 w.T B w - c.T w."""
 
