@@ -23,6 +23,9 @@ from hessprec.harness import (
     write_comparison_csv,
 )
 
+GRID = np.logspace(-3.5, -1.5, 5)  # the initial learning rates, two decades
+EPOCHS = 20.0
+
 
 def build_runs(seed, grid, epochs):
     pc = ProblemConfig(kind="mlp", n_samples=4096, input_dim=20, n_classes=10,
@@ -40,18 +43,13 @@ def build_runs(seed, grid, epochs):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    ap.add_argument("--epochs", type=float, default=20.0)
-    ap.add_argument("--grid-lo", type=float, default=-3.5,
-                    help="log10 of the smallest initial learning rate")
-    ap.add_argument("--grid-hi", type=float, default=-1.5,
-                    help="log10 of the largest initial learning rate")
+    ap.add_argument("--epochs", type=float, default=EPOCHS)
     ap.add_argument("--out-prefix", help="write <prefix><seed>.csv per seed")
     args = ap.parse_args(argv)
 
-    grid = np.logspace(args.grid_lo, args.grid_hi, 5)
     t0 = time.time()
     for seed in args.seeds:
-        result = compare(build_runs(seed, grid, args.epochs))
+        result = compare(build_runs(seed, GRID, args.epochs))
         finals = {s.label: s.final_train_loss for s in result.summaries}
         print(f"seed {seed}:")
         for label, loss in finals.items():

@@ -56,6 +56,14 @@ def problem_config(seed):
                          scales=head_tail_scales(), data_seed=seed)
 
 
+def target(bundle):
+    """``(exact loss, target)``: the target is 1% of the initial
+    suboptimality above the exact solution's loss."""
+    _, star = bundle.optimum()
+    init = bundle.train_loss(np.zeros(bundle.dim))
+    return star, star + 0.01 * (init - star)
+
+
 def build_runs(pc, seed, target):
     solver = SolverSettings(iterations=16, init_samples=5, rank=16)
     runs = [ExperimentConfig(problem=pc, optimizer="sgd", lr=4e-8 * 10 ** i,
@@ -83,11 +91,9 @@ def main(argv=None):
     for seed in args.seeds:
         pc = problem_config(seed)
         bundle = QuadraticBundle(pc)
-        _, star = bundle.optimum()
-        init = bundle.train_loss(np.zeros(bundle.dim))
-        target = star + 0.01 * (init - star)
-        print(f"seed {seed}: exact loss {star:.6g}, target {target:.6g}")
-        result = compare(build_runs(pc, seed, target), bundle)
+        star, goal = target(bundle)
+        print(f"seed {seed}: exact loss {star:.6g}, target {goal:.6g}")
+        result = compare(build_runs(pc, seed, goal), bundle)
         print(result.summary_text(), end="")
         if args.out_prefix:
             path = f"{args.out_prefix}{seed}.csv"

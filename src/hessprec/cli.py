@@ -149,18 +149,16 @@ def _cmd_estimate(args):
 def _cmd_solve(args):
     cfg, oracle, w = _setup(args, full_mode=True)
     est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
-    records, refused = [], False
+    rows, refused = [], False
     try:
-        post = run_inference(oracle, w, est, cfg.solver, callback=records.append)
+        post = run_inference(oracle, w, est, cfg.solver, callback=rows.append)
     except ConfigError:  # refused before the first probe, so there is no loop to log
         refused = True
         raise
     finally:
         # written even when the loop fails part-way, so the log shows how far it got
         if args.log and not refused:
-            datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read"),
-                              ([str(r.iteration), repr(r.probe_norm), str(r.data_read)]
-                               for r in records))
+            datagen.write_csv(args.log, ("iteration", "probe_norm", "data_read"), rows)
     _write_json(args.out, posterior_to_dict(post))
     print(f"wrote posterior (n={post.n}, m={post.m}, b0={post.prior.b0:g}) to {args.out}")
     print(f"data_read={oracle.data_read}")
@@ -193,6 +191,8 @@ def _cmd_compare(args):
     if args.config is None:
         raise ConfigError("compare requires --config")
     payload = read_config_object(args.config)
+    if unknown := sorted(payload.keys() - {"base", "runs"}):
+        raise ConfigError(f"unknown compare keys: {unknown}")
     base, runs = payload.get("base", {}), payload.get("runs")
     if not (isinstance(base, dict) and isinstance(runs, list)
             and all(isinstance(entry, dict) for entry in runs)):

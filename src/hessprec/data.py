@@ -2,10 +2,11 @@
 
 Dataset layout: a header row, one sample per line, feature columns
 first and the target last.  Targets are the regression value or the
-integer class index depending on the problem kind.  Floats are written
-with enough digits to round-trip exactly.  ``write_csv`` writes every
-CSV the package emits: datasets, run records and the solver's
-iteration log.
+integer class index depending on the problem kind, all written with
+enough digits to round-trip exactly.  ``write_csv`` writes every CSV the
+package emits (datasets, run records, the solver's iteration log) by
+one cell rule: a string as it is, an integer as digits and any other
+number as ``repr(float(x))``, its shortest round-trip form.
 """
 from __future__ import annotations
 
@@ -73,12 +74,18 @@ def gen_blobs(seed, n_samples, input_dim=20, n_classes=10, separation=3.0):
     return X, labels
 
 
+def _cell(x):
+    if isinstance(x, str):
+        return x
+    return str(int(x)) if isinstance(x, (int, np.integer)) else repr(float(x))
+
+
 def write_csv(path, columns, rows):
-    """Write a header of ``columns``, then one line per row of string cells."""
+    """Write a header of ``columns``, then one line per row, by the module's cell rule."""
     with open(path, "w") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _target_cell(target):

@@ -9,7 +9,8 @@ everything spent on pre-conditioner construction, so curves from
 different methods are directly comparable.  Runs are deterministic given
 (config, seed), and so is every emitted CSV, byte for byte for one BLAS
 build and thread count: no column holds a wall time.  Every record,
-baselines' included, is built by ``_Lane.emit``.  ``ProblemConfig``
+baselines' included, is built by ``_Lane.emit``, and a CSV row is its
+field values, which ``data.write_csv`` formats.  ``ProblemConfig``
 checks the rules on the problem block's fields, so ``gen-data`` refuses
 a block that breaks one before it writes; the held-out share and the
 network's penalty are constants, not fields.
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -51,9 +54,6 @@ from .solver import (ConfigError, EstimationError, SolverSettings, config_from_d
                      estimate_parameters, run_inference)
 
 log = logging.getLogger(__name__)
-
-RUN_CSV_COLUMNS = ("step", "data_read", "train_loss", "test_loss",
-                   "test_accuracy", "step_length")
 
 OPTIMIZERS = ("sgd", "precond_sgd", "avg_inv", "cg")
 
@@ -173,21 +173,19 @@ class RunRecord:
     step_length: float
 
 
-def _csv_row(rec):
-    """The RUN_CSV_COLUMNS cells of one record; floats in shortest round-trip form."""
-    floats = (rec.train_loss, rec.test_loss, rec.test_accuracy, rec.step_length)
-    return [str(rec.step), str(rec.data_read)] + [repr(float(x)) for x in floats]
+RUN_CSV_COLUMNS = tuple(f.name for f in fields(RunRecord))
+_record_values = attrgetter(*RUN_CSV_COLUMNS)  # a record's field values, in column order
 
 
 def write_run_csv(path, records):
-    """Write records in the exact run-CSV schema."""
-    datagen.write_csv(path, RUN_CSV_COLUMNS, (_csv_row(rec) for rec in records))
+    """Write records in the exact run-CSV schema: a row is a record's field values."""
+    datagen.write_csv(path, RUN_CSV_COLUMNS, map(_record_values, records))
 
 
 def write_comparison_csv(path, labeled_records):
     """Write (label, record) pairs: an ``optimizer`` column, then the run-CSV schema."""
     datagen.write_csv(path, ("optimizer",) + RUN_CSV_COLUMNS,
-                      ([label] + _csv_row(rec) for label, rec in labeled_records))
+                      ((label, *_record_values(rec)) for label, rec in labeled_records))
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +446,7 @@ class _Lane:
         self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
                                      if self.precond is not None else g)
         if self.due(t) and not self.emit(t, self.w, self.step_length):
-            if self.cfg.optimizer == "precond_sgd":
-                log.warning("precond_sgd diverged at step %d", t)
-            else:
-                log.warning("sgd diverged at step %d (lr=%g)", t, self.cfg.lr)
+            log.warning("%s diverged at step %d (lr=%g)", self.cfg.optimizer, t, self.cfg.lr)
             self.finish(True)
         elif t == self.steps:
             self.finish(False)
@@ -624,13 +619,6 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def _run_label(cfg, counts):
-    base = cfg.optimizer
-    if counts[base] > 1:
-        return f"{base}[lr={cfg.lr:g}]"
-    return base
-
-
 def compare(configs, bundle=None) -> ComparisonResult:
     """Run several optimizers on one shared problem and merge the results.
 
@@ -650,10 +638,9 @@ def compare(configs, bundle=None) -> ComparisonResult:
     for name in ("problem", "seed", "target_loss"):
         if any(getattr(cfg, name) != getattr(first, name) for cfg in configs[1:]):
             raise ConfigError(f"compare requires all runs to share the same {name}")
-    counts = {}
-    for cfg in configs:
-        counts[cfg.optimizer] = counts.get(cfg.optimizer, 0) + 1
-    labels = [_run_label(cfg, counts) for cfg in configs]
+    counts = Counter(cfg.optimizer for cfg in configs)
+    labels = [f"{cfg.optimizer}[lr={cfg.lr:g}]" if counts[cfg.optimizer] > 1 else cfg.optimizer
+              for cfg in configs]
     for i, label in enumerate(labels):
         if label in labels[:i]:
             raise ConfigError(f"compare runs share the label {label!r}; their rows could not "

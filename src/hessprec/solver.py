@@ -193,15 +193,6 @@ class SolverSettings:
 SolverConfig = SolverSettings
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One line of the per-iteration solver log."""
-
-    iteration: int
-    probe_norm: float
-    data_read: int
-
-
 def estimate_parameters(oracle: HessianOracle, w, init_samples=5, mode="full") -> PriorEstimates:
     """Estimate prior/noise scales from a handful of mini-batches.
 
@@ -303,8 +294,8 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
     Raises ``ConfigError`` before the first batch is drawn when
     ``settings.iterations`` exceeds ``oracle.dim``.
 
-    ``callback``, if given, receives one ``IterationRecord`` per
-    completed iteration.
+    ``callback``, if given, receives the row ``(iteration, probe_norm,
+    data_read)`` of each completed iteration.
     """
     w = np.asarray(w, dtype=float)
     n = oracle.dim
@@ -335,6 +326,5 @@ def run_inference(oracle: HessianOracle, w, estimates: PriorEstimates,
             )
             break
         if callback is not None:
-            callback(IterationRecord(iteration=i, probe_norm=probe_norm,
-                                     data_read=oracle.data_read))
+            callback((i, probe_norm, oracle.data_read))
     return post

@@ -240,9 +240,7 @@ def _run_regression_comparison(seed):
     pc = REGRESSION.problem_config(seed)
     bundle = QuadraticBundle(pc)
     lam = np.linalg.eigvalsh(bundle.problem.hessian())
-    _, star = bundle.optimum()
-    init = bundle.train_loss(np.zeros(bundle.dim))
-    target = star + 0.01 * (init - star)
+    star, target = REGRESSION.target(bundle)
     runs = REGRESSION.build_runs(pc, seed, target)
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compare(runs, bundle)
@@ -311,7 +309,7 @@ def test_criterion_08_construction_cost_accounting():
 # --- scalar-mode step-length robustness on the little network (criterion 9) -
 
 def _run_mlp_lr_sweep(seed):
-    runs = MLP_SWEEP.build_runs(seed, np.logspace(-3.5, -1.5, 5), 20.0)
+    runs = MLP_SWEEP.build_runs(seed, MLP_SWEEP.GRID, MLP_SWEEP.EPOCHS)
     with np.errstate(over="ignore", invalid="ignore"):
         comp = compare(runs)
     sgd = [s.final_train_loss for s in comp.summaries if s.label.startswith("sgd")]

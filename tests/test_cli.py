@@ -183,8 +183,8 @@ class TestSolve:
             payload = json.load(fh)
         cfg, oracle, w = small_setup(["solve", *SMALL, "--out", str(out)])
         est = estimate_parameters(oracle, w, cfg.solver.init_samples, mode="full")
-        records = []
-        post = run_inference(oracle, w, est, cfg.solver, callback=records.append)
+        rows = []
+        post = run_inference(oracle, w, est, cfg.solver, callback=rows.append)
         assert payload["kind"] == "posterior_mean"
         assert (payload["n"], payload["m"]) == (12, 6) == (post.n, post.m)
         assert (payload["b0"], payload["w0"]) == (post.prior.b0, post.prior.w0)
@@ -193,8 +193,8 @@ class TestSolve:
         # 3 estimation batches of 64, then one batch per probe; probe norms in
         # shortest round-trip form
         golden = "iteration,probe_norm,data_read\n" + "".join(
-            f"{i},{r.probe_norm!r},{192 + 64 * i}\n" for i, r in enumerate(records, 1))
-        assert len(records) == 6
+            f"{i},{probe_norm!r},{192 + 64 * i}\n" for i, (_, probe_norm, _) in enumerate(rows, 1))
+        assert len(rows) == 6
         assert log.read_bytes() == golden.encode()
         capsys.readouterr()
 
@@ -202,9 +202,9 @@ class TestSolve:
         real = cli_mod.run_inference
 
         def fails_after_two(oracle, w, est, settings, callback):
-            def cb(record):
-                callback(record)
-                if record.iteration == 2:
+            def cb(row):
+                callback(row)
+                if row[0] == 2:  # the iteration
                     raise SolveFailure("capacitance matrix is numerically singular")
             return real(oracle, w, est, settings, callback=cb)
 
@@ -515,6 +515,11 @@ BAD_INPUTS = {
     "compare-runs-of-ints": ("compare", [], {"base": {}, "runs": [1]}),
     "compare-runs-an-object": ("compare", [], {"base": {}, "runs": {"optimizer": "sgd"}}),
     "compare-base-a-list": ("compare", [], {"base": [1], "runs": [{"optimizer": "sgd"}]}),
+    # a misspelled block: the run is valid on its own, so only the key check refuses it
+    "compare-unknown-key": ("compare", [], {
+        "bases": {"problem": {"n_samples": 400, "input_dim": 4, "n_features": 12},
+                  "batch_size": 32},
+        "runs": [{"optimizer": "sgd", "lr": 0.01, "steps": 3}]}),
     # one scale per feature, so the length check passes and the NaN is what fails
     "scales-entry-nan": ("run", ["--set", "problem.scales=[1.0,NaN" + ",0.5" * 10 + "]"], None),
     "target-loss-nan": ("run", ["--set", "target_loss=NaN"], None),
@@ -562,6 +567,7 @@ NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-cla
                "separation-nan": "problem keys: ['separation']",
                "gen-data-separation-nan": "problem keys: ['separation']",
                "compare-targets-differ": "target_loss",
+               "compare-unknown-key": "compare keys: ['bases']",
                "gen-data-noise-nan": "noise",
                "gen-data-noise-negative": "noise", "gen-data-input-dim-zero": "input_dim",
                "gen-data-seed-negative": "data_seed", "data-seed-negative": "data_seed",

@@ -7,6 +7,7 @@ from hessprec.data import (
     gen_regression,
     read_dataset,
     train_test_split,
+    write_csv,
     write_dataset,
 )
 from hessprec.problems import raw_monomials
@@ -104,6 +105,15 @@ class TestDatasetIo:
         assert path.read_bytes() == (b"x0,x1,target\n"
                                      b"0.10000000000000001,-2,2\n"
                                      b"9.9999999999999995e-21,3.5,0.25\n")
+
+    def test_write_csv_cell_rule(self, tmp_path):
+        # strings as they are, integers as digits, any other number as repr(float(x))
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("a", "b", "c", "d", "e", "f", "g", "h"),
+                  [(7, np.int64(-42), 0.1, np.float64(1e-20), float("nan"), float("inf"),
+                    -0.0, "sgd[lr=0.1]")])
+        assert path.read_bytes() == (b"a,b,c,d,e,f,g,h\n"
+                                     b"7,-42,0.1,1e-20,nan,inf,-0.0,sgd[lr=0.1]\n")
 
     def test_single_column_rejected(self, tmp_path):
         path = tmp_path / "thin.csv"

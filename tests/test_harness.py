@@ -289,11 +289,20 @@ class TestRunSgd:
         assert all(b <= a + 1e-15 for a, b in zip(losses, losses[1:]))
         assert not res.diverged
 
-    def test_huge_rate_flags_divergence(self):
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = run_sgd(build_problem(small_quadratic()), self.cfg(lr=1e6))
+    def test_huge_rate_flags_divergence(self, caplog):
+        bundle = build_problem(small_quadratic())
+        full = SolverSettings(iterations=4, init_samples=3, rank=4)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res = run_sgd(bundle, self.cfg(lr=1e6))
+            pre = run_precond_sgd(bundle, self.cfg(optimizer="precond_sgd", lr=1e6, solver=full))
         assert res.diverged
         assert math.isnan(res.records[-1].train_loss)
+        # one warning text for plain and pre-conditioned SGD lanes alike
+        assert pre.diverged and pre.precond is not None
+        assert [r.message for r in caplog.records if "diverged" in r.message] == [
+            f"sgd diverged at step {res.final.step} (lr=1e+06)",
+            f"precond_sgd diverged at step {pre.final.step} (lr=1e+06)"]
 
     def test_lane_far_above_stability_diverges_to_nan(self):
         # the w*-anchored loss overflows later than a residual pass, but a

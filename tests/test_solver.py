@@ -16,7 +16,6 @@ from hessprec.problems import (
 from hessprec.solver import (
     EstimationError,
     HessianOracle,
-    IterationRecord,
     PriorEstimates,
     SolverConfig,
     estimate_parameters,
@@ -309,15 +308,16 @@ class TestRunInference:
         problem = QuadraticProblem(Phi=Phi, y=rng.standard_normal(200), alpha_reg=1e-3)
         oracle = batch_oracle(problem, 20, seed=1)
         est = estimate_parameters(oracle, np.zeros(9), init_samples=2)
-        records = []
+        rows = []
         run_inference(oracle, np.zeros(9), est,
                       SolverConfig(iterations=4, init_samples=2),
-                      callback=records.append)
-        assert [r.iteration for r in records] == [1, 2, 3, 4]
-        assert all(isinstance(r, IterationRecord) for r in records)
-        reads = [r.data_read for r in records]
+                      callback=rows.append)
+        assert [iteration for iteration, _, _ in rows] == [1, 2, 3, 4]
+        # each row is (iteration, probe_norm, data_read)
+        assert all(type(row) is tuple and len(row) == 3 for row in rows)
+        reads = [data_read for _, _, data_read in rows]
         assert reads == [(2 + i) * 20 for i in range(1, 5)]
-        assert all(r.probe_norm > 0 for r in records)
+        assert all(probe_norm > 0 for _, probe_norm, _ in rows)
 
     def test_normalized_probes_have_unit_columns(self):
         rng = np.random.default_rng(6)
