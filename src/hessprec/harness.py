@@ -9,10 +9,12 @@ everything spent on pre-conditioner construction, so curves from
 different methods are directly comparable.  Runs are deterministic given
 (config, seed), and so is every emitted CSV, byte for byte for one BLAS
 build and thread count: no column holds a wall time.  Every record,
-baselines' included, is built by ``_Lane.emit``, and a CSV row is its
-field values, which ``data.write_csv`` formats.  ``ProblemConfig``
-checks the rules on the problem block's fields, so ``gen-data`` refuses
-a block that breaks one before it writes; the held-out share and the
+baselines' included, is built by ``_Lane.emit`` from the lane's own
+iterate and step length, a CSV row is its field values, which
+``data.write_csv`` formats, and every lane kind ends in ``_Lane.finish``,
+which logs the one divergence warning.  ``ProblemConfig`` checks
+the rules on the problem block's fields, so ``gen-data`` refuses a
+block that breaks one before it writes; the held-out share and the
 network's penalty are constants, not fields.
 
 ``run_sgd_lanes`` is the one step loop, and a run's result is its lane.
@@ -26,7 +28,8 @@ a CG residual check, so its records equal those of the run made alone.
 built or on one it builds, and ``run_experiment`` one config; ``run_sgd``,
 ``run_precond_sgd`` and ``run_baseline`` are other names for it.  Both
 bundles hold ``n_train`` and ``dim`` as attributes and read their
-held-out ``test_loss`` and ``test_accuracy`` from ``test_metrics``.
+held-out ``test_loss`` (the data term, without the penalty) and
+``test_accuracy`` from ``test_metrics``.
 """
 from __future__ import annotations
 
@@ -285,13 +288,11 @@ class MLPBundle(_Bundle):
         return self.net.loss_value(w, self._train[0], self._train[1])
 
     def test_metrics(self, w):
-        """Held-out ``(test_loss, test_accuracy)`` from one forward pass."""
+        """Held-out ``(test_loss, test_accuracy)``: the data term and the accuracy."""
         X, t = self._test
         if t.size == 0:
             return float("nan"), float("nan")
-        loss, acc = self.net.loss_and_accuracy(w, X, t)
-        # report the data term only on held-out samples
-        return loss - 0.5 * self.net.reg * float(w @ w), acc
+        return self.net.data_loss_and_accuracy(w, X, t)
 
 
 def build_problem(pc: ProblemConfig):
@@ -381,8 +382,8 @@ class _Lane:
     its first epoch at the configured rate and refreshes ``lr`` and the
     recorded step length before the first step of every later epoch,
     after the record of the step before.  The subclasses hold the
-    baselines' rules.  ``diverged`` is ``None`` while the lane is live and
-    a bool once ``finish`` has ended it.
+    baselines' rules, at step length 0.  ``diverged`` is ``None`` while the
+    lane is live and a bool once ``finish``, every lane kind's end, has set it.
     """
 
     takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
@@ -408,21 +409,16 @@ class _Lane:
                 or step % self.cfg.record_every == 0
                 or step % self.epoch_len == 0)
 
-    def emit(self, step, w, step_length):
-        """Append a record at the oracle's reads; returns False when the loss went non-finite.
-
-        A diverging iterate overflows the loss, which the record reports as NaN;
-        ``run_sgd_lanes``, the only caller, silences numpy's overflow warnings.
-        """
-        train = self.bundle.train_loss(w) if np.all(np.isfinite(w)) else float("nan")
-        read = self.oracle.data_read
-        if not np.isfinite(train):
-            self.records.append(RunRecord(step, read, float("nan"), float("nan"),
-                                          float("nan"), step_length))
-            return False
-        self.records.append(RunRecord(step, read, train, *self.bundle.test_metrics(w),
-                                      step_length))
-        return True
+    def emit(self, step):
+        """Append a record at the oracle's reads; returns False when the loss went
+        non-finite, and the record then holds NaN losses and accuracy.  A diverging
+        iterate overflows the loss; ``run_sgd_lanes`` silences numpy's warnings."""
+        nan = float("nan")
+        train = self.bundle.train_loss(self.w) if np.all(np.isfinite(self.w)) else nan
+        finite = math.isfinite(train)
+        losses = (train, *self.bundle.test_metrics(self.w)) if finite else (nan, nan, nan)
+        self.records.append(RunRecord(step, self.oracle.data_read, *losses, self.step_length))
+        return finite
 
     def start(self):
         """Full mode's construction, falling back to plain SGD; then the step-0 record."""
@@ -436,7 +432,7 @@ class _Lane:
                 raise
             except (EstimationError, SolveFailure, ValueError) as exc:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
-        self.emit(0, self.w, self.step_length)
+        self.emit(0)
 
     def step(self, batch, g):
         """One step along the gradient ``g``, then its record if one is due, then
@@ -445,8 +441,7 @@ class _Lane:
         self.t = t = self.t + 1
         self.w = self.w - self.lr * (apply_p_squared(self.precond, g)
                                      if self.precond is not None else g)
-        if self.due(t) and not self.emit(t, self.w, self.step_length):
-            log.warning("%s diverged at step %d (lr=%g)", self.cfg.optimizer, t, self.cfg.lr)
+        if self.due(t) and not self.emit(t):
             self.finish(True)
         elif t == self.steps:
             self.finish(False)
@@ -455,15 +450,18 @@ class _Lane:
                 self.oracle, self.w, self.cfg.solver, self.lr)
 
     def finish(self, diverged):
-        """End the lane; one that ends before its first record records its iterate as step 0."""
+        """End the lane, every kind's one end: one that ends before its first record
+        records its iterate as step 0, and one that ends diverged logs the one warning."""
         if not self.records:
-            self.emit(0, self.w, 0.0)
+            self.emit(0)
+        if diverged:
+            log.warning("%s diverged at step %d (lr=%g)", self.cfg.optimizer, self.t, self.cfg.lr)
         self.diverged = diverged
 
 
 class _Baseline(_Lane):
     """A baseline's lane: a rule that reads the loaded batch, not a gradient, on a
-    quadratic problem; its records have step length 0."""
+    quadratic problem; its step length is 0."""
 
     takes_gradient = False
 
@@ -471,7 +469,7 @@ class _Baseline(_Lane):
         if bundle.kind != "quadratic":
             raise ConfigError(f"{cfg.optimizer} baseline only applies to quadratic problems")
         super().__init__(bundle, cfg)
-        self.problem = bundle.problem
+        self.problem, self.step_length = bundle.problem, 0.0
 
 
 class _AvgInvLane(_Baseline):
@@ -481,12 +479,12 @@ class _AvgInvLane(_Baseline):
     curvature, which is the point of comparing against it.  A batch whose
     solve fails is skipped with a warning but stays charged.  The mean is
     recorded after step 1, every ``record_every``-th step and the last
-    step, once a batch has been solved; a non-finite loss marks the run
-    diverged, and a run with no solved batch raises ``SolveFailure``.
+    step, once a batch has been solved; a non-finite loss in any record
+    ends it diverged, and a run with no solved batch raises ``SolveFailure``.
     """
 
     def start(self):
-        self.total, self.used, self.nonfinite = np.zeros(self.problem.n_features), 0, False
+        self.total, self.used = np.zeros(self.problem.n_features), 0
 
     def step(self, batch, g):
         self.t = t = self.t + 1
@@ -498,11 +496,11 @@ class _AvgInvLane(_Baseline):
             self.used += 1
             self.w = self.total / self.used
         if self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps):
-            self.nonfinite |= not self.emit(t, self.w, 0.0)
+            self.emit(t)
         if t == self.steps:
             if not self.used:
                 raise SolveFailure("every batch failed in the averaged-inverse baseline")
-            self.finish(self.nonfinite)
+            self.finish(any(math.isnan(r.train_loss) for r in self.records))
 
 
 class _CgLane(_Baseline):
@@ -516,8 +514,9 @@ class _CgLane(_Baseline):
     consistent, so each iteration then recomputes it from a product on
     the next batch, which the lane draws itself; a recomputed norm above
     10x the recursive one (and not itself at convergence level) flags
-    the run too.  A run that stops with no iteration recorded (b = 0, or
-    no positive curvature at once) records its iterate as step 0.
+    the run too; each exit logs through ``finish``.  A run that stops with
+    no iteration recorded (b = 0, or no positive curvature at once) records
+    its iterate as step 0.
     """
 
     def start(self):
@@ -541,7 +540,7 @@ class _CgLane(_Baseline):
         rs_new = float(r @ r)
         if not np.isfinite(rs_new):
             return self.finish(True)
-        self.emit(t, self.w, 0.0)
+        self.emit(t)
         rnorm = np.sqrt(rs_new)
         if rnorm > 10.0 * self.r0:
             return self.finish(True)
@@ -653,14 +652,10 @@ def compare(configs, bundle=None) -> ComparisonResult:
     labeled = []
     summaries = []
     for label, result in zip(labels, run_sgd_lanes(bundle, configs)):
-        for r in result.records:
-            labeled.append((label, r))
-        reach = None
-        if target is not None:
-            for r in result.records:
-                if np.isfinite(r.train_loss) and r.train_loss <= target:
-                    reach = r.data_read
-                    break
+        labeled.extend((label, r) for r in result.records)
+        # a NaN train loss, which is how a record holds a non-finite one, never reaches it
+        reach = next((r.data_read for r in result.records
+                      if target is not None and r.train_loss <= target), None)
         final = result.final
         summaries.append(RunSummary(label=label, final_train_loss=final.train_loss,
                                     final_test_loss=final.test_loss,

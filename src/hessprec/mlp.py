@@ -111,24 +111,24 @@ class ToyNet:
         z /= z.sum(axis=-1, keepdims=True)
         return z
 
-    def _loss(self, w, zL, targets):
-        """Cross-entropy of logits ``zL`` (overwritten) plus the penalty."""
+    def _data_loss(self, zL, targets):
+        """Mean cross-entropy of logits ``zL`` (overwritten): the data term."""
         zL -= zL.max(axis=1, keepdims=True)
         picked = zL[np.arange(len(targets)), targets]
         np.exp(zL, out=zL)
         lse = zL.sum(axis=1)
         np.log(lse, out=lse)
         lse -= picked
-        return float(np.mean(lse)) + 0.5 * self.reg * float(w @ w)
+        return float(np.mean(lse))
 
     def loss_value(self, w, X, targets):
-        return self._loss(w, self.logits(w, X), targets)
+        return self._data_loss(self.logits(w, X), targets) + 0.5 * self.reg * float(w @ w)
 
-    def loss_and_accuracy(self, w, X, targets):
-        """``(loss_value, accuracy)`` from one forward pass."""
+    def data_loss_and_accuracy(self, w, X, targets):
+        """``(data term, accuracy)`` from one forward pass, with no penalty: the held-out pair."""
         zL = self.logits(w, X)
         acc = float(np.mean(zL.argmax(axis=1) == np.asarray(targets)))
-        return self._loss(w, zL, targets), acc
+        return self._data_loss(zL, targets), acc
 
     def gradient(self, w, X, targets):
         return self.gradients(np.asarray(w, dtype=float)[None], X, targets)[0]

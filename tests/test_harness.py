@@ -6,9 +6,11 @@ import math
 import pathlib
 import types
 import warnings
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hessprec.cli as cli_mod
 import hessprec.harness as harness_mod
@@ -229,6 +231,17 @@ class TestBundles:
         assert b.test_loss(w) == pytest.approx(bare.loss_value(w, X_te, t_te))
         assert 0.0 <= b.test_accuracy(w) <= 1.0
 
+    def test_mlp_test_loss_survives_a_dominant_penalty(self):
+        # the penalty 0.5 * reg * |w|^2 dwarfs the data term, so a total less its
+        # penalty cancels to 0.0; the data term computed alone does not
+        b = build_problem(small_mlp())
+        w = np.full(b.dim, 1e150)
+        X_te, t_te = b._test
+        data_term = ToyNet(b.net.sizes, reg=0.0).loss_value(w, X_te, t_te)
+        assert b.train_loss(w) > 1e20 * data_term > 0.0
+        assert b.test_loss(w) != 0.0
+        assert b.test_loss(w) == data_term
+
     # every bundle holds out TEST_FRACTION, so the 0.0 case holds out nothing by
     # taking a 2-sample block, where round(0.2 * 2) = 0
     @pytest.mark.parametrize("test_fraction", [0.25, 0.0])
@@ -242,10 +255,9 @@ class TestBundles:
             if test_fraction == 0.0:
                 assert all(math.isnan(m) for m in metrics)
             elif b.kind == "mlp":
-                # the loss with its penalty, less the penalty: the CSV cells of before
+                # the data term and the accuracy of one forward pass, with no penalty
                 X, t = b._test
-                loss, acc = b.net.loss_and_accuracy(w, X, t)
-                assert repr(metrics) == repr((loss - 0.5 * b.net.reg * float(w @ w), acc))
+                assert repr(metrics) == repr(b.net.data_loss_and_accuracy(w, X, t))
 
     @pytest.mark.parametrize("problem", [small_quadratic, small_mlp])
     def test_bundle_keeps_the_block_it_was_built_from(self, problem):
@@ -540,6 +552,26 @@ class TestBaselines:
             cfg, problem=small_quadratic()))
         assert [(r.step, r.data_read) for r in res.records] == [(0, 320 + 32)]
         assert res.diverged and np.all(res.w == 0)
+
+    # every lane kind ends in the one warning that the bench's fallback counter reads:
+    # an averaged-inverse lane at its last step, a CG lane at the exit that stops it
+    @pytest.mark.parametrize("case", ["avg_inv", "cg", "cg-at-once"])
+    def test_a_diverged_baseline_logs_the_one_warning(self, case, monkeypatch, caplog):
+        bundle = build_problem(small_quadratic())
+        optimizer = case.split("-")[0]
+        cfg = ExperimentConfig(problem=small_quadratic(), optimizer=optimizer,
+                               batch_size=32, steps=20, record_every=3)
+        if case == "avg_inv":
+            losses = iter([1.0, math.inf] + [1.0] * 6)
+            monkeypatch.setattr(bundle, "train_loss", lambda w: next(losses))
+        elif case == "cg-at-once":  # no positive curvature at step 1, before a record
+            monkeypatch.setattr("hessprec.problems.QuadraticOracle.hvp",
+                                lambda self, w, s, batch: -s)
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res = run_baseline(bundle, cfg)
+        assert res.diverged and res.t == {"avg_inv": 20, "cg": 7, "cg-at-once": 1}[case]
+        assert [r.message for r in caplog.records if "diverged at step" in r.message] == [
+            f"{optimizer} diverged at step {res.t} (lr=0.1)"]
 
     def test_kind_restrictions(self):
         mlp = build_problem(small_mlp())
@@ -891,6 +923,52 @@ class TestSgdLanes:
             assert_same_records(lane.records, alone.records)
             np.testing.assert_array_equal(lane.w, alone.w)
             assert_same_construction(lane, alone)
+
+
+LANE_KINDS = {
+    "sgd": dict(optimizer="sgd"),
+    "full": dict(optimizer="precond_sgd",
+                 solver=SolverSettings(iterations=4, init_samples=3, rank=4)),
+    "scalar": dict(optimizer="precond_sgd", solver=SolverSettings(init_samples=3, mode="scalar")),
+    "avg_inv": dict(optimizer="avg_inv"),
+    "cg": dict(optimizer="cg"),
+}
+
+
+@cache
+def lane_bundle(kind):
+    """A 400-sample, 12-feature quadratic or a 300-sample MLP, built once per test run."""
+    return build_problem(small_quadratic() if kind == "quadratic" else small_mlp(n_samples=300))
+
+
+def lane_config(problem, kinds):
+    length = st.one_of(st.builds(dict, steps=st.integers(1, 40)),
+                       st.builds(dict, epochs=st.floats(0.05, 1.0)))
+    return st.builds(
+        lambda kind, length, **kw: ExperimentConfig(problem=problem, **LANE_KINDS[kind],
+                                                    **length, **kw),
+        st.sampled_from(kinds), length, seed=st.sampled_from([0, 1, 7]),
+        batch_size=st.sampled_from([8, 16, 32]),
+        lr=st.floats(-4.0, 1.0).map(lambda e: 10.0 ** e), record_every=st.integers(1, 12))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_each_lane_equals_its_run_alone(data):
+    """``run_sgd_lanes``'s one promise, on random mixes of 1-6 runs of every lane kind
+    (the baselines on the quadratic only): each lane's records, ``diverged`` and final
+    ``w`` equal those of its config run alone."""
+    kind = data.draw(st.sampled_from(["quadratic", "mlp"]))
+    bundle = lane_bundle(kind)
+    kinds = list(LANE_KINDS) if kind == "quadratic" else ["sgd", "full", "scalar"]
+    cfgs = data.draw(st.lists(lane_config(bundle.config, kinds), min_size=1, max_size=6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lanes = run_sgd_lanes(bundle, cfgs)
+        solo = [run_experiment(bundle, c) for c in cfgs]
+    for lane, alone in zip(lanes, solo):
+        assert lane.diverged is alone.diverged
+        assert_same_records(lane.records, alone.records)
+        np.testing.assert_array_equal(lane.w, alone.w)
 
 
 def test_bench_tracer_finds_and_restores_the_names_it_wraps(monkeypatch):

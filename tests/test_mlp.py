@@ -53,12 +53,14 @@ class ReferenceNet:
     def logits(self, w, X):
         return self._forward(self.net.unpack(w), X)[1][-1]
 
-    def loss_value(self, w, X, targets):
+    def data_loss(self, w, X, targets):
         zL = self.logits(w, X)
         z = zL - zL.max(axis=1, keepdims=True)
         lse = np.log(np.exp(z).sum(axis=1))
-        data = float(np.mean(lse - z[np.arange(len(targets)), targets]))
-        return data + 0.5 * self.net.reg * float(w @ w)
+        return float(np.mean(lse - z[np.arange(len(targets)), targets]))
+
+    def loss_value(self, w, X, targets):
+        return self.data_loss(w, X, targets) + 0.5 * self.net.reg * float(w @ w)
 
     def accuracy(self, w, X, targets):
         return float(np.mean(self.logits(w, X).argmax(axis=1) == np.asarray(targets)))
@@ -260,7 +262,7 @@ class TestAccuracy:
         w = net.init_params(seed=20)
         Z = net.logits(w, X)
         expected = np.mean(Z.argmax(axis=1) == targets)
-        assert net.loss_and_accuracy(w, X, targets)[1] == pytest.approx(expected)
+        assert net.data_loss_and_accuracy(w, X, targets)[1] == pytest.approx(expected)
 
 
 class TestMLPOracle:
@@ -321,9 +323,9 @@ class TestAgainstReference:
         np.testing.assert_array_equal(net.logits(w, X), ref.logits(w, X))
         np.testing.assert_array_equal(net.gradient(w, X, targets), ref.gradient(w, X, targets))
         np.testing.assert_array_equal(net.hvp(w, v, X, targets), ref.hvp(w, v, X, targets))
-        loss, acc = ref.loss_value(w, X, targets), ref.accuracy(w, X, targets)
-        assert repr(net.loss_value(w, X, targets)) == repr(loss)
-        assert repr(net.loss_and_accuracy(w, X, targets)) == repr((loss, acc))
+        data, acc = ref.data_loss(w, X, targets), ref.accuracy(w, X, targets)
+        assert repr(net.loss_value(w, X, targets)) == repr(ref.loss_value(w, X, targets))
+        assert repr(net.data_loss_and_accuracy(w, X, targets)) == repr((data, acc))
         ws = np.stack([w, v, w - v])
         for g, wi in zip(net.gradients(ws, X, targets), ws):
             np.testing.assert_array_equal(g, ref.gradient(wi, X, targets))
