@@ -10,12 +10,12 @@ different methods are directly comparable.  Runs are deterministic given
 (config, seed), and so is every emitted CSV, byte for byte for one BLAS
 build and thread count: no column holds a wall time.  Every record,
 baselines' included, is built by ``_Lane.emit`` from the lane's own
-iterate and step length, a CSV row is its field values, which
-``data.write_csv`` formats, and every lane kind ends in ``_Lane.finish``,
-which logs the one divergence warning.  ``ProblemConfig`` checks
-the rules on the problem block's fields, so ``gen-data`` refuses a
-block that breaks one before it writes; the held-out share and the
-network's penalty are constants, not fields.
+iterate and step length, and a CSV row is its field values, which
+``data.write_csv`` formats.  Every lane kind records step 0 and ends in
+``_Lane.finish``, diverged at its first non-finite record after step 0,
+with the one warning.  ``ProblemConfig`` checks the rules on the problem
+block's fields, so ``gen-data`` refuses a block that breaks one before
+it writes; the held-out share and the network's penalty are constants.
 
 ``run_sgd_lanes`` is the one step loop, and a run's result is its lane.
 It steps plain SGD, full mode, its plain-SGD fallback, scalar mode and
@@ -105,6 +105,9 @@ class ProblemConfig:
                                   f"but problem n_features is {self.n_features}")
             if bad := [s for s in self.scales if not 0 < s < math.inf]:
                 raise ConfigError(f"problem scales must be positive and finite, got {bad[0]}")
+        if self.signal_dim is not None and not 1 <= self.signal_dim <= self.n_features:
+            raise ConfigError(f"problem signal_dim must be in [1, {self.n_features}], "
+                              f"got {self.signal_dim}")
         if self.kind == "quadratic" and self.n_features > n_monomials(self.input_dim):
             raise ConfigError(f"problem n_features must be at most {n_monomials(self.input_dim)}, "
                               f"the distinct monomials of {self.input_dim} inputs, "
@@ -242,12 +245,8 @@ class QuadraticBundle(_Bundle):
         self.problem = problem = QuadraticProblem(Phi[:, tr], y[tr], pc.alpha_reg)
         self.n_train, self.dim = problem.n_data, problem.n_features
         self._optimum = (problem.w_star, problem.loss(problem.w_star))
-        # the held-out split lives as long as the bundle: freed here, it moved
-        # malloc's mmap threshold and raised the regression benchmark's peak
-        # RSS from 197 to 230 MB once set-ups repeat
-        self._test = (Phi[:, te], y[te])
         # the held-out data term, anchored at the training minimizer too
-        self._test_loss = SquaredLoss(*self._test, problem.w_star) if te.size else None
+        self._test_loss = SquaredLoss(Phi[:, te], y[te], problem.w_star) if te.size else None
 
     def make_oracle(self, batch_size, seed):
         return batch_oracle(self.problem, batch_size, seed)
@@ -341,17 +340,19 @@ def run_sgd_lanes(bundle, cfgs) -> list:
     step rule and step count, so its records equal those of the config run
     alone; a full-mode construction, a scalar rebuild or a CG residual check
     draws on the lane's own oracle and so moves it ahead.  Every lane is
-    built, then started, before the loop's first draw.  The streams are then
-    stepped in turn, in order of first appearance: each round, the first
-    lane at the stream's lowest position draws the batch, the others there
-    are charged for it, and all step on it, the SGD lanes with gradients
-    from one ``gradients`` call; a lane that ran ahead waits.  A lane stops
-    at its last step or when its rule finds it diverged.  Returns the
-    lanes, one per config, in order.
+    built, then started and recorded as step 0, before the loop's first
+    draw.  The streams are then stepped in turn, in order of first
+    appearance: each round, the first lane at the stream's lowest position
+    draws the batch, the others there are charged for it, and all step on
+    it, the SGD lanes with gradients from one ``gradients`` call; a lane
+    that ran ahead waits.  A lane stops at its last step, at its first
+    non-finite record after step 0, or when its rule finds it diverged.
+    Returns the lanes, one per config, in order.
     """
     lanes = [_LANE_RULES.get(c.optimizer, _Lane)(bundle, c) for c in cfgs]
     for lane in lanes:
         lane.start()
+        lane.emit(0)
     for stream in dict.fromkeys((lane.cfg.seed, lane.cfg.batch_size) for lane in lanes):
         live = [lane for lane in lanes if (lane.cfg.seed, lane.cfg.batch_size) == stream]
         while live := [lane for lane in live if lane.diverged is None]:
@@ -383,7 +384,8 @@ class _Lane:
     recorded step length before the first step of every later epoch,
     after the record of the step before.  The subclasses hold the
     baselines' rules, at step length 0.  ``diverged`` is ``None`` while the
-    lane is live and a bool once ``finish``, every lane kind's end, has set it.
+    lane is live and a bool once ``finish``, every lane kind's end, has set
+    it, True at any kind's first non-finite record after step 0.
     """
 
     takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
@@ -405,8 +407,7 @@ class _Lane:
         return self.records[-1]
 
     def due(self, step):
-        return (step == 0 or step == self.steps
-                or step % self.cfg.record_every == 0
+        return (step == self.steps or step % self.cfg.record_every == 0
                 or step % self.epoch_len == 0)
 
     def emit(self, step):
@@ -421,7 +422,7 @@ class _Lane:
         return finite
 
     def start(self):
-        """Full mode's construction, falling back to plain SGD; then the step-0 record."""
+        """Full mode's construction, falling back to plain SGD."""
         cfg = self.cfg
         if cfg.optimizer == "precond_sgd" and not self.scalar:
             try:
@@ -432,7 +433,6 @@ class _Lane:
                 raise
             except (EstimationError, SolveFailure, ValueError) as exc:
                 log.warning("pre-conditioner construction failed (%s); plain SGD fallback", exc)
-        self.emit(0)
 
     def step(self, batch, g):
         """One step along the gradient ``g``, then its record if one is due, then
@@ -450,12 +450,11 @@ class _Lane:
                 self.oracle, self.w, self.cfg.solver, self.lr)
 
     def finish(self, diverged):
-        """End the lane, every kind's one end: one that ends before its first record
-        records its iterate as step 0, and one that ends diverged logs the one warning."""
-        if not self.records:
-            self.emit(0)
+        """End the lane, every kind's one end; one that ends diverged logs the one
+        warning, which names the rate only for a lane that steps at one."""
         if diverged:
-            log.warning("%s diverged at step %d (lr=%g)", self.cfg.optimizer, self.t, self.cfg.lr)
+            log.warning("%s diverged at step %d%s", self.cfg.optimizer, self.t,
+                        f" (lr={self.cfg.lr:g})" if self.takes_gradient else "")
         self.diverged = diverged
 
 
@@ -477,10 +476,10 @@ class _AvgInvLane(_Baseline):
 
     The per-batch inverse is biased for the inverse of the averaged
     curvature, which is the point of comparing against it.  A batch whose
-    solve fails is skipped with a warning but stays charged.  The mean is
-    recorded after step 1, every ``record_every``-th step and the last
-    step, once a batch has been solved; a non-finite loss in any record
-    ends it diverged, and a run with no solved batch raises ``SolveFailure``.
+    solve fails is skipped with a warning but stays charged.  After the
+    step-0 record of the zero start, at no reads, the mean is recorded
+    after step 1, every ``record_every``-th step and the last step, once a
+    batch has been solved; a run with no solved batch raises ``SolveFailure``.
     """
 
     def start(self):
@@ -495,28 +494,30 @@ class _AvgInvLane(_Baseline):
         else:
             self.used += 1
             self.w = self.total / self.used
-        if self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps):
-            self.emit(t)
-        if t == self.steps:
+        if (self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps)
+                and not self.emit(t)):
+            self.finish(True)
+        elif t == self.steps:
             if not self.used:
                 raise SolveFailure("every batch failed in the averaged-inverse baseline")
-            self.finish(any(math.isnan(r.train_loss) for r in self.records))
+            self.finish(False)
 
 
 class _CgLane(_Baseline):
     """Conjugate gradients from zero on ``B w = b`` from noisy products, one
-    iteration per step, each recorded; its product along ``p`` is on the lane's batch.
+    iteration per step, each recorded after the step-0 record, which follows
+    one full pass charged for ``b``; its product along ``p`` is on the lane's batch.
 
     Divergence is expected under noise and is recorded, not raised: the
     run stops and flags when ``p.T B p`` stops being positive and finite,
-    the residual goes non-finite or its norm grows past 10x its start.
-    The recursive residual goes blind once resampled products stop being
-    consistent, so each iteration then recomputes it from a product on
-    the next batch, which the lane draws itself; a recomputed norm above
-    10x the recursive one (and not itself at convergence level) flags
-    the run too; each exit logs through ``finish``.  A run that stops with
-    no iteration recorded (b = 0, or no positive curvature at once) records
-    its iterate as step 0.
+    the residual or the record goes non-finite or the residual's norm
+    grows past 10x its start.  The recursive residual goes blind once
+    resampled products stop being consistent, so each iteration then
+    recomputes it from a product on the next batch, which the lane draws
+    itself; a recomputed norm above 10x the recursive one (and not itself
+    at convergence level) flags the run too; each exit logs through
+    ``finish``.  A run that stops at its first iteration (b = 0, or no
+    positive curvature) holds only step 0.
     """
 
     def start(self):
@@ -538,11 +539,8 @@ class _CgLane(_Baseline):
         self.w = self.w + step * self.p
         r = self.r - step * Ap
         rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            return self.finish(True)
-        self.emit(t)
         rnorm = np.sqrt(rs_new)
-        if rnorm > 10.0 * self.r0:
+        if not np.isfinite(rs_new) or not self.emit(t) or rnorm > 10.0 * self.r0:
             return self.finish(True)
         check = np.linalg.norm(self.problem.b - self.oracle.noisy_hvp(self.w, self.w))
         if not np.isfinite(check) or (check > 10.0 * rnorm and check > 1e-2 * self.r0):

@@ -628,7 +628,7 @@ def test_problem_too_large_to_allocate_exits_1(tmp_path, capsys, command, kind):
     assert not out.exists()
 
 
-# Rules that need only the problem block, with a kind each one matters to (they
+# Rules that need only the problem block, each with a kind to try it on (they
 # hold for either kind): gen-data refuses the block before it writes anything,
 # with the message that a run of the block gives.  The network's penalty and the
 # held-out share are constants, so setting either is an unknown key.
@@ -643,6 +643,10 @@ BLOCK_RULES = {
     "hidden-zero": ("mlp", "problem.hidden=[0]", "problem hidden sizes must be at least 1"),
     "test-fraction-above-1": ("quadratic", "problem.test_fraction=1.5",
                               "unknown problem keys: ['test_fraction']"),
+    "signal-dim-zero": ("quadratic", "problem.signal_dim=0",
+                        "problem signal_dim must be in [1, 4], got 0"),
+    "signal-dim-negative": ("mlp", "problem.signal_dim=-4",
+                            "problem signal_dim must be in [1, 4], got -4"),
 }
 
 

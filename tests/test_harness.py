@@ -17,7 +17,7 @@ import hessprec.harness as harness_mod
 import hessprec.precond as precond_mod
 import hessprec.problems as problems_mod
 from hessprec.cli import _config_from_args, build_parser, merge_config
-from hessprec.data import write_dataset
+from hessprec.data import train_test_split, write_dataset
 from hessprec.harness import (
     ComparisonResult,
     ConfigError,
@@ -117,6 +117,7 @@ class TestConfigs:
         ("alpha_reg", 0.0), ("alpha_reg", math.nan), ("reg", -1e-9), ("reg", math.inf),
         ("test_fraction", 1.0), ("test_fraction", -0.1), ("hidden", (8, 0)),
         ("scales", (1.0,) * 11), ("scales", (1.0,) * 11 + (0.0,)),
+        ("signal_dim", -4), ("signal_dim", 0), ("signal_dim", 13),
     ])
     @pytest.mark.parametrize("kind", ["quadratic", "mlp"])
     def test_problem_rules_hold_for_either_kind(self, kind, field, value):
@@ -211,9 +212,11 @@ class TestScaleVector:
 
 class TestBundles:
     def test_quadratic_split_sizes(self):
-        b = build_problem(small_quadratic())
+        pc = small_quadratic()
+        b = build_problem(pc)
+        _, held_out = train_test_split(pc.n_samples, harness_mod.TEST_FRACTION, pc.data_seed)
         assert b.n_train == 320
-        assert b._test[0].shape[1] == 80
+        assert held_out.size == 80
         assert b.dim == 12
 
     def test_quadratic_optimum_cached_and_stationary(self):
@@ -510,8 +513,8 @@ class TestBaselines:
         cfg = ExperimentConfig(problem=small_quadratic(), optimizer="avg_inv",
                                batch_size=32, steps=5, record_every=2)
         res = run_baseline(bundle, cfg)
-        assert [r.step for r in res.records] == [1, 2, 4, 5]
-        assert [r.data_read for r in res.records] == [32, 64, 128, 160]
+        assert [r.step for r in res.records] == [0, 1, 2, 4, 5]
+        assert [r.data_read for r in res.records] == [0, 32, 64, 128, 160]
 
     def test_avg_inv_flags_a_non_finite_loss_as_diverged(self, monkeypatch):
         bundle = build_problem(small_quadratic())
@@ -522,6 +525,7 @@ class TestBaselines:
         monkeypatch.setattr(bundle, "train_loss", lambda w: next(losses))
         res = run_baseline(bundle, cfg)
         assert res.diverged
+        assert len(res.records) == 2  # the step-0 record, then the first non-finite one
         assert math.isnan(res.records[1].train_loss)
 
     def test_cg_charges_per_iteration(self):
@@ -530,10 +534,10 @@ class TestBaselines:
                                batch_size=32, steps=4)
         res = run_baseline(bundle, cfg)
         reads = [r.data_read for r in res.records]
-        # one full pass for the target, then per iteration one product batch
-        # plus one residual-check batch (charged after the record is cut)
-        assert reads[0] == 320 + 32
-        assert all(b - a == 64 for a, b in zip(reads, reads[1:]))
+        # one full pass for the target before the step-0 record, then per iteration
+        # one product batch plus one residual-check batch (charged after the record)
+        assert reads[:2] == [320, 320 + 32]
+        assert all(b - a == 64 for a, b in zip(reads[1:], reads[2:]))
 
     def test_cg_without_an_iteration_records_the_start_point(self, tmp_path, monkeypatch):
         # all-zero targets make b = 0, so CG stops before its first iteration
@@ -550,11 +554,12 @@ class TestBaselines:
                             lambda self, w, s, batch: -s)
         res = run_baseline(build_problem(small_quadratic()), dataclasses.replace(
             cfg, problem=small_quadratic()))
-        assert [(r.step, r.data_read) for r in res.records] == [(0, 320 + 32)]
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 320)]
         assert res.diverged and np.all(res.w == 0)
 
     # every lane kind ends in the one warning that the bench's fallback counter reads:
-    # an averaged-inverse lane at its last step, a CG lane at the exit that stops it
+    # an averaged-inverse lane at its first non-finite record, a CG lane at the exit
+    # that stops it; a baseline reads no rate, so its warning names none
     @pytest.mark.parametrize("case", ["avg_inv", "cg", "cg-at-once"])
     def test_a_diverged_baseline_logs_the_one_warning(self, case, monkeypatch, caplog):
         bundle = build_problem(small_quadratic())
@@ -569,9 +574,27 @@ class TestBaselines:
                                 lambda self, w, s, batch: -s)
         with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
             res = run_baseline(bundle, cfg)
-        assert res.diverged and res.t == {"avg_inv": 20, "cg": 7, "cg-at-once": 1}[case]
+        assert res.diverged and res.t == {"avg_inv": 1, "cg": 7, "cg-at-once": 1}[case]
         assert [r.message for r in caplog.records if "diverged at step" in r.message] == [
-            f"{optimizer} diverged at step {res.t} (lr=0.1)"]
+            f"{optimizer} diverged at step {res.t}"]
+
+    def test_the_first_non_finite_record_ends_every_lane_kind(self, monkeypatch, caplog):
+        # a loss that is finite only at the zero start: each lane ends diverged at its
+        # first record after step 0, the baselines' at step 1 and the SGD lanes' at the
+        # first due step; only the lanes that step at a rate name it
+        bundle = build_problem(small_quadratic())
+        monkeypatch.setattr(bundle, "train_loss", lambda w: math.inf if w.any() else 1.0)
+        base = dict(problem=small_quadratic(), batch_size=32, steps=20, record_every=3, lr=2.0)
+        cfgs = [ExperimentConfig(**LANE_KINDS[kind], **base)
+                for kind in ("sgd", "full", "scalar", "avg_inv", "cg")]
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            lanes = run_sgd_lanes(bundle, cfgs)
+        assert [(lane.diverged, [r.step for r in lane.records]) for lane in lanes] == (
+            [(True, [0, 3])] * 3 + [(True, [0, 1])] * 2)
+        assert [r.message for r in caplog.records if "diverged at step" in r.message] == [
+            "avg_inv diverged at step 1", "cg diverged at step 1",
+            "sgd diverged at step 3 (lr=2)", "precond_sgd diverged at step 3 (lr=2)",
+            "precond_sgd diverged at step 3 (lr=2)"]
 
     def test_kind_restrictions(self):
         mlp = build_problem(small_mlp())
@@ -598,7 +621,8 @@ class TestBaselines:
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", fails_fourth)
         res = run_baseline(bundle, cfg)
-        assert [(r.step, r.data_read) for r in res.records] == [(1, 8), (2, 16), (4, 32)]
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 0), (1, 8), (2, 16),
+                                                                  (4, 32)]
         np.testing.assert_array_equal(res.w, three.w)
         assert res.records[-1].train_loss == three.records[-1].train_loss
         calls.clear()
@@ -957,7 +981,7 @@ def lane_config(problem, kinds):
 def test_each_lane_equals_its_run_alone(data):
     """``run_sgd_lanes``'s one promise, on random mixes of 1-6 runs of every lane kind
     (the baselines on the quadratic only): each lane's records, ``diverged`` and final
-    ``w`` equal those of its config run alone."""
+    ``w`` equal those of its config run alone, and every lane keeps the one start and end."""
     kind = data.draw(st.sampled_from(["quadratic", "mlp"]))
     bundle = lane_bundle(kind)
     kinds = list(LANE_KINDS) if kind == "quadratic" else ["sgd", "full", "scalar"]
@@ -969,6 +993,11 @@ def test_each_lane_equals_its_run_alone(data):
         assert lane.diverged is alone.diverged
         assert_same_records(lane.records, alone.records)
         np.testing.assert_array_equal(lane.w, alone.w)
+        # every lane kind starts with a step-0 record and ends at its first
+        # non-finite one, diverged
+        assert lane.records[0].step == 0
+        assert all(math.isfinite(r.train_loss) for r in lane.records[:-1])
+        assert lane.diverged or math.isfinite(lane.final.train_loss)
 
 
 def test_bench_tracer_finds_and_restores_the_names_it_wraps(monkeypatch):

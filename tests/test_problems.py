@@ -443,12 +443,14 @@ class TestAvgInvBaseline:
         np.testing.assert_allclose(res.w, self.reference(p, 50, 4, 1), atol=1e-8)
 
     def test_records_running_mean_at_cadence(self):
-        # after step 1, every record_every-th step and the last step
+        # the zero start at step 0, then after step 1, every record_every-th step and
+        # the last step
         p = self.make(n_feat=6)
         res, _ = self.run(p, 12, 5, 2, record_every=2)
-        assert [(r.step, r.data_read) for r in res.records] == [(1, 12), (2, 24), (4, 48),
-                                                                  (5, 60)]
-        for r in res.records:
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 0), (1, 12), (2, 24),
+                                                                  (4, 48), (5, 60)]
+        assert res.records[0].train_loss == p.loss(np.zeros(6))
+        for r in res.records[1:]:
             assert r.train_loss == pytest.approx(p.loss(self.reference(p, 12, r.step, 2)),
                                                  rel=1e-10)
         np.testing.assert_allclose(res.w, self.reference(p, 12, 5, 2), atol=1e-8)
@@ -580,10 +582,11 @@ class TestCgBaseline:
         np.testing.assert_allclose(B @ res.w, np.ones(8), atol=1e-8)
 
     def test_one_record_per_iteration(self):
-        # each iteration reads one batch for its product, then one for the
-        # residual check after its record
+        # after the step-0 record at the one pass for b, each iteration reads one
+        # batch for its product, then one for the residual check after its record
         rng = np.random.default_rng(31)
         B = np.diag(rng.uniform(1.0, 3.0, size=5))
         res = run_cg(ExactOracle(B), np.ones(5), iters=4)
-        assert [(r.step, r.data_read) for r in res.records] == [(1, 2), (2, 4), (3, 6), (4, 8)]
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 1), (1, 2), (2, 4), (3, 6),
+                                                                  (4, 8)]
         assert not res.diverged and all(np.isfinite(r.train_loss) for r in res.records)
