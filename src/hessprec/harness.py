@@ -235,18 +235,28 @@ class _Bundle:
 
 
 class QuadraticBundle(_Bundle):
+    """A quadratic block's training problem and held-out data term.
+
+    The samples are split first, and the training and held-out rows are
+    each mapped to features once, straight into their own array; no
+    feature array of all the samples is formed."""
+
     kind = "quadratic"
 
     def __init__(self, pc: ProblemConfig):
         self.config = pc
         X, y = dataset(pc)
-        Phi = polynomial_features(X, pc.scale_vector()).T  # features x samples
-        tr, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
-        self.problem = problem = QuadraticProblem(Phi[:, tr], y[tr], pc.alpha_reg)
+        tr, te = datagen.train_test_split(X.shape[0], TEST_FRACTION, pc.data_seed)
+        scales = pc.scale_vector()
+        # features x samples, F-contiguous as the transpose of the row-major map,
+        # so each gradient's Phi[:, batch] gather reads one sample's features together
+        Phi = polynomial_features(X[tr], scales).T
+        self.problem = problem = QuadraticProblem(Phi, y[tr], pc.alpha_reg)
         self.n_train, self.dim = problem.n_data, problem.n_features
         self._optimum = (problem.w_star, problem.loss(problem.w_star))
         # the held-out data term, anchored at the training minimizer too
-        self._test_loss = SquaredLoss(Phi[:, te], y[te], problem.w_star) if te.size else None
+        self._test_loss = (SquaredLoss(polynomial_features(X[te], scales).T, y[te], problem.w_star)
+                           if te.size else None)
 
     def make_oracle(self, batch_size, seed):
         return batch_oracle(self.problem, batch_size, seed)

@@ -42,24 +42,33 @@ def raw_monomials(X, count):
 
     The order is fixed: the d linear terms, then the upper triangle of
     ``x x.T`` row by row, then the trace ``||x||^2``; for d = 21 that is
-    21 + 231 + 1 = 253.  Only the ``count`` returned columns are formed."""
+    21 + 231 + 1 = 253.  Only the ``count`` returned columns are formed,
+    each written once into the one returned array: row ``i`` of the
+    triangle is ``x_i`` times the block ``x_i .. x_{d-1}``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     d = X.shape[1]
     if count > n_monomials(d):
         raise ValueError(f"only {n_monomials(d)} distinct monomials exist, need {count}")
-    iu, ju = np.triu_indices(d)
-    pairs = max(count - d, 0)
-    cols = [X[:, :count], X[:, iu[:pairs]] * X[:, ju[:pairs]]]
+    feats = np.empty((X.shape[0], count))
+    feats[:, :d] = X[:, :count]
+    col = d
+    for i in range(d):
+        w = min(d - i, count - col)
+        if w <= 0:
+            break
+        np.multiply(X[:, i:i + 1], X[:, i:i + w], out=feats[:, col:col + w])
+        col += w
     if count == n_monomials(d):
-        cols.append(np.sum(X * X, axis=1, keepdims=True))
-    return np.concatenate(cols, axis=1)
+        feats[:, -1:] = np.sum(X * X, axis=1, keepdims=True)
+    return feats
 
 
 def polynomial_features(X, scales):
     """The first ``len(scales)`` monomials times ``scales``, of one sample
-    (1-d input) or a batch (2-d input)."""
+    (1-d input) or a batch (2-d input), scaled in place."""
     X = np.asarray(X, dtype=float)
-    feats = raw_monomials(X, len(scales)) * scales
+    feats = raw_monomials(X, len(scales))
+    feats *= scales
     return feats[0] if X.ndim == 1 else feats
 
 
@@ -141,8 +150,8 @@ class QuadraticProblem:
         object.__setattr__(self, "Phi", Phi)
         object.__setattr__(self, "y", y)
         # min and max are non-finite when an entry is, and unlike an entrywise
-        # check they take no temporary (a 64 KB one for G moved the regression
-        # benchmark's peak RSS); Phi is not checked, as its temporary is as large
+        # check they take no temporary; Phi is not checked, as an entrywise
+        # check of it would take a temporary as large as Phi
         with np.errstate(over="ignore", invalid="ignore"):
             object.__setattr__(self, "G", Phi @ Phi.T / y.size)
             object.__setattr__(self, "b", Phi @ y / y.size)

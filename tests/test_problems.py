@@ -12,6 +12,7 @@ from hessprec.harness import (
     ConfigError,
     ExperimentConfig,
     ProblemConfig,
+    QuadraticBundle,
     build_problem,
     run_baseline,
 )
@@ -20,6 +21,7 @@ from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.problems import (
     LogisticProblem,
     QuadraticProblem,
+    SquaredLoss,
     batch_oracle,
     exact_solution,
     logistic_oracle,
@@ -75,7 +77,36 @@ class TestFeatureMap:
         finally:
             tracemalloc.stop()
         assert feats.shape == (2000, 253)
-        assert peak < 3 * feats.nbytes
+        # one output array and no gathered or concatenated copies of it
+        assert peak < 1.25 * feats.nbytes
+
+    @staticmethod
+    def gathered_monomials(X, count):
+        """The feature map as two index gathers and a concatenation, the reference."""
+        d = X.shape[1]
+        iu, ju = np.triu_indices(d)
+        pairs = max(count - d, 0)
+        cols = [X[:, :count], X[:, iu[:pairs]] * X[:, ju[:pairs]]]
+        if count == n_monomials(d):
+            cols.append(np.sum(X * X, axis=1, keepdims=True))
+        return np.concatenate(cols, axis=1)
+
+    @pytest.mark.parametrize("d", [1, 2, 4, 21])
+    def test_equals_the_gathered_map_bit_for_bit(self, d):
+        X = np.random.default_rng(d).normal(size=(37, d))
+        for count in range(1, n_monomials(d) + 1):
+            feats = raw_monomials(X, count)
+            assert feats.flags.c_contiguous
+            assert np.array_equal(feats, self.gathered_monomials(X, count)), count
+
+    def test_scaling_in_place_is_the_product_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(9, 4))
+        scales = ProblemConfig(n_features=13).scale_vector()
+        assert np.array_equal(polynomial_features(X, scales), raw_monomials(X, 13) * scales)
+        assert np.array_equal(polynomial_features(X[2], scales),
+                              (raw_monomials(X[2], 13) * scales)[0])
+        assert polynomial_features(X[2], scales).shape == (13,)
 
     def test_scales_select_and_multiply(self):
         x = np.array([2.0, 3.0])
@@ -176,13 +207,56 @@ class TestQuadraticProblem:
             TestAnchoredLoss.residual_loss(Phi_te, y_te, w), rel=1e-12, abs=0)
 
 
-def held_out_split(pc):
-    """The held-out (Phi, y) of ``pc``'s bundle, built here from the public pieces."""
-    X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim,
-                                  pc.n_features, pc.noise)
+def map_then_split(pc):
+    """``pc``'s bundle data built here from the public pieces, every sample mapped
+    first and then split: ``(Phi_train, y_train, Phi_test, y_test)``."""
+    X, y = datagen.gen_regression(pc.data_seed, pc.n_samples, pc.input_dim, pc.n_features,
+                                  pc.noise, pc.signal_dim, pc.equal_coef)
     Phi = polynomial_features(X, pc.scale_vector()).T
-    _, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
-    return Phi[:, te], y[te]
+    tr, te = datagen.train_test_split(Phi.shape[1], TEST_FRACTION, pc.data_seed)
+    return Phi[:, tr], y[tr], Phi[:, te], y[te]
+
+
+def held_out_split(pc):
+    """The held-out (Phi, y) of ``pc``'s bundle."""
+    return map_then_split(pc)[2:]
+
+
+class TestSplitFirstBundle:
+    """The bundle maps its training and held-out rows apart, after the split."""
+
+    @pytest.mark.parametrize("pc", [
+        ProblemConfig(n_samples=400, input_dim=4, n_features=12),
+        ProblemConfig(n_samples=500, input_dim=5, n_features=20, signal_dim=7,
+                      scales=tuple(np.linspace(2.0, 0.01, 20))),
+    ], ids=["default-scales", "signal-dim-and-scales"])
+    def test_equals_the_map_then_split_construction(self, pc):
+        bundle = build_problem(pc)
+        Phi_tr, y_tr, Phi_te, y_te = map_then_split(pc)
+        ref = QuadraticProblem(Phi_tr, y_tr, pc.alpha_reg)
+        p = bundle.problem
+        for name in ("Phi", "y", "G", "b", "w_star"):
+            assert np.array_equal(getattr(p, name), getattr(ref, name)), name
+        # the gradients' Phi[:, batch] gathers see the layout they saw before
+        assert p.Phi.flags.f_contiguous
+        held_out, ref_held_out = bundle._test_loss, SquaredLoss(Phi_te, y_te, ref.w_star)
+        assert np.array_equal(held_out.gram, ref_held_out.gram)
+        assert np.array_equal(held_out.grad_at_anchor, ref_held_out.grad_at_anchor)
+        assert held_out.value_at_anchor == ref_held_out.value_at_anchor
+        w = np.random.default_rng(1).standard_normal(pc.n_features)
+        assert bundle.test_loss(w) == ref_held_out(w)
+
+    def test_builds_no_feature_array_of_all_samples(self):
+        # the training and held-out features together are 1.0x; an all-sample
+        # feature array or a copy of either split would add 0.8x or more
+        pc = ProblemConfig(n_samples=4000)
+        tracemalloc.start()
+        try:
+            QuadraticBundle(pc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * pc.n_samples * pc.n_features * 8
 
 
 class TestAnchoredLoss:
