@@ -12,10 +12,11 @@ build and thread count: no column holds a wall time.  Every record,
 baselines' included, is built by ``_Lane.emit`` from the lane's own
 iterate and step length, and a CSV row is its field values, which
 ``data.write_csv`` formats.  Every lane kind records step 0 and ends in
-``_Lane.finish``, diverged at its first non-finite record after step 0,
-with the one warning.  ``ProblemConfig`` checks the rules on the problem
-block's fields, so ``gen-data`` refuses a block that breaks one before
-it writes; the held-out share and the network's penalty are constants.
+``_Lane.finish``, diverged at its first non-finite record after step 0
+(or, for averaged inverse, with no batch solved), with the one warning.
+``ProblemConfig`` checks the rules on the problem block's fields, so
+``gen-data`` refuses a block that breaks one before it writes; the
+held-out share and the network's penalty are constants.
 
 ``run_sgd_lanes`` is the one step loop, and a run's result is its lane.
 It steps plain SGD, full mode, its plain-SGD fallback, scalar mode and
@@ -395,7 +396,7 @@ class _Lane:
     after the record of the step before.  The subclasses hold the
     baselines' rules, at step length 0.  ``diverged`` is ``None`` while the
     lane is live and a bool once ``finish``, every lane kind's end, has set
-    it, True at any kind's first non-finite record after step 0.
+    it, True at any kind's first non-finite record after step 0 or when its rule fails.
     """
 
     takes_gradient = True  # whether ``step`` reads the batch gradient at ``w``
@@ -489,7 +490,8 @@ class _AvgInvLane(_Baseline):
     solve fails is skipped with a warning but stays charged.  After the
     step-0 record of the zero start, at no reads, the mean is recorded
     after step 1, every ``record_every``-th step and the last step, once a
-    batch has been solved; a run with no solved batch raises ``SolveFailure``.
+    batch has been solved; a run with no solved batch records its last step,
+    the untouched start at the reads charged, and ends diverged.
     """
 
     def start(self):
@@ -504,13 +506,11 @@ class _AvgInvLane(_Baseline):
         else:
             self.used += 1
             self.w = self.total / self.used
-        if (self.used and (t == 1 or t % self.cfg.record_every == 0 or t == self.steps)
-                and not self.emit(t)):
+        due = t == self.steps or self.used and (t == 1 or t % self.cfg.record_every == 0)
+        if due and not self.emit(t):
             self.finish(True)
         elif t == self.steps:
-            if not self.used:
-                raise SolveFailure("every batch failed in the averaged-inverse baseline")
-            self.finish(False)
+            self.finish(not self.used)
 
 
 class _CgLane(_Baseline):
@@ -637,7 +637,7 @@ def compare(configs, bundle=None) -> ComparisonResult:
     One ``run_sgd_lanes`` call steps every run, and the runs that share a
     batch size share one batch stream; records and summaries stay in
     config order.
-    Divergence of an individual run is recorded in its summary, not fatal.
+    A run's failure, at any lane kind's end, is recorded in its summary, not fatal.
     """
     if not configs:
         raise ConfigError("compare needs at least one run config")

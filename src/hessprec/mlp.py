@@ -16,8 +16,8 @@ gradient is a stack of one.
 
 Parameters are flattened layer by layer as (W_1, b_1, W_2, b_2, ...),
 with W_l of shape (fan_out, fan_in).  ``MLPOracle`` serves mini-batch
-gradients and products on the seeded batches of
-:class:`hessprec.solver.HessianOracle`.
+``gradients`` and ``hvp`` on the seeded batches of
+:class:`hessprec.solver.HessianOracle`, whose ``gradient`` is the stack of one.
 """
 from __future__ import annotations
 
@@ -130,9 +130,6 @@ class ToyNet:
         acc = float(np.mean(zL.argmax(axis=1) == np.asarray(targets)))
         return self._data_loss(zL, targets), acc
 
-    def gradient(self, w, X, targets):
-        return self.gradients(np.asarray(w, dtype=float)[None], X, targets)[0]
-
     def gradients(self, W, X, targets):
         """Gradients at each row of the L x n_params stack ``W``, in one stacked pass.
 
@@ -237,9 +234,6 @@ class MLPOracle(HessianOracle):
     @property
     def dim(self) -> int:
         return self.net.n_params
-
-    def gradient(self, w, batch):
-        return self.gradients([w], batch)[0]
 
     def gradients(self, ws, batch):
         # one gather and one stacked pass; the rows of the result are the gradients

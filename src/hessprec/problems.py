@@ -10,7 +10,7 @@ dimension from ``X`` and its scales as given; ``harness.ProblemConfig``
 checks a run's scales, one per feature.
 Logistic regression supplies a convex non-quadratic oracle, used by no
 experiment, for checking the estimator on a Hessian that moves with ``w``.
-Both oracles use the draw-once / evaluate-free cost model of :mod:`hessprec.solver`.
+Both oracles implement ``gradients`` and ``hvp``, on the cost model of :mod:`hessprec.solver`.
 
 The regression losses that the harness records come from the exact
 second-order Taylor form of the data term about the minimizer ``w_star``
@@ -201,9 +201,6 @@ class QuadraticOracle(HessianOracle):
     def dim(self) -> int:
         return self.problem.n_features
 
-    def gradient(self, w, batch):
-        return self.gradients([w], batch)[0]
-
     def gradients(self, ws, batch):
         # one gather for every w; each gradient keeps its own products, so
         # it does not depend on which other vectors share the batch
@@ -287,11 +284,11 @@ class LogisticOracle(HessianOracle):
     def dim(self) -> int:
         return self.problem.n_features
 
-    def gradient(self, w, batch):
+    def gradients(self, ws, batch):
         Xb = self.problem.X[batch]
         yb = self.problem.labels[batch]
-        coeff = -yb * sigmoid(-yb * (Xb @ w))
-        return Xb.T @ coeff / batch.size + self.problem.reg * w
+        return [Xb.T @ (-yb * sigmoid(-yb * (Xb @ w))) / batch.size + self.problem.reg * w
+                for w in ws]
 
     def hvp(self, w, s, batch):
         Xb = self.problem.X[batch]

@@ -41,8 +41,9 @@ class HessianOracle(abc.ABC):
     already-loaded batch is free, so a caller that needs both from the
     same data pays for it once.  The convenience wrappers
     ``noisy_gradient`` / ``noisy_hvp`` draw their own batch per call.
-    A subclass over a dataset passes its size ``n_data`` and a seed to
-    inherit ``_draw``'s batch stream; any other subclass overrides it.
+    A dataset subclass passes its size ``n_data`` and a seed to inherit
+    ``_draw``'s batch stream and implements ``gradients``; any other overrides
+    ``_draw`` and, if never stepped as a lane, may implement ``gradient`` alone.
     Oracles that share the seed, the data and the batch size draw the
     same batch at each position, so ``draw_batch`` can hand one oracle
     the batch another drew there.
@@ -77,16 +78,12 @@ class HessianOracle(abc.ABC):
         return rng.choice(self.n_data, size=self.batch_size, replace=False)
 
     @abc.abstractmethod
-    def gradient(self, w, batch):
-        """Mini-batch gradient at ``w`` on a previously drawn batch."""
-
-    @abc.abstractmethod
     def hvp(self, w, s, batch):
         """Mini-batch Hessian product with ``s`` on a previously drawn batch."""
 
-    def gradients(self, ws, batch):
-        """Mini-batch gradients at each of ``ws`` on one drawn batch."""
-        return [self.gradient(w, batch) for w in ws]
+    def gradient(self, w, batch):
+        """Mini-batch gradient at ``w`` on a previously drawn batch: ``gradients``' stack of one."""
+        return self.gradients([w], batch)[0]
 
     def draw_batch(self, drawn=None):
         """The next batch, charged to ``data_read``: a fresh draw, or ``drawn``,

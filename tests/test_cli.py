@@ -394,6 +394,12 @@ class TestRun:
         capsys.readouterr()
 
 
+# alpha_reg 1e-16 puts every batch capacitance of this block above condition 1e14
+AVG_INV_SINGULAR = {"problem": {"n_samples": 200, "input_dim": 1, "n_features": 3,
+                                "alpha_reg": 1e-16},
+                    "batch_size": 3, "steps": 30, "record_every": 5}
+
+
 class TestCompare:
     def test_merged_csv_and_summary(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.json"
@@ -450,6 +456,55 @@ class TestCompare:
                    "--out", str(tmp_path / "x.csv")])
         assert rc == 1
         assert "runs" in capsys.readouterr().err
+
+
+    def test_avg_inv_run_with_no_solved_batch_is_flagged_not_fatal(self, tmp_path, capsys):
+        # every batch solve fails; the run still ends, diverged, at its untouched start
+        cfg = tmp_path / "cmp.json"
+        cfg.write_text(json.dumps({"base": AVG_INV_SINGULAR, "runs": [
+            {"optimizer": "sgd", "lr": 0.01}, {"optimizer": "avg_inv"}]}))
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[1] for r in rows if r[0] == "sgd"] == ["0", "5", "10", "15", "20", "25", "30"]
+        avg = [r for r in rows if r[0] == "avg_inv"]
+        assert [(r[1], r[2]) for r in avg] == [("0", "0"), ("30", "90")]
+        assert avg[0][3:] == avg[1][3:]
+        summary = capsys.readouterr().out
+        assert re.search(r"^avg_inv: .* diverged=True data_read=90 ", summary, re.M)
+        assert re.search(r"^sgd: .* diverged=False data_read=90 ", summary, re.M)
+
+
+def test_avg_inv_run_with_no_solved_batch_exits_2_and_writes_its_rows(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(AVG_INV_SINGULAR))
+    out = tmp_path / "run.csv"
+    assert main(["run", "--config", str(cfg), "--optimizer", "avg_inv", "--out", str(out)]) == 2
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(r[0], r[1]) for r in rows] == [("0", "0"), ("30", "90")]
+    captured = capsys.readouterr()
+    assert "diverged=True" in captured.out and "numerical failure" not in captured.err
+
+
+def test_unwritable_out_exits_1_with_io_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    rc = main(["run", *SMALL, "--optimizer", "sgd", "--steps", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("io error: ") and "Traceback" not in err
+    assert not out.parent.exists()
+
+
+def test_dataset_with_too_few_features_exits_1_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_dataset("d4.csv", np.random.default_rng(0).standard_normal((50, 4)), np.zeros(50))
+    rc = main(["run", "--set", 'problem.data="d4.csv"', "--set", "problem.input_dim=5",
+               "--set", "problem.n_features=12", "--optimizer", "sgd", "--steps", "3",
+               "--batch-size", "8", "--out", "out.csv"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "config error: dataset d4.csv has 4 features, config says 5\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 class TestEntryPoint:
@@ -511,6 +566,7 @@ BAD_INPUTS = {
     "n-classes-zero": ("run", ["--set", "problem.kind=mlp", "--set", "problem.n_classes=0"], None),
     "input-dim-negative": ("run", ["--set", "problem.input_dim=-2"], None),
     "noise-negative": ("run", ["--set", "problem.noise=-0.5"], None),
+    "record-every-zero": ("run", ["--set", "record_every=0"], None),
     "compare-config-a-list": ("compare", [], [{"optimizer": "sgd"}]),
     "compare-runs-of-ints": ("compare", [], {"base": {}, "runs": [1]}),
     "compare-runs-an-object": ("compare", [], {"base": {}, "runs": {"optimizer": "sgd"}}),
@@ -555,6 +611,7 @@ BAD_INPUTS = {
 # The cases whose message must also name the field at fault, or the fault.
 NAMED_FIELD = {"epochs-overflow": "epochs", "n-classes-one": "n_classes", "n-classes-zero": "n_classes",
                "input-dim-negative": "input_dim", "noise-negative": "noise",
+               "record-every-zero": "record_every",
                "scales-entry-nan": "scales",
                "target-loss-nan": "target_loss", "target-loss-inf": "target_loss",
                "timing-not-a-bool": "config keys: ['timing']",

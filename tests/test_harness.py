@@ -35,8 +35,9 @@ from hessprec.harness import (
     write_comparison_csv,
     write_run_csv,
 )
+from hessprec.inference import IncrementalPosterior
 from hessprec.linalg import SolveFailure
-from hessprec.mlp import ToyNet
+from hessprec.mlp import MLPOracle, ToyNet
 from hessprec.solver import EstimationError, HessianOracle
 from tests.test_solver import MatrixOracle, ScriptedOracle
 
@@ -407,6 +408,23 @@ class TestRunPrecondSgd:
         cfg_bad = self.cfg(solver=SolverSettings(iterations=16, init_samples=3))
         with pytest.raises(ConfigError, match=r"iterations \(16\) exceed"):
             run_precond_sgd(bundle, cfg_bad)
+
+    def test_probing_that_keeps_no_probe_falls_back_to_plain_sgd(self, monkeypatch, caplog):
+        # every probe is rejected, so the posterior holds no observation and the
+        # construction raises EstimationError, which the lane turns into the fallback
+        def rejects(post, s, y, noise=None):
+            raise ValueError("synthetic rejection")
+
+        monkeypatch.setattr(IncrementalPosterior, "add", rejects)
+        cfg = self.cfg()
+        with caplog.at_level(logging.WARNING, logger="hessprec"):
+            res = run_precond_sgd(build_problem(cfg.problem), cfg)
+        assert res.precond is None and res.estimates is None and not res.diverged
+        assert any("(active solver produced no usable observations); plain SGD fallback"
+                   in r.message for r in caplog.records)
+        # the estimate's 3 batches and the rejected probe's batch stay charged
+        assert res.records[0].data_read == (3 + 1) * 64
+        assert all(r.step_length == cfg.lr for r in res.records)
 
     def test_scalar_mode_rebuild_count(self, monkeypatch):
         solver = SolverSettings(init_samples=3, mode="scalar")
@@ -1003,19 +1021,24 @@ def test_each_lane_equals_its_run_alone(data):
 def test_bench_tracer_finds_and_restores_the_names_it_wraps(monkeypatch):
     """``bench/tracing.py`` wraps ``hessprec`` names by name: each must still exist,
     and uninstalling puts every original back, also where one function is bound to
-    several names, which the tracer then wraps once per name, one wrapper in another."""
+    several names, which the tracer then wraps once per name, one wrapper in another.
+    The oracles' ``gradient`` and the bundles' held-out pair are inherited names."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
     tracer, run = importlib.import_module("tracing").Tracer(), harness_mod.run_experiment
     names = ("run_sgd", "run_precond_sgd", "run_baseline", "run_experiment")
     bundles = (harness_mod.QuadraticBundle, harness_mod.MLPBundle)
+    oracles = (problems_mod.QuadraticOracle, MLPOracle)
     assert all(getattr(harness_mod, name) is run for name in names)
+    assert all(oracle.gradient is HessianOracle.gradient for oracle in oracles)
     try:
         tracer.install()
         assert all(getattr(harness_mod, name) is not run for name in names)
         assert cli_mod.run_experiment is not run
         assert all(bundle.test_loss is not harness_mod._Bundle.test_loss for bundle in bundles)
+        assert all(oracle.gradient is not HessianOracle.gradient for oracle in oracles)
     finally:
         tracer.uninstall()
+    assert all(oracle.gradient is HessianOracle.gradient for oracle in oracles)
     assert all(getattr(harness_mod, name) is run for name in names)
     assert cli_mod.run_experiment is run
     assert problems_mod.batch_oracle is problems_mod.QuadraticOracle

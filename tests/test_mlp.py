@@ -154,7 +154,7 @@ class TestGradient:
         net = tiny_net()
         X, targets = tiny_data(net)
         w = net.init_params(seed=1)
-        g = net.gradient(w, X, targets)
+        g = net.gradients(w[None], X, targets)[0]
         fd = fd_gradient(lambda v: net.loss_value(v, X, targets), w)
         np.testing.assert_allclose(g, fd, rtol=1e-5, atol=1e-8)
 
@@ -173,7 +173,7 @@ class TestGradient:
         X, targets = tiny_data(net)
         w = net.init_params(seed=3) * 1e3
         assert np.isfinite(net.loss_value(w, X, targets))
-        assert np.all(np.isfinite(net.gradient(w, X, targets)))
+        assert np.all(np.isfinite(net.gradients(w[None], X, targets)[0]))
 
     def test_regularizer_decomposition(self):
         bare = tiny_net(reg=0.0)
@@ -184,8 +184,8 @@ class TestGradient:
             reg.loss_value(w, X, targets),
             bare.loss_value(w, X, targets) + 0.35 * (w @ w), rtol=1e-12)
         np.testing.assert_allclose(
-            reg.gradient(w, X, targets),
-            bare.gradient(w, X, targets) + 0.7 * w, atol=1e-12)
+            reg.gradients(w[None], X, targets)[0],
+            bare.gradients(w[None], X, targets)[0] + 0.7 * w, atol=1e-12)
 
 
 class TestHvp:
@@ -197,7 +197,7 @@ class TestHvp:
         for _ in range(3):
             s = rng.standard_normal(net.n_params)
             hv = net.hvp(w, s, X, targets)
-            fd = fd_hvp(lambda v: net.gradient(v, X, targets), w, s)
+            fd = fd_hvp(lambda v: net.gradients(v[None], X, targets)[0], w, s)
             np.testing.assert_allclose(hv, fd, rtol=1e-5, atol=1e-6)
 
     def test_linearity(self):
@@ -280,7 +280,7 @@ class TestMLPOracle:
         batch = oracle.draw_batch()
         np.testing.assert_allclose(
             oracle.gradient(w, batch),
-            net.gradient(w, X[batch], targets[batch]), atol=1e-12)
+            net.gradients(w[None], X[batch], targets[batch])[0], atol=1e-12)
         s = np.random.default_rng(23).standard_normal(net.n_params)
         np.testing.assert_allclose(
             oracle.hvp(w, s, batch),
@@ -321,7 +321,8 @@ class TestAgainstReference:
         before = [a.copy() for a in inputs]
 
         np.testing.assert_array_equal(net.logits(w, X), ref.logits(w, X))
-        np.testing.assert_array_equal(net.gradient(w, X, targets), ref.gradient(w, X, targets))
+        np.testing.assert_array_equal(net.gradients(w[None], X, targets)[0],
+                                      ref.gradient(w, X, targets))
         np.testing.assert_array_equal(net.hvp(w, v, X, targets), ref.hvp(w, v, X, targets))
         data, acc = ref.data_loss(w, X, targets), ref.accuracy(w, X, targets)
         assert repr(net.loss_value(w, X, targets)) == repr(ref.loss_value(w, X, targets))

@@ -106,6 +106,23 @@ class TestReduceRank:
         assert sp.k == 1
         assert any("numerical rank" in rec.message for rec in caplog.records)
 
+    def test_zero_correction_clips_to_rank_zero(self, caplog):
+        # products exactly b0 s leave Delta = 0, so no direction is kept and P^2 = I
+        rng = np.random.default_rng(5)
+        S = rng.standard_normal((6, 3))
+        post = infer_noise_free(MatrixPrior(b0=2.0, w0=1.0, n=6),
+                                ObservationSet(S, 2.0 * S, np.zeros(3)))
+        assert not post.D[:post.m].any()
+        with caplog.at_level(logging.WARNING, logger="hessprec.precond"):
+            sp = reduce_rank(post, 2)
+        assert sp.k == 0 and sp.U.shape == (6, 0)
+        assert any("requested rank 2 exceeds numerical rank 0" in rec.message
+                   for rec in caplog.records)
+        precond, lr = build(sp, base_lr=0.1)
+        assert precond.alpha == 1.0 and lr == 0.1
+        g = rng.standard_normal(6)
+        assert apply_p_squared(precond, g).tobytes() == g.tobytes()
+
     def test_kept_directions_are_c_contiguous(self):
         rng = np.random.default_rng(4)
         post = FactorPair(rng.standard_normal((30, 8)), rng.standard_normal((30, 8)))

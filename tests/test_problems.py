@@ -548,15 +548,26 @@ class TestAvgInvBaseline:
         ref = self.reference(p, 8, 4, 3)  # includes the skipped batch
         assert not np.allclose(res.w, ref)
 
-    def test_all_batches_failing_raises(self, monkeypatch):
+    def test_all_batches_failing_ends_diverged_at_the_start(self, monkeypatch, caplog):
+        # no batch solved: the last step records the untouched start at the reads
+        # charged, and the lane ends through finish, diverged, instead of raising
         p = self.make(n_feat=10)
 
         def broken(b0, A, C, rhs):
             raise SolveFailure("synthetic failure")
 
         monkeypatch.setattr(problems_mod, "woodbury_solve", broken)
-        with pytest.raises(SolveFailure, match="every batch failed"):
-            self.run(p, 8, 3, 4)
+        with caplog.at_level(logging.WARNING, logger="hessprec.harness"):
+            res, oracle = self.run(p, 8, 3, 4)
+        assert res.diverged is True
+        assert [(r.step, r.data_read) for r in res.records] == [(0, 0), (3, 24)]
+        assert oracle.data_read == 3 * 8
+        np.testing.assert_array_equal(res.w, np.zeros(10))
+        assert res.final.train_loss == res.records[0].train_loss == p.loss(np.zeros(10))
+        assert res.final.step_length == 0.0
+        warnings_ = [r.message for r in caplog.records]
+        assert sum("skipping batch" in m for m in warnings_) == 3
+        assert [m for m in warnings_ if "diverged" in m] == ["avg_inv diverged at step 3"]
 
 
 class ExactOracle(HessianOracle):

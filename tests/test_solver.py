@@ -1,11 +1,14 @@
 import logging
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from hessprec.inference import IncrementalPosterior, MatrixPrior, ObservationSet, infer_noise_free
+from hessprec.inference import (IncrementalPosterior, MatrixPrior, NoiseModel, ObservationSet,
+                                infer_noise_free)
 from hessprec.mlp import MLPOracle, ToyNet
+from hessprec.precond import SpectralApprox
 from hessprec.problems import (
     LogisticOracle,
     LogisticProblem,
@@ -412,3 +415,69 @@ class TestRunInference:
             SolverConfig(iterations=1, init_samples=1)
         with pytest.raises(ValueError, match="mode"):
             SolverConfig(iterations=1, mode="banana")
+
+
+def _add_past_capacity():
+    """Add a probe to a full posterior; every buffer must be as it was after the refusal."""
+    post = IncrementalPosterior(MatrixPrior(b0=1.0, w0=1.0, n=3), NoiseModel(lam0=0.0), 1)
+    post.add(np.array([1.0, 0.0, 0.0]), np.array([2.0, 0.0, 0.0]))
+    before = {name: value.copy() for name, value in vars(post).items()
+              if isinstance(value, np.ndarray)}
+    try:
+        post.add(np.array([0.0, 1.0, 0.0]), np.array([0.0, 3.0, 0.0]))
+    finally:
+        assert post.m == 1
+        assert all(np.array_equal(getattr(post, name), value, equal_nan=True)
+                   for name, value in before.items())
+
+
+def _quadratic_oracle(batch_size):
+    rng = np.random.default_rng(0)
+    problem = QuadraticProblem(Phi=rng.standard_normal((3, 20)), y=rng.standard_normal(20),
+                               alpha_reg=1e-3)
+    return QuadraticOracle(problem, batch_size, seed=0)
+
+
+_NET = ToyNet((3, 4, 2))
+
+# Each library check that no command reaches: the call, and the field its ValueError names.
+LIBRARY_INPUT_CHECKS = {
+    "prior-b0": (lambda: MatrixPrior(b0=np.inf, w0=1.0, n=3), "b0"),
+    "prior-w0": (lambda: MatrixPrior(b0=1.0, w0=0.0, n=3), "w0"),
+    "prior-n": (lambda: MatrixPrior(b0=1.0, w0=1.0, n=0), "dimension"),
+    "noise-lam0": (lambda: NoiseModel(lam0=-1.0), "lam0"),
+    "posterior-capacity": (_add_past_capacity, "buffers are full"),
+    "noise-free-dimension": (lambda: infer_noise_free(
+        MatrixPrior(b0=1.0, w0=1.0, n=3), ObservationSet(np.eye(4)[:, :2], np.eye(4)[:, :2],
+                                                         np.zeros(2))),
+        "observation dimension 4"),
+    "toynet-sizes": (lambda: ToyNet((3,)), "sizes"),
+    "toynet-reg": (lambda: ToyNet((3, 2), reg=-1.0), "reg"),
+    "toynet-unpack": (lambda: _NET.unpack(np.zeros(_NET.n_params + 1)), "parameters"),
+    "toynet-hvp": (lambda: _NET.hvp(np.zeros(_NET.n_params), np.zeros(_NET.n_params - 1),
+                                    np.zeros((2, 3)), np.zeros(2, dtype=int)),
+                   "direction shape"),
+    "mlp-oracle-samples": (lambda: MLPOracle(_NET, np.zeros((5, 3)), np.zeros(4, dtype=int),
+                                             2, 0), "sample count"),
+    "spectral-shapes": (lambda: SpectralApprox(np.eye(3)[:, :2], np.ones(3)), "shapes"),
+    "quadratic-shapes": (lambda: QuadraticProblem(np.zeros((3, 5)), np.zeros(4), 1.0), "Phi"),
+    "quadratic-empty": (lambda: QuadraticProblem(np.zeros((3, 0)), np.zeros(0), 1.0),
+                        "training sample"),
+    "quadratic-alpha-reg": (lambda: QuadraticProblem(np.ones((3, 5)), np.ones(5), 0.0),
+                            "alpha_reg"),
+    "logistic-shapes": (lambda: LogisticProblem(np.zeros((5, 3)), np.ones(4), 1.0), "labels"),
+    "logistic-labels": (lambda: LogisticProblem(np.zeros((2, 3)), np.array([1.0, 0.0]), 1.0),
+                        "labels"),
+    "logistic-reg": (lambda: LogisticProblem(np.zeros((2, 3)), np.ones(2), np.nan), "reg"),
+    "oracle-batch-size": (lambda: _quadratic_oracle(0), "batch_size"),
+    "oracle-batch-past-data": (lambda: _quadratic_oracle(21), "batch_size"),
+    "estimate-mode": (lambda: estimate_parameters(_quadratic_oracle(4), np.ones(3),
+                                                  mode="banana"), "mode"),
+}
+
+
+@pytest.mark.parametrize("case", LIBRARY_INPUT_CHECKS)
+def test_library_input_check_raises_naming_the_field(case):
+    call, field = LIBRARY_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=re.escape(field)):
+        call()
